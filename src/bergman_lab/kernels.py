@@ -4,9 +4,9 @@ The model carries an orthonormal polynomial basis e_0..e_N for the inner
 product  <f, g> = int f conj(g) u dA:
 
   * radial weights: monomials are already orthogonal, so e_n = z^n / sqrt(G_nn)
-    with G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr computed by an exact-degree
-    Gauss rule (Gauss-Jacobi for the standard weights, Gauss-Legendre in r^2
-    otherwise);
+    with G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr taken by quadrature.radial_moments
+    on the package's one cached Gauss rule (Gauss-Jacobi for the standard
+    weights, Gauss-Legendre in r^2 otherwise);
   * general weights: the monomial Gram matrix is assembled by disc quadrature
     and factored (Cholesky), giving a lower-triangular coefficient matrix.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .quadrature import disc_rule
+from .quadrature import disc_rule, radial_moments
 from .weights import Weight
 
 __all__ = [
@@ -39,23 +39,15 @@ __all__ = [
 
 def _radial_monomial_norms(u: Weight, degree):
     """G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr = pi int_0^1 t^n u(sqrt t) dt."""
-    n = np.arange(degree + 1)
     if u.kind == "standard":
-        from scipy.special import roots_jacobi
+        # (1 - t)^alpha is the Gauss-Jacobi weight, so the rule is exact
+        return radial_moments(None, degree, degree // 2 + 8, u.params["alpha"])
+    return radial_moments(_profile_in_t(u), degree, max(degree // 2 + 8, 256))
 
-        alpha = u.params["alpha"]
-        # Gauss-Jacobi on [-1,1] with weight (1-x)^alpha; map x -> t on [0,1]
-        k = degree // 2 + 8
-        x, w = roots_jacobi(k, alpha, 0.0)
-        t = 0.5 * (x + 1.0)
-        w = w * 0.5 ** (alpha + 1.0)
-        return np.pi * (w[None, :] * t[None, :] ** n[:, None]).sum(axis=1)
-    k = max(degree // 2 + 8, 256)
-    x, w = np.polynomial.legendre.leggauss(k)
-    t = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    vals = u.radial_profile(np.sqrt(t))
-    return np.pi * ((w * vals)[None, :] * t[None, :] ** n[:, None]).sum(axis=1)
+
+def _profile_in_t(u: Weight):
+    """u(sqrt t): the radial weight in the variable t = |z|^2."""
+    return lambda t: u.radial_profile(np.sqrt(t))
 
 
 def _power_matrix(z, degree):
@@ -144,7 +136,7 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
             raise DegeneracyError("radial monomial norms must be positive and finite")
         coeffs = np.diag(1.0 / np.sqrt(norms)).astype(complex)
         # residual against an independently refined radial rule
-        fine = _radial_refined_norms(u, degree)
+        fine = radial_moments(_profile_in_t(u), degree, max(degree + 24, 384))
         resid = float(np.max(np.abs(fine / norms - 1.0)))
         return KernelModel(u, degree, coeffs, norms, 0.0, resid)
 
@@ -169,17 +161,6 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
     if resid_same > 1e-8:
         raise DegeneracyError(f"orthonormalization residual {resid_same:.2e} above 1e-8")
     return KernelModel(u, degree, coeffs, None, resid_same, resid_fine)
-
-
-def _radial_refined_norms(u, degree):
-    """Radial norms recomputed on a different rule, for the residual report."""
-    n = np.arange(degree + 1)
-    k = max(degree + 24, 384)
-    x, w = np.polynomial.legendre.leggauss(k)
-    t = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    vals = u.radial_profile(np.sqrt(t))
-    return np.pi * ((w * vals)[None, :] * t[None, :] ** n[:, None]).sum(axis=1)
 
 
 def kernel_eval(m: KernelModel, z, w):

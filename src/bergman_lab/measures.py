@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
 from .geometry import check_disc_point, pseudo_disk
-from .quadrature import EuclideanDisk, disc_rule, region_quadrature
+from .quadrature import EuclideanDisk, disc_rule, radial_moments, region_quadrature
 from .weights import Weight, mass, weight_from_config
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "integrate_measure",
     "disk_mass",
     "basis_gram",
-    "kernel_square_integrability_check",
 ]
 
 
@@ -209,13 +208,11 @@ def _radial_measure(mu):
 
 def _radial_gram_diag(m, mu):
     """Diagonal M_nn = pi int_0^1 t^n g(sqrt t) dt / G_nn for radial data."""
-    n = np.arange(m.degree + 1)
-    k = max(m.degree + 32, 256)
-    x, w = np.polynomial.legendre.leggauss(k)
-    t = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    dens = mu.density_at(np.sqrt(t).astype(complex))
-    moments = np.pi * ((w * dens)[None, :] * t[None, :] ** n[:, None]).sum(axis=1)
+    moments = radial_moments(
+        lambda t: mu.density_at(np.sqrt(t).astype(complex)),
+        m.degree,
+        max(m.degree + 32, 256),
+    )
     return moments / m.diag_norms
 
 
@@ -224,20 +221,3 @@ def _gram_rule(m, mu):
     n_r = max(m.degree + 16, mu.resolution[0])
     n_t = max(1 << int(np.ceil(np.log2(2 * m.degree + 32))), mu.resolution[1])
     return disc_rule(n_r, n_t, mu.r_max)
-
-
-def kernel_square_integrability_check(mu: DiscMeasure, m, probes):
-    """int |K(., z)|^2 dmu finite at every probe.
-
-    Truncated kernels are polynomials, so finiteness always holds; the honest
-    proxy reported here is stability of the value under halving the basis
-    truncation (ratio of the full sum to the half-degree partial sum).
-    """
-    M = basis_gram(m, mu)
-    ok = True
-    for z in probes:
-        e = np.conj(m.basis_matrix(np.array([complex(z)]))[:, 0])
-        full = float(np.real(e.conj() @ M @ e))
-        if not np.isfinite(full):
-            ok = False
-    return ok

@@ -16,6 +16,10 @@ is smooth and bounded by 1, so integrating in preimage coordinates converges
 fast where naive indicator filtering of a disc rule would stall at the circline
 boundary of S(a).
 
+Every Gauss rule in the package comes from one cached reference rule on
+[-1, 1] (gauss_rule), Gauss-Legendre or Gauss-Jacobi; radial moments
+pi int_0^1 t^n g(t) dt are taken against it by radial_moments.
+
 Rules are immutable and cached by region parameters; summation uses numpy's
 pairwise reduction in a fixed node order, so repeated runs are bit-identical.
 """
@@ -35,7 +39,8 @@ __all__ = [
     "EuclideanDisk",
     "CarlesonRegion",
     "DiscQuadrature",
-    "integrate",
+    "gauss_rule",
+    "radial_moments",
     "region_quadrature",
     "disc_rule",
 ]
@@ -95,13 +100,47 @@ class DiscQuadrature:
         return float(np.sum(self.weights))
 
 
-def integrate(q: DiscQuadrature, f):
-    """Functional form of DiscQuadrature.integrate."""
-    return q.integrate(f)
+@lru_cache(maxsize=256)
+def gauss_rule(n, jacobi_alpha=None):
+    """Read-only n-point Gauss rule (nodes, weights) on [-1, 1].
+
+    Gauss-Legendre by default; Gauss-Jacobi for the weight (1 - x)^jacobi_alpha
+    otherwise.  Both library calls are looked up when the rule is built, so a
+    caller that rebinds them on numpy or scipy sees every build.
+    """
+    if jacobi_alpha is None:
+        x, w = np.polynomial.legendre.leggauss(n)
+    else:
+        from scipy.special import roots_jacobi
+
+        x, w = roots_jacobi(n, jacobi_alpha, 0.0)
+    return _read_only(x, w)
+
+
+def _read_only(*arrays):
+    """Freeze arrays handed out by an lru_cache, which every caller shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def radial_moments(profile, degree, n_nodes, jacobi_alpha=None):
+    """pi int_0^1 t^n profile(t) [(1 - t)^jacobi_alpha] dt for n = 0..degree.
+
+    An n_nodes-point Gauss rule mapped from [-1, 1] to t in [0, 1]; with
+    jacobi_alpha the endpoint factor (1 - t)^jacobi_alpha rides in the rule's
+    weights and profile=None stands for 1.
+    """
+    x, w = gauss_rule(n_nodes, jacobi_alpha)
+    t = 0.5 * (x + 1.0)
+    w = 0.5 * w if jacobi_alpha is None else w * 0.5 ** (jacobi_alpha + 1.0)
+    vals = 1.0 if profile is None else profile(t)
+    n = np.arange(degree + 1)
+    return np.pi * ((w * vals)[None, :] * t[None, :] ** n[:, None]).sum(axis=1)
 
 
 def _gauss_legendre(n, a, b):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -118,7 +157,7 @@ def _polar_rule(n_radial, n_angular, r_max):
     wt = 2.0 * np.pi / n_angular
     nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = (wr[:, None] * r[:, None] * wt * np.ones(n_angular)[None, :]).ravel()
-    return nodes, weights
+    return _read_only(nodes, weights)
 
 
 @lru_cache(maxsize=256)
@@ -135,7 +174,7 @@ def _carleson_rule(re_a, im_a, n_radial, n_angular, r_inner):
     w2 = (wr * r)[:, None] * wtheta[None, :]
     jac = ((1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2) ** 2
     nodes = (a - z) / (1.0 - np.conj(a) * z)
-    return nodes.ravel(), (w2 * jac).ravel()
+    return _read_only(nodes.ravel(), (w2 * jac).ravel())
 
 
 def disc_rule(n_radial, n_angular, r_max=1.0):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import KernelModel, kernel_norm
-from .measures import DiscMeasure, basis_gram
+from .measures import DiscMeasure, _radial_gram_diag, _radial_measure, basis_gram
 from .quadrature import disc_rule
 from .reports import CriterionReport, band, classify_ring_trend
 from .weights import Weight, mass
@@ -55,10 +55,10 @@ def _quadratic_profile(M, m: KernelModel, points, chunk=512):
 
 def berezin_profile(mu: DiscMeasure, m: KernelModel, points):
     """Berezin transform at many points via the measure Gram matrix."""
-    M = basis_gram(m, mu)
-    if m.is_radial and mu.kind in ("weighted_area", "power_density"):
-        M = np.real(np.diag(M))  # radial measure: cross terms are quadrature noise
-    return _quadratic_profile(M, m, points)
+    if m.is_radial and _radial_measure(mu):
+        # radial weight and measure: the Gram matrix is its diagonal
+        return _quadratic_profile(_radial_gram_diag(m, mu), m, points)
+    return _quadratic_profile(basis_gram(m, mu), m, points)
 
 
 def berezin(mu: DiscMeasure, m: KernelModel, z):

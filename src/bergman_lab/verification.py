@@ -12,8 +12,6 @@ to byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import criteria, toeplitz, transforms
@@ -488,7 +486,3 @@ def render_summary(results):
         lines.append(f"{status}  {res['criterion']:2d}. {res['name']}")
     lines.append("overall: " + ("PASS" if results["passed"] else "FAIL"))
     return "\n".join(lines)
-
-
-def results_json(results):
-    return json.dumps(results, sort_keys=True, indent=2)

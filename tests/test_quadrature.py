@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.special import beta
 
 from bergman_lab import CarlesonSet, EvaluationError, disc_rule, pseudo_disk, region_quadrature
-from bergman_lab.quadrature import CarlesonRegion, EuclideanDisk, FullDisc
+from bergman_lab.quadrature import (
+    CarlesonRegion,
+    EuclideanDisk,
+    FullDisc,
+    gauss_rule,
+    radial_moments,
+)
 
 
 class TestDiscRule:
@@ -72,3 +79,42 @@ class TestRegionQuadrature:
         ratios = [areas[i] / areas[i + 1] for i in range(2)]
         for r in ratios:
             assert 3.0 < r < 5.0  # quarters of (1-rho) give factor ~4
+
+
+class TestRadialMoments:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_jacobi_matches_beta(self, alpha):
+        # pi int_0^1 t^n (1 - t)^alpha dt = pi B(n + 1, alpha + 1)
+        degree = 200
+        got = radial_moments(None, degree, degree // 2 + 8, alpha)
+        exact = np.pi * beta(np.arange(degree + 1) + 1.0, alpha + 1.0)
+        assert np.max(np.abs(got / exact - 1.0)) < 1e-12
+
+    def test_legendre_with_profile(self):
+        # profile (1 - t)^2 through Gauss-Legendre equals the Jacobi weight
+        got = radial_moments(lambda t: (1.0 - t) ** 2, 60, 64)
+        exact = np.pi * beta(np.arange(61) + 1.0, 3.0)
+        assert np.max(np.abs(got / exact - 1.0)) < 1e-12
+
+
+class TestCachedRules:
+    def test_gauss_rule_read_only(self):
+        x, w = gauss_rule(16)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
+
+    def test_polar_rule_read_only(self):
+        area = disc_rule(8, 16).area
+        with pytest.raises(ValueError):
+            disc_rule(8, 16).weights[:] = 0.0
+        with pytest.raises(ValueError):
+            disc_rule(8, 16).nodes[0] = 0.0
+        assert disc_rule(8, 16).area == area
+
+    def test_carleson_rule_read_only(self):
+        q = region_quadrature(CarlesonRegion(0.5 + 0.1j), 16)
+        with pytest.raises(ValueError):
+            q.weights[0] = 0.0

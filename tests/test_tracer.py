@@ -1,0 +1,85 @@
+"""The benchmark's layer tracer patches library names and must put them back.
+
+perfbench/layers.py rebinds functions by name from outside the package,
+private helpers such as ``measures._radial_measure`` included, and counts
+Gauss-rule builds by rebinding ``leggauss`` and ``roots_jacobi`` on numpy and
+scipy.  These tests load it by file path and pin both contracts.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.special
+
+from bergman_lab import cli, measures, quadrature
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+LIBRARY_NAMES = (
+    (np.polynomial.legendre, "leggauss"),
+    (np.polynomial.polynomial, "polyval"),
+    (np.linalg, "eigvalsh"),
+    (scipy.special, "roots_jacobi"),
+)
+
+
+@pytest.fixture
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    t = layers.Tracer()
+    yield t
+    t.restore()
+
+
+def _bindings():
+    """Every name the tracer may rebind, keyed to the object it holds now."""
+    out = {}
+    for name, mod in sorted(sys.modules.items()):
+        if name == "bergman_lab" or name.startswith("bergman_lab."):
+            for key, value in vars(mod).items():
+                out[(name, key)] = value
+                if inspect.isclass(value) and value.__module__ == name:
+                    for attr, member in vars(value).items():
+                        out[(name, key, attr)] = member
+    for owner, attr in LIBRARY_NAMES:
+        out[(owner.__name__, attr)] = getattr(owner, attr)
+    for key, runner in cli.RUNNERS.items():
+        out[("cli.RUNNERS", key)] = runner
+    return out
+
+
+def test_install_then_restore_puts_every_name_back(tracer):
+    before = _bindings()
+    tracer.install()
+    patched = {k for k, v in _bindings().items() if before.get(k) is not v}
+    assert ("bergman_lab.measures", "basis_gram") in patched
+    assert ("numpy.polynomial.legendre", "leggauss") in patched
+    assert ("scipy.special", "roots_jacobi") in patched
+    assert ("bergman_lab.verification", "ALL_CHECKS") in patched
+    tracer.restore()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+    # private helpers the tracer reads by name are still there
+    assert callable(measures._radial_measure)
+
+
+def test_rule_builds_are_seen_by_the_tracer(tracer):
+    # gauss_rule looks leggauss and roots_jacobi up when it builds a rule,
+    # so a rebinding made after import sees every build
+    quadrature.gauss_rule.cache_clear()
+    tracer.install()
+    tracer.job = 0
+    quadrature.gauss_rule(24)
+    quadrature.gauss_rule(24)
+    quadrature.gauss_rule(24, 0.5)
+    tracer.job = None
+    tracer.restore()
+    assert tracer.counts[(0, "quadrature.leggauss.calls")] == 1
+    assert tracer.counts[(0, "quadrature.roots_jacobi.calls")] == 1
+    assert tracer.counts[(0, "quadrature.leggauss.repeat")] == 0

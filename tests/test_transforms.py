@@ -11,8 +11,11 @@ from bergman_lab import (
     berezin,
     berezin_profile,
     comparability_report,
+    build_kernel_model,
+    constant,
     kernel_diag,
     power_density,
+    power_one_minus_z,
     profile_lp_norm,
     pseudo_disk,
     standard,
@@ -40,6 +43,18 @@ class TestBerezin:
         mu = atomic([(w, c)])
         exact = c * abs(1.0 / (np.pi * (1.0 - w * z) ** 2)) ** 2 / kernel_diag(model_u1, z)
         assert berezin(mu, model_u1, z) == pytest.approx(exact, rel=1e-8)
+
+    def test_non_radial_measure_on_radial_model(self):
+        # a radial model with a non-radial u dA keeps the off-diagonal Gram
+        # terms: the profile equals int |K(., z)|^2 dmu / K(z, z) pointwise
+        m = build_kernel_model(constant(), 40)
+        mu = weighted_area(power_one_minus_z(1.0))
+        pts = np.array([0.5, 0.5j, -0.5])
+        direct = [
+            mu.integrate(lambda w, z=z: np.abs(m.kernel(w, z)) ** 2) / kernel_diag(m, z)
+            for z in pts
+        ]
+        assert berezin_profile(mu, m, pts) == pytest.approx(direct, rel=1e-10)
 
     def test_positive_and_linear(self, model_u1_small):
         mu = atomic([(0.3, 1.0)])
