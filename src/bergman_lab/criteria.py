@@ -22,12 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BoundaryLadder, CarlesonSet, pseudo_disk
+from .geometry import BoundaryLadder, CarlesonSet
 from .kernels import KernelModel
 from .measures import DiscMeasure
 from .reports import CriterionReport, band, classify_ring_trend, ring_slope
-from .transforms import average_function, profile_lp_norm, t_berezin_profile
-from .weights import Weight, mass
+from .transforms import profile_lp_norm, t_berezin_profile
+from .weights import Weight, disk_masses, mass
 
 __all__ = [
     "boundedness_index",
@@ -46,27 +46,22 @@ def _grid_points(grid):
     return np.asarray(pts, dtype=complex)
 
 
-def _ladder_rings(grid):
-    if isinstance(grid, BoundaryLadder):
-        return [(grid.radii[j], grid.ring_points(j)) for j in range(len(grid.radii))]
-    return None
+def _bc_quantities(mu, u, m, p, q, t, r, points):
+    """mu^_r and mu~_t over u(Delta)^(1/p - 1/q) at the given points.
+
+    u(Delta(z, r)) is computed once and serves both the averaging function
+    and the scale.
+    """
+    ud = disk_masses(u, r, points, 32)
+    scale = ud ** (1.0 / p - 1.0 / q)
+    av = mu.disk_masses(points, r) / ud
+    return av / scale, t_berezin_profile(mu, m, t, points) / scale
 
 
-def _disk_masses(u, r, points, resolution=32):
-    return np.array(
-        [mass(u, pseudo_disk(z, r), resolution=resolution) for z in points]
-    )
-
-
-def _bc_quantity(mu, u, m, p, q, t, r, points, use_berezin):
-    """mu~_t or mu^_r over u(Delta)^(1/p - 1/q) at the given points."""
-    expo = 1.0 / p - 1.0 / q
-    ud = _disk_masses(u, r, points)
-    if use_berezin:
-        base = t_berezin_profile(mu, m, t, points)
-    else:
-        base = np.array([average_function(mu, u, r, z) for z in points])
-    return base / ud**expo
+def _carleson_ratios(mu, u, expo, points):
+    """mu(S(a)) / u(S(a))^expo at every anchor a."""
+    sets = [CarlesonSet(complex(a)) for a in points]
+    return np.array([mu.region_mass(s) / mass(u, s) ** expo for s in sets])
 
 
 def boundedness_index(mu, u, m, p, q, t, r, grid) -> CriterionReport:
@@ -81,15 +76,9 @@ def boundedness_index(mu, u, m, p, q, t, r, grid) -> CriterionReport:
     if not (0 < p <= q):
         raise DomainError("boundedness_index requires 0 < p <= q")
     points = _grid_points(grid)
-    av = _bc_quantity(mu, u, m, p, q, t, r, points, use_berezin=False)
-    tb = _bc_quantity(mu, u, m, p, q, t, r, points, use_berezin=True)
-    rings = _ladder_rings(grid)
-    if rings is not None:
-        offset = 0
-        trend = []
-        for rho, pts in rings:
-            trend.append((rho, float(np.max(av[offset : offset + pts.size]))))
-            offset += pts.size
+    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
+    if isinstance(grid, BoundaryLadder):
+        trend = list(zip(grid.radii, grid.ring_max(av)))
         verdict = classify_ring_trend([v for _, v in trend])
         if verdict == "vanishing":
             verdict = "finite"
@@ -115,20 +104,15 @@ def compactness_index(mu, u, m, p, q, t, r, ladder: BoundaryLadder) -> Criterion
     """Compactness trend: the boundedness quantity along a boundary ladder."""
     if not (0 < p <= q):
         raise DomainError("compactness_index requires 0 < p <= q")
-    rings_av, rings_tb, per_point = [], [], []
-    for j in range(len(ladder.radii)):
-        pts = ladder.ring_points(j)
-        av = _bc_quantity(mu, u, m, p, q, t, r, pts, use_berezin=False)
-        tb = _bc_quantity(mu, u, m, p, q, t, r, pts, use_berezin=True)
-        rings_av.append(float(np.max(av)))
-        rings_tb.append(float(np.max(tb)))
-        per_point.extend(zip(pts, av))
+    points = ladder.points()
+    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
+    rings_av, rings_tb = ladder.ring_max(av), ladder.ring_max(tb)
     verdict = classify_ring_trend(rings_av)
     return CriterionReport(
         name="compactness_index",
         parameters={"p": p, "q": q, "t": t, "r": r},
         index_value=rings_av[-1],
-        per_point=per_point,
+        per_point=list(zip(points, av)),
         ring_trend=list(zip(ladder.radii, rings_av)),
         verdict=verdict,
         extras={
@@ -183,20 +167,19 @@ def carleson_test(mu, u, m, p, q, r, s, p0, anchors) -> CriterionReport:
         raise DomainError("carleson_test requires s >= 2 p0 / p")
     points = _grid_points(anchors)
     qp = q / p
-    idx_b, idx_c, idx_e = [], [], []
-    for a in points:
-        us = mass(u, CarlesonSet(complex(a)))
-        idx_b.append(mu.region_mass(CarlesonSet(complex(a))) / us**qp)
-        ud = mass(u, pseudo_disk(a, r), resolution=32)
-        idx_c.append(mu.disk_mass(a, r) / ud**qp)
-        w = complex(a)
+    # powers on python floats: numpy's vectorised power may differ in the last bit
+    udq = np.array([v**qp for v in disk_masses(u, r, points, 32).tolist()])
 
-        def g_integrand(z, w=w):
+    def test_integral(w):
+        def g(z):
             z = np.asarray(z, dtype=complex)
             return ((1.0 - abs(w) ** 2) / np.abs(1.0 - z * np.conj(w))) ** (q * s)
 
-        idx_e.append(mu.integrate(g_integrand) / ud**qp)
-    idx_b, idx_c, idx_e = map(np.asarray, (idx_b, idx_c, idx_e))
+        return mu.integrate(g)
+
+    idx_b = _carleson_ratios(mu, u, qp, points)
+    idx_c = mu.disk_masses(points, r) / udq
+    idx_e = np.array([test_integral(complex(a)) for a in points]) / udq
     max_b, max_c, max_e = map(float, (idx_b.max(), idx_c.max(), idx_e.max()))
     finite = all(np.isfinite(v) for v in (max_b, max_c, max_e))
     return CriterionReport(
@@ -223,39 +206,18 @@ def vanishing_carleson_test(mu, u, p, q, ladder: BoundaryLadder) -> CriterionRep
     """Ring trend of mu(S(a)) / u(S(a))^(q/p) over the ladder anchors."""
     if not (0 < p <= q):
         raise DomainError("vanishing_carleson_test requires q >= p > 0")
-    qp = q / p
-    per_point, rings = [], []
-    for j in range(len(ladder.radii)):
-        pts = ladder.ring_points(j)
-        vals = []
-        for a in pts:
-            us = mass(u, CarlesonSet(complex(a)))
-            vals.append(mu.region_mass(CarlesonSet(complex(a))) / us**qp)
-        rings.append(float(np.max(vals)))
-        per_point.extend(zip(pts, vals))
+    points = ladder.points()
+    vals = _carleson_ratios(mu, u, q / p, points)
+    rings = ladder.ring_max(vals)
     return CriterionReport(
         name="vanishing_carleson_test",
         parameters={"p": p, "q": q},
         index_value=rings[-1],
-        per_point=per_point,
+        per_point=list(zip(points, vals)),
         ring_trend=list(zip(ladder.radii, rings)),
         verdict=classify_ring_trend(rings),
         extras={"ring_max": rings},
     )
-
-
-def _carleson_ladder_trend(mu, u, expo, ladder):
-    """Per-ring maxima of mu(S(a)) / u(S(a))^expo on axis anchors."""
-    rings = []
-    for j in range(len(ladder.radii)):
-        pts = ladder.ring_points(j)
-        vals = [
-            mu.region_mass(CarlesonSet(complex(a)))
-            / mass(u, CarlesonSet(complex(a))) ** expo
-            for a in pts
-        ]
-        rings.append(float(np.max(vals)))
-    return rings
 
 
 def theorem_consistency_report(mu, u, m, p, q, t, r, s, ladder=None) -> CriterionReport:
@@ -296,7 +258,7 @@ def theorem_consistency_report(mu, u, m, p, q, t, r, s, ladder=None) -> Criterio
         }
         if q > 1:
             expo = 1.0 + 1.0 / p - 1.0 / q
-            rings_c = _carleson_ladder_trend(mu, u, expo, ladder)
+            rings_c = ladder.ring_max(_carleson_ratios(mu, u, expo, ladder.points()))
             conditions["iv_carleson_s"] = {
                 "trend": rings_c,
                 "verdict": classify_ring_trend(rings_c),
@@ -315,7 +277,7 @@ def theorem_consistency_report(mu, u, m, p, q, t, r, s, ladder=None) -> Criterio
                 "tail_slope": rep.extras["tail_slope"],
             }
         expo = 1.0 + 1.0 / p - 1.0 / q
-        rings_c = _carleson_ladder_trend(mu, u, expo, ladder)
+        rings_c = ladder.ring_max(_carleson_ratios(mu, u, expo, ladder.points()))
         trend_verdict = classify_ring_trend(rings_c)
         conditions["v_carleson"] = {
             "trend": rings_c,

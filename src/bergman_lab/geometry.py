@@ -320,6 +320,11 @@ class BoundaryLadder:
         """All ladder points, ring by ring."""
         return np.concatenate([self.ring_points(j) for j in range(len(self.radii))])
 
+    def ring_max(self, values):
+        """Per-ring maxima of values given in points() order, as floats."""
+        rows = np.asarray(values, dtype=float).reshape(len(self.radii), self.samples_per_ring)
+        return rows.max(axis=1).tolist()
+
 
 def boundary_ladder(n_rings, samples_per_ring, rho0=0.5):
     """Ladder with radii 1 - 2^-j (1 - rho0) for j = 0..n_rings-1."""

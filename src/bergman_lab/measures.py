@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
-from .geometry import check_disc_point, pseudo_disk
-from .quadrature import EuclideanDisk, disc_rule, radial_moments, region_quadrature
-from .weights import Weight, mass, weight_from_config
+from .geometry import check_disc_point, pseudo_disk, pseudo_distance
+from .quadrature import disc_rule, disk_integrals, radial_moments, region_quadrature
+from .weights import Weight, disk_masses, mass, weight_from_config
 
 __all__ = [
     "DiscMeasure",
@@ -70,15 +70,30 @@ class DiscMeasure:
 
     def disk_mass(self, z, r):
         """mu(Delta(z, r)); atoms use strict pseudo-disk membership."""
-        disk = pseudo_disk(z, r)
-        if self.kind == "atomic":
-            return float(
-                sum(mz for a, mz in self.atoms if disk.contains(a))
-            )
+        return float(self.disk_masses([z], r)[0])
+
+    def disk_masses(self, points, r):
+        """mu(Delta(z, r)) for every z in points, on one batched polar rule.
+
+        Atoms count when d(z, atom) < r strictly, summed in atom order;
+        densities and u dA are integrated over each disk's Euclidean form.
+        """
         if self.kind == "weighted_area":
-            return mass(self.u, disk)
-        q = region_quadrature(EuclideanDisk(disk.euclid_center, disk.euclid_radius), 32)
-        return q.integrate(self.density_at)
+            return disk_masses(self.u, r, points, 48)
+        disks = [pseudo_disk(z, r) for z in np.ravel(points)]
+        if self.kind == "atomic":
+            centers = np.array([d.center for d in disks], dtype=complex)
+            atoms = np.array([a for a, _ in self.atoms], dtype=complex)
+            inside = pseudo_distance(centers[:, None], atoms[None, :]) < float(r)
+            return np.array(
+                [float(sum(mz for (_, mz), hit in zip(self.atoms, row) if hit)) for row in inside]
+            )
+        return disk_integrals(
+            self.density_at,
+            [d.euclid_center for d in disks],
+            [d.euclid_radius for d in disks],
+            32,
+        )
 
     def region_mass(self, region, resolution=None):
         """mu(region) for a geometry region (PseudoDisk, CarlesonSet, ...)."""

@@ -24,18 +24,13 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
-from .geometry import BoundaryLadder, pseudo_disk
+from .geometry import BoundaryLadder
 from .kernels import KernelModel, build_kernel_model
 from .measures import DiscMeasure, _radial_measure, basis_gram
 from .quadrature import disc_rule, gauss_rule
 from .reports import CriterionReport, band, classify_ring_trend, ring_slope
-from .transforms import (
-    average_function,
-    berezin_profile,
-    profile_lp_norm,
-    t_berezin_profile,
-)
-from .weights import Weight, mass
+from .transforms import berezin_profile, profile_lp_norm, t_berezin_profile
+from .weights import Weight, disk_masses
 
 __all__ = [
     "ToeplitzMatrix",
@@ -234,16 +229,13 @@ def essential_norm_estimate(
         u, DEFAULTS.degree_radial if u.is_radial else DEFAULTS.degree_general
     )
     expo = (q - p) / (p * q)
-    rings_avg, rings_tb, per_point = [], [], []
-    for j in range(len(ladder.radii)):
-        pts = ladder.ring_points(j)
-        ud = np.array([mass(u, pseudo_disk(z, r), resolution=32) for z in pts])
-        factor = ud**expo
-        av = np.array([average_function(mu, u, r, z) for z in pts]) * factor
-        tb = t_berezin_profile(mu, m, t, pts) * factor
-        rings_avg.append(float(np.max(av)))
-        rings_tb.append(float(np.max(tb)))
-        per_point.extend(zip(pts, tb))
+    points = ladder.points()
+    # u(Delta(z, r)) once per point: the averaging function and the factor share it
+    ud = disk_masses(u, r, points, 32)
+    factor = ud**expo
+    av = mu.disk_masses(points, r) / ud * factor
+    tb = t_berezin_profile(mu, m, t, points) * factor
+    rings_avg, rings_tb = ladder.ring_max(av), ladder.ring_max(tb)
     trend = list(zip(ladder.radii, rings_tb))
     verdict = classify_ring_trend(rings_tb)
     if verdict == "finite":
@@ -252,7 +244,7 @@ def essential_norm_estimate(
         name="essential_norm",
         parameters=params,
         index_value=rings_tb[-1],
-        per_point=per_point,
+        per_point=list(zip(points, tb)),
         ring_trend=trend,
         verdict=verdict,
         extras={
@@ -294,32 +286,27 @@ def h_function(spec):
 
 
 def _schatten_value(mu, m, hfun, C, r_out, phi, r_avg, n_radial=200):
-    """int_{|z|<r_out} h(C mu~_2) Phi u dA with a radial fast path."""
+    """int_{|z|<r_out} h(C mu~_2) Phi u dA with a radial fast path.
+
+    Radial data integrate over a radial Gauss rule with weights 2 pi r dr
+    (nodes on the positive axis); other data over the full polar rule.
+    """
     u = m.weight
     if m.is_radial and _radial_measure(mu):
         x, w = gauss_rule(n_radial)
         rr = 0.5 * r_out * (x + 1.0)
-        wr = 0.5 * r_out * w * 2.0 * np.pi * rr
+        wts = 0.5 * r_out * w * 2.0 * np.pi * rr
         pts = rr.astype(complex)
-        bz = berezin_profile(mu, m, pts)
-        uv = np.asarray(u(pts), dtype=float)
-        if phi == "kernel_diag":
-            ph = m.kernel_diag(pts)
-        else:
-            ph = np.array(
-                [mass(u, pseudo_disk(z, r_avg), resolution=24) for z in pts]
-            ) / (1.0 - rr) ** 4
-        return float(np.sum(wr * hfun(C * bz) * ph * uv))
-    rule = disc_rule(n_radial, 4 * n_radial, r_out)
-    bz = berezin_profile(mu, m, rule.nodes)
-    uv = np.asarray(u(rule.nodes), dtype=float)
-    if phi == "kernel_diag":
-        ph = m.kernel_diag(rule.nodes)
     else:
-        ph = np.array(
-            [mass(u, pseudo_disk(z, r_avg), resolution=24) for z in rule.nodes]
-        ) / (1.0 - np.abs(rule.nodes)) ** 4
-    return float(np.sum(rule.weights * hfun(C * bz) * ph * uv))
+        rule = disc_rule(n_radial, 4 * n_radial, r_out)
+        pts, wts = rule.nodes, rule.weights
+    bz = berezin_profile(mu, m, pts)
+    uv = np.asarray(u(pts), dtype=float)
+    if phi == "kernel_diag":
+        ph = m.kernel_diag(pts)
+    else:
+        ph = disk_masses(u, r_avg, pts, 24) / (1.0 - np.abs(pts)) ** 4
+    return float(np.sum(wts * hfun(C * bz) * ph * uv))
 
 
 def schatten_integral(

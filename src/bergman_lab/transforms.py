@@ -22,8 +22,7 @@ from .kernels import KernelModel, kernel_norm
 from .measures import DiscMeasure, _radial_gram_diag, _radial_measure, basis_gram
 from .quadrature import disc_rule
 from .reports import CriterionReport, band, classify_ring_trend
-from .weights import Weight, mass
-from .geometry import pseudo_disk
+from .weights import Weight, disk_masses
 
 __all__ = [
     "berezin",
@@ -86,13 +85,14 @@ def t_berezin(mu: DiscMeasure, m: KernelModel, t, z):
 
 def average_function(mu: DiscMeasure, u: Weight, r, z):
     """mu^_r(z) = mu(Delta(z, r)) / u(Delta(z, r))."""
-    if not (0.0 < r < 1.0):
-        raise DomainError("averaging radius must lie in (0, 1)")
-    return mu.disk_mass(z, r) / mass(u, pseudo_disk(z, r), resolution=32)
+    return float(average_profile(mu, u, r, [z])[0])
 
 
 def average_profile(mu: DiscMeasure, u: Weight, r, points):
-    return np.array([average_function(mu, u, r, z) for z in np.asarray(points)])
+    """The averaging function mu^_r at every point, on batched disk masses."""
+    if not (0.0 < r < 1.0):
+        raise DomainError("averaging radius must lie in (0, 1)")
+    return mu.disk_masses(points, r) / disk_masses(u, r, points, 32)
 
 
 def profile_lp_norm(mu: DiscMeasure, u: Weight, r, exponent, reference="u_dA", r_max=None, n_radial=48, n_angular=96):

@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import criteria, toeplitz, transforms
-from .geometry import audit_grid, boundary_ladder, build_lattice, pseudo_add, pseudo_disk
+from .geometry import audit_grid, boundary_ladder, build_lattice, pseudo_add
 from .kernels import build_kernel_model, kernel_diag, kernel_eval, reproducing_check
 from .measures import atomic, power_density, weighted_area
 from .reports import _jsonable
-from .weights import constant, mass, standard
+from .weights import constant, disk_masses, standard
 
 __all__ = ["ALL_CHECKS", "run_all", "render_summary"]
 
@@ -217,9 +217,7 @@ def check_10_diagonal_estimate():
     r = 0.5
     lat = build_lattice(0.3, 0.95)
     m = build_kernel_model(constant(), 200)
-    vals = m.kernel_diag(lat.points) * np.array(
-        [mass(constant(), pseudo_disk(z, r)) for z in lat.points]
-    )
+    vals = m.kernel_diag(lat.points) * disk_masses(constant(), r, lat.points, 48)
     lo_b, hi_b = r**2, r**2 / (1.0 - r**2) ** 2
     in_band = bool(
         np.all(vals >= lo_b * (1.0 - 1e-3)) and np.all(vals <= hi_b * (1.0 + 1e-3))
@@ -228,9 +226,7 @@ def check_10_diagonal_estimate():
     def std_band(degree):
         ms = build_kernel_model(standard(1.0), degree)
         us = standard(1.0)
-        v = ms.kernel_diag(lat.points) * np.array(
-            [mass(us, pseudo_disk(z, r), resolution=32) for z in lat.points]
-        )
+        v = ms.kernel_diag(lat.points) * disk_masses(us, r, lat.points, 32)
         return float(np.min(v)), float(np.max(v))
 
     s_lo, s_hi = std_band(200)

@@ -22,8 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BoundaryLadder, pseudo_disk
-from .quadrature import CarlesonRegion, as_region, region_quadrature
+from .geometry import BoundaryLadder, PseudoDisk, pseudo_disk
+from .quadrature import (
+    CarlesonRegion,
+    EuclideanDisk,
+    as_region,
+    disk_integrals,
+    region_quadrature,
+)
 
 __all__ = [
     "Weight",
@@ -33,6 +39,7 @@ __all__ = [
     "grid_weight",
     "weight_from_config",
     "mass",
+    "disk_masses",
     "WeightConstantReport",
     "bekolle_constant",
     "cp_constant",
@@ -132,15 +139,32 @@ def weight_from_config(cfg):
 def mass(u: Weight, region, resolution=48):
     """u(E) = integral of u over the region.
 
-    Constant weights over (Euclidean-realizable) disks integrate exactly as
-    value * pi * R^2, skipping quadrature.
+    Disks (pseudohyperbolic or Euclidean) are the one-disk case of
+    disk_masses; other regions take their own refined rule.
     """
+    if isinstance(region, (PseudoDisk, EuclideanDisk)):
+        region = as_region(region)
+        return float(_euclid_masses(u, [region.center], [region.radius], resolution)[0])
+    return region_quadrature(region, resolution).integrate(u)
+
+
+def disk_masses(u: Weight, r, points, resolution):
+    """u(Delta(z, r)) for every z in points, on one batched polar rule.
+
+    Each disk's Euclidean center and radius come from pseudo_disk(z, r).
+    """
+    disks = [pseudo_disk(z, r) for z in np.ravel(points)]
+    return _euclid_masses(
+        u, [d.euclid_center for d in disks], [d.euclid_radius for d in disks], resolution
+    )
+
+
+def _euclid_masses(u, centers, radii, resolution):
+    """u over Euclidean disks; constant weights integrate exactly as value * pi * R^2."""
     if u.kind == "constant":
-        radius = getattr(region, "euclid_radius", getattr(region, "radius", None))
-        if radius is not None:
-            return float(u.params["value"]) * np.pi * float(radius) ** 2
-    q = region_quadrature(region, resolution)
-    return q.integrate(u)
+        value = float(u.params["value"])
+        return np.array([value * np.pi * float(rho) ** 2 for rho in radii])
+    return disk_integrals(u, centers, radii, resolution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,25 +200,19 @@ def _joint_average(u, p, region, resolution):
     return (m1 / area) * (m2 / area) ** (p - 1.0)
 
 
-def _anchors_and_rings(anchors, ladder):
-    rings = []
-    if ladder is not None:
-        for j, rho in enumerate(ladder.radii):
-            rings.append((rho, ladder.ring_points(j)))
-    return list(anchors or []), rings
-
-
 def _constant_report(region_of, u, p, anchors, ladder, resolution, kind):
     if p <= 1:
         raise DomainError("joint-average constants need p > 1")
-    anchors, rings = _anchors_and_rings(anchors, ladder)
-    if not anchors and not rings:
+    anchors = list(anchors or [])
+    on_ladder = ladder is not None and bool(ladder.radii)
+    if not anchors and not on_ladder:
         raise DomainError("no anchors supplied")
     per_anchor = [(a, _joint_average(u, p, region_of(a), resolution)) for a in anchors]
     trend = []
-    for rho, pts in rings:
+    if on_ladder:
+        pts = ladder.points()
         vals = [_joint_average(u, p, region_of(a), resolution) for a in pts]
-        trend.append((rho, max(vals)))
+        trend = list(zip(ladder.radii, ladder.ring_max(vals)))
         per_anchor.extend(zip(pts, vals))
     value = max(v for _, v in per_anchor)
     return WeightConstantReport(p=float(p), value=value, per_anchor=per_anchor, trend=trend, kind=kind)
