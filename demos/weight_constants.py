@@ -14,7 +14,7 @@ from bergman_lab import bekolle_constant, boundary_ladder, constant, cp_constant
 
 ladder = boundary_ladder(6, 8)
 
-print(f"{'weight':24s} {'[u]_B2':>10s} {'[u]_C2(r=0.3)':>14s} {'divergent':>10s}")
+print(f"{'weight':24s} {'[u]_B2':>10s} {'[u]_C2(r=0.3)':>14s} {'trend':>12s}")
 for label, u in [
     ("constant", constant()),
     ("standard alpha=0.5", standard(0.5)),
@@ -23,7 +23,7 @@ for label, u in [
 ]:
     bp = bekolle_constant(u, 2.0, ladder=ladder)
     cp = cp_constant(u, 2.0, 0.3, ladder=ladder)
-    print(f"{label:24s} {bp.value:10.4f} {cp.value:14.4f} {str(bp.is_divergent()):>10s}")
+    print(f"{label:24s} {bp.value:10.4f} {cp.value:14.4f} {bp.verdict:>12s}")
 
 print()
 print("ring trend of the B_2 joint average for alpha = 1:")

@@ -52,8 +52,6 @@ from .measures import (
     atomic,
     basis_gram,
     density,
-    disk_mass,
-    integrate_measure,
     measure_from_config,
     power_density,
     weighted_area,
@@ -92,6 +90,7 @@ from .weights import (
     bekolle_constant,
     constant,
     cp_constant,
+    disk_masses,
     grid_weight,
     mass,
     power_one_minus_z,

@@ -6,9 +6,10 @@ CSV artifacts and a human-readable summary under
 
     <out>/<subcommand>/<param-hash>/
 
-The param hash is derived from the canonical JSON of the cell config, and
-every artifact embeds that hash and the package version, so identical configs
-produce byte-identical artifacts.
+The param hash is derived from the canonical JSON of the cell config (every
+field but --out), and every artifact embeds that hash and the package
+version, so identical configs produce byte-identical artifacts under any
+output root.
 
 Exit codes: 0 success; 1 failed acceptance check under ``verify``; 2 invalid
 configuration; 3 numerical degeneracy.
@@ -84,8 +85,19 @@ class RunConfig:
         if self.reference not in ("u_dA", "dA"):
             raise DomainError(f"unknown reference measure {self.reference!r}")
 
+    def parameters(self):
+        """The experiment parameters: every field but the output root.
+
+        Where a cell is written does not change what it computes, so the
+        same cell under two --out roots gets the same directory name and
+        byte-identical files.
+        """
+        fields = asdict(self)
+        del fields["out"]
+        return fields
+
     def canonical_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self.parameters(), sort_keys=True)
 
     def param_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
@@ -138,7 +150,7 @@ def _write_artifacts(cfg: RunConfig, subcommand, report, csv_files=None, summary
     payload = {
         "version": __version__,
         "config_hash": cfg.param_hash(),
-        "config": asdict(cfg),
+        "config": cfg.parameters(),
         "report": report,
     }
     (outdir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -205,14 +217,14 @@ def run_weights(cfg: RunConfig):
     bp = weights.bekolle_constant(u, cfg.p, ladder=ladder, resolution=cfg.resolution)
     cp = weights.cp_constant(u, cfg.p, cfg.r, ladder=ladder, resolution=cfg.resolution)
     report = {
-        "bp": {"value": bp.value, "trend": [[r, v] for r, v in bp.trend], "divergent": bp.is_divergent()},
-        "cp": {"value": cp.value, "trend": [[r, v] for r, v in cp.trend], "divergent": cp.is_divergent()},
+        "bp": {"value": bp.value, "trend": [[r, v] for r, v in bp.trend], "verdict": bp.verdict},
+        "cp": {"value": cp.value, "trend": [[r, v] for r, v in cp.trend], "verdict": cp.verdict},
     }
     anchors = np.array([a for a, _ in bp.per_anchor])
     csv = _profile_csv(anchors, {"bp_joint_average": np.array([v for _, v in bp.per_anchor])})
     summary = (
-        f"[u]_Bp(p={cfg.p}) = {bp.value:.6g} (divergent={bp.is_divergent()}); "
-        f"[u]_Cp(r={cfg.r}) = {cp.value:.6g} (divergent={cp.is_divergent()})"
+        f"[u]_Bp(p={cfg.p}) = {bp.value:.6g} (trend {bp.verdict}); "
+        f"[u]_Cp(r={cfg.r}) = {cp.value:.6g} (trend {cp.verdict})"
     )
     return report, {"bp_per_anchor.csv": csv}, summary
 

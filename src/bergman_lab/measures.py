@@ -24,8 +24,6 @@ __all__ = [
     "power_density",
     "weighted_area",
     "measure_from_config",
-    "integrate_measure",
-    "disk_mass",
     "basis_gram",
 ]
 
@@ -184,14 +182,6 @@ def measure_from_config(cfg, u: Weight = None):
         gw = grid_weight(samples.reshape(n, n), n)
         return density(gw, params={"file": cfg["file"], "n": n})
     raise DomainError(f"unknown measure kind {kind!r}")
-
-
-def integrate_measure(mu: DiscMeasure, f):
-    return mu.integrate(f)
-
-
-def disk_mass(mu: DiscMeasure, z, r):
-    return mu.disk_mass(z, r)
 
 
 def basis_gram(m, mu: DiscMeasure):

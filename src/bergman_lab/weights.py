@@ -11,7 +11,8 @@ are provided:
 The B_p constant takes joint averages over Carleson sets S(a); the C_p
 constant takes the same averages over pseudohyperbolic disks Delta(z, r).
 Suprema over the disc are replaced by maxima over a supplied anchor set plus
-a boundary ladder, whose per-ring maxima expose divergence as a trend.
+a boundary ladder, whose per-ring maxima expose divergence as a trend
+(reports.classify_ring_trend, the rule every criterion uses).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .quadrature import (
     disk_integrals,
     region_quadrature,
 )
+from .reports import classify_ring_trend
 
 __all__ = [
     "Weight",
@@ -177,15 +179,10 @@ class WeightConstantReport:
     trend: list  # (ring radius, ring max)
     kind: str = "bp"
 
-    def is_divergent(self, growth=1.5):
-        """Heuristic: per-ring maxima keep growing along the ladder."""
-        vals = [v for _, v in self.trend if np.isfinite(v)]
-        if len(vals) < 3:
-            return False
-        if not np.isfinite(self.value):
-            return True
-        ratios = [b / a for a, b in zip(vals, vals[1:]) if a > 0]
-        return bool(ratios and np.prod(ratios[-3:]) > growth)
+    @property
+    def verdict(self):
+        """classify_ring_trend of the per-ring maxima; inconclusive without a ladder."""
+        return classify_ring_trend([v for _, v in self.trend])
 
 
 def _joint_average(u, p, region, resolution):

@@ -1,7 +1,6 @@
 """CLI: config resolution, artifacts, determinism, exit codes."""
 
 import json
-import shutil
 
 import numpy as np
 import pytest
@@ -100,15 +99,13 @@ class TestCommands:
     def test_sweep_artifacts_independent_of_threads(self, tmp_path, monkeypatch):
         args = ["criteria", "--index", "vanishing", "--measure", "power_density:1",
                 "--p", "2", "--q", "2,3", "--degree", "30"]
-        # the cell directories hash the whole config, --out included
-        out = tmp_path / "out"
         artifacts = []
         for threads in ("1", "2"):
             monkeypatch.setenv("BERGMAN_LAB_THREADS", threads)
+            out = tmp_path / f"out{threads}"
             assert main(args + ["--out", str(out)]) == EXIT_OK
             files = sorted(p for p in out.rglob("*") if p.is_file())
             artifacts.append({str(p.relative_to(out)): p.read_bytes() for p in files})
-            shutil.rmtree(out)
         assert len({name.split("/")[1] for name in artifacts[0]}) == 2
         assert artifacts[0] == artifacts[1]
 

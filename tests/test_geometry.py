@@ -154,6 +154,19 @@ class TestBoundaryLadder:
         assert np.allclose(np.abs(pts), lad.radii[1])
         assert len(lad.points()) == 3 * 16
 
+    @given(n_rings=st.integers(2, 8), samples=st.integers(1, 12), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_ring_max_matches_per_ring_loop(self, n_rings, samples, data):
+        lad = boundary_ladder(n_rings, samples)
+        n = n_rings * samples
+        values = data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+        want, offset = [], 0
+        for j in range(len(lad.radii)):
+            size = lad.ring_points(j).size
+            want.append(float(np.max(values[offset : offset + size])))
+            offset += size
+        assert lad.ring_max(values) == want
+
     def test_monotone_radii_required(self):
         with pytest.raises(DomainError):
             BoundaryLadder(radii=(0.5, 0.4), samples_per_ring=4)

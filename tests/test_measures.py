@@ -2,23 +2,44 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergman_lab import (
     CarlesonSet,
     DomainError,
+    EvaluationError,
     atomic,
     basis_gram,
     constant,
-    disk_mass,
-    integrate_measure,
+    density,
     measure_from_config,
+    power_one_minus_z,
     power_density,
     pseudo_disk,
+    pseudo_distance,
     standard,
     weighted_area,
 )
+from bergman_lab.quadrature import _BLOCK_NODES, _polar_rule
+
+_POINT = st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * np.pi)).map(
+    lambda p: complex(p[0] * np.exp(1j * p[1]))
+)
+_POINTS = st.lists(_POINT, min_size=1, max_size=30)
+
+
+def _reference_disk_mass(mu, z, r):
+    """mu(Delta(z, r)) as the per-disk rules compute it, one disk at a time."""
+    d = pseudo_disk(z, r)
+    if mu.kind == "atomic":
+        return float(sum(mz for a, mz in mu.atoms if d.contains(a)))
+    if mu.kind == "weighted_area" and mu.u.kind == "constant":
+        return float(mu.u.params["value"]) * np.pi * float(d.euclid_radius) ** 2
+    resolution, f = (48, mu.u) if mu.kind == "weighted_area" else (32, mu.density_at)
+    x, w = _polar_rule(resolution, 4 * resolution, 1.0)
+    rho = d.euclid_radius
+    return float(np.sum(rho**2 * w * f(d.euclid_center + rho * x)))
 
 
 class TestConstruction:
@@ -40,7 +61,7 @@ class TestConstruction:
 class TestIntegration:
     def test_atomic_exact(self):
         mu = atomic([(0.5, 2.0), (0.25j, 1.0)])
-        val = integrate_measure(mu, lambda z: np.abs(z) ** 2)
+        val = mu.integrate(lambda z: np.abs(z) ** 2)
         assert val == pytest.approx(2.0 * 0.25 + 1.0 * 0.0625)
 
     def test_power_density_total_mass(self):
@@ -61,19 +82,60 @@ class TestIntegration:
 class TestDiskMass:
     def test_atom_membership(self):
         mu = atomic([(0.0, 1.0), (0.6, 2.0)])
-        assert disk_mass(mu, 0.0, 0.3) == 1.0
-        assert disk_mass(mu, 0.6, 0.1) == 2.0
-        assert disk_mass(mu, 0.0, 0.7) == 3.0
+        assert mu.disk_mass(0.0, 0.3) == 1.0
+        assert mu.disk_mass(0.6, 0.1) == 2.0
+        assert mu.disk_mass(0.0, 0.7) == 3.0
 
     def test_area_closed_form(self):
         # mu = dA: mass of Delta(z, r) is pi * euclid_radius^2
         mu = weighted_area(constant())
         d = pseudo_disk(0.4, 0.3)
-        assert disk_mass(mu, 0.4, 0.3) == pytest.approx(np.pi * d.euclid_radius**2, rel=1e-9)
+        assert mu.disk_mass(0.4, 0.3) == pytest.approx(np.pi * d.euclid_radius**2, rel=1e-9)
 
     def test_monotone_in_radius(self):
         mu = power_density(1.0)
-        assert disk_mass(mu, 0.5, 0.2) < disk_mass(mu, 0.5, 0.4)
+        assert mu.disk_mass(0.5, 0.2) < mu.disk_mass(0.5, 0.4)
+
+    @given(
+        points=_POINTS,
+        atoms=st.lists(st.tuples(_POINT, st.floats(0.1, 3.0)), min_size=1, max_size=5),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_batched_atoms_match_loop(self, points, atoms):
+        # r puts the first atom exactly on the boundary of Delta(points[0], r)
+        r = pseudo_distance(points[0], atoms[0][0])
+        assume(0.01 < r < 0.99)
+        mu = atomic(atoms)
+        want = np.array([_reference_disk_mass(mu, z, r) for z in points])
+        assert np.array_equal(mu.disk_masses(points, r), want)
+        assert mu.disk_mass(points[0], r) == want[0]
+        assert not pseudo_disk(points[0], r).contains(atoms[0][0])
+
+    @given(
+        mu=st.sampled_from([
+            power_density(-0.5),
+            power_density(0.4),
+            density(lambda z: 1.0 + np.real(z) ** 2),
+            weighted_area(constant(2.0)),
+            weighted_area(standard(1.0)),
+            weighted_area(power_one_minus_z(1.0)),
+        ]),
+        r=st.floats(0.05, 0.9),
+        points=_POINTS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_densities_match_loop(self, mu, r, points):
+        want = np.array([_reference_disk_mass(mu, z, r) for z in points])
+        assert np.array_equal(mu.disk_masses(points, r), want)
+        assert mu.disk_mass(points[-1], r) == want[-1]
+
+    def test_nonfinite_density_in_a_later_block_raises(self):
+        mu = density(lambda z: np.where(np.real(z) > 0.9, np.nan, 1.0))
+        # a density disk mass takes 32 x 128 nodes; the bad disk opens the second block
+        points = [0.0] * (_BLOCK_NODES // (32 * 128)) + [0.95]
+        assert np.all(np.isfinite(mu.disk_masses(points[:-1], 0.3)))
+        with pytest.raises(EvaluationError, match="not finite at node"):
+            mu.disk_masses(points, 0.3)
 
     def test_region_mass_carleson(self):
         # mu = u dA over S(a) agrees with the weight mass of S(a)

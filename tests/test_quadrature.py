@@ -57,6 +57,25 @@ class TestRegionQuadrature:
         q = region_quadrature(FullDisc(), 32)
         assert q.area == pytest.approx(np.pi, rel=1e-10)
 
+    def test_disks_build_one_rule_carleson_sets_refine(self, monkeypatch):
+        from bergman_lab import quadrature
+
+        built = []
+        build = quadrature._build
+
+        def counted(region, resolution):
+            built.append(resolution)
+            return build(region, resolution)
+
+        monkeypatch.setattr(quadrature, "_build", counted)
+        region_quadrature(EuclideanDisk(0.2 + 0.1j, 0.3), 16)
+        region_quadrature(pseudo_disk(0.5, 0.4), 16)
+        region_quadrature(FullDisc(0.9), 16)
+        assert built == [16, 16, 16]
+        built.clear()
+        region_quadrature(CarlesonSet(0.5), 16)
+        assert built[:2] == [16, 32]
+
     def test_carleson_area_grows_as_anchor_shrinks(self):
         # S(a) swallows more of the disc as the anchor moves inward
         areas = []
