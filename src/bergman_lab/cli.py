@@ -6,10 +6,9 @@ CSV artifacts and a human-readable summary under
 
     <out>/<subcommand>/<param-hash>/
 
-The param hash is derived from the canonical JSON of the cell config (every
-field but --out), and every artifact embeds that hash and the package
-version, so identical configs produce byte-identical artifacts under any
-output root.
+The param hash is derived from the canonical JSON of the cell config minus
+--out, and every artifact embeds that hash and the package version, so
+identical configs produce byte-identical artifacts under any output root.
 
 Exit codes: 0 success; 1 failed acceptance check under ``verify``; 2 invalid
 configuration; 3 numerical degeneracy.
@@ -86,15 +85,8 @@ class RunConfig:
             raise DomainError(f"unknown reference measure {self.reference!r}")
 
     def parameters(self):
-        """The experiment parameters: every field but the output root.
-
-        Where a cell is written does not change what it computes, so the
-        same cell under two --out roots gets the same directory name and
-        byte-identical files.
-        """
-        fields = asdict(self)
-        del fields["out"]
-        return fields
+        """Every field but the output root, which does not change the results."""
+        return {k: v for k, v in asdict(self).items() if k != "out"}
 
     def canonical_json(self):
         return json.dumps(self.parameters(), sort_keys=True)

@@ -47,11 +47,7 @@ def _grid_points(grid):
 
 
 def _bc_quantities(mu, u, m, p, q, t, r, points):
-    """mu^_r and mu~_t over u(Delta)^(1/p - 1/q) at the given points.
-
-    u(Delta(z, r)) is computed once and serves both the averaging function
-    and the scale.
-    """
+    """mu^_r and mu~_t over u(Delta)^(1/p - 1/q), on one u(Delta) per point."""
     ud = disk_masses(u, r, points, 32)
     scale = ud ** (1.0 / p - 1.0 / q)
     av = mu.disk_masses(points, r) / ud

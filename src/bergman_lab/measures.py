@@ -71,11 +71,7 @@ class DiscMeasure:
         return float(self.disk_masses([z], r)[0])
 
     def disk_masses(self, points, r):
-        """mu(Delta(z, r)) for every z in points, on one batched polar rule.
-
-        Atoms count when d(z, atom) < r strictly, summed in atom order;
-        densities and u dA are integrated over each disk's Euclidean form.
-        """
+        """mu(Delta(z, r)) for every z; atoms count when d(z, atom) < r strictly."""
         if self.kind == "weighted_area":
             return disk_masses(self.u, r, points, 48)
         disks = [pseudo_disk(z, r) for z in np.ravel(points)]
@@ -86,12 +82,8 @@ class DiscMeasure:
             return np.array(
                 [float(sum(mz for (_, mz), hit in zip(self.atoms, row) if hit)) for row in inside]
             )
-        return disk_integrals(
-            self.density_at,
-            [d.euclid_center for d in disks],
-            [d.euclid_radius for d in disks],
-            32,
-        )
+        centers, radii = [d.euclid_center for d in disks], [d.euclid_radius for d in disks]
+        return disk_integrals(self.density_at, centers, radii, 32)
 
     def region_mass(self, region, resolution=None):
         """mu(region) for a geometry region (PseudoDisk, CarlesonSet, ...)."""

@@ -286,11 +286,7 @@ def h_function(spec):
 
 
 def _schatten_value(mu, m, hfun, C, r_out, phi, r_avg, n_radial=200):
-    """int_{|z|<r_out} h(C mu~_2) Phi u dA with a radial fast path.
-
-    Radial data integrate over a radial Gauss rule with weights 2 pi r dr
-    (nodes on the positive axis); other data over the full polar rule.
-    """
+    """int_{|z|<r_out} h(C mu~_2) Phi u dA; radial data on a 2 pi r dr Gauss rule."""
     u = m.weight
     if m.is_radial and _radial_measure(mu):
         x, w = gauss_rule(n_radial)

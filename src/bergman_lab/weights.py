@@ -11,8 +11,7 @@ are provided:
 The B_p constant takes joint averages over Carleson sets S(a); the C_p
 constant takes the same averages over pseudohyperbolic disks Delta(z, r).
 Suprema over the disc are replaced by maxima over a supplied anchor set plus
-a boundary ladder, whose per-ring maxima expose divergence as a trend
-(reports.classify_ring_trend, the rule every criterion uses).
+a boundary ladder, whose per-ring maxima expose divergence as a trend.
 """
 
 from __future__ import annotations
@@ -24,13 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BoundaryLadder, PseudoDisk, pseudo_disk
-from .quadrature import (
-    CarlesonRegion,
-    EuclideanDisk,
-    as_region,
-    disk_integrals,
-    region_quadrature,
-)
+from .quadrature import CarlesonRegion, EuclideanDisk, as_region, disk_integrals, region_quadrature
 from .reports import classify_ring_trend
 
 __all__ = [
@@ -139,11 +132,7 @@ def weight_from_config(cfg):
 
 
 def mass(u: Weight, region, resolution=48):
-    """u(E) = integral of u over the region.
-
-    Disks (pseudohyperbolic or Euclidean) are the one-disk case of
-    disk_masses; other regions take their own refined rule.
-    """
+    """u(E) = integral of u over the region; a disk is one case of disk_masses."""
     if isinstance(region, (PseudoDisk, EuclideanDisk)):
         region = as_region(region)
         return float(_euclid_masses(u, [region.center], [region.radius], resolution)[0])
@@ -151,10 +140,7 @@ def mass(u: Weight, region, resolution=48):
 
 
 def disk_masses(u: Weight, r, points, resolution):
-    """u(Delta(z, r)) for every z in points, on one batched polar rule.
-
-    Each disk's Euclidean center and radius come from pseudo_disk(z, r).
-    """
+    """u(Delta(z, r)) for every z in points, with Euclidean forms from pseudo_disk."""
     disks = [pseudo_disk(z, r) for z in np.ravel(points)]
     return _euclid_masses(
         u, [d.euclid_center for d in disks], [d.euclid_radius for d in disks], resolution

@@ -109,7 +109,7 @@ class TestDiskMasses:
     @example(u=standard(1.0), r=0.2847746825383361,
              points=[-0.1240977221040393 - 0.2548723229595808j], resolution=32)
     def test_matches_per_point_loop(self, u, r, points, resolution):
-        # resolution 64 puts 16 disks in a block, so 40 points span three blocks
+        # at resolution 64 a block holds 4 disks, so 40 points span ten blocks
         want = np.array([_reference_mass(u, z, r, resolution) for z in points])
         assert np.array_equal(disk_masses(u, r, points, resolution), want)
         assert mass(u, pseudo_disk(points[-1], r), resolution) == want[-1]
