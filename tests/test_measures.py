@@ -14,8 +14,8 @@ from bergman_lab import (
     constant,
     density,
     measure_from_config,
-    power_one_minus_z,
     power_density,
+    power_one_minus_z,
     pseudo_disk,
     pseudo_distance,
     standard,
