@@ -155,6 +155,121 @@ def _hyperbolic_cell(rho):
     return rho * rho / (1.0 - rho * rho)
 
 
+# Relative slack on every pruning threshold: a pair is skipped only where its
+# exact distance is at least thr (1 + _PRUNE_MARGIN), far above the rounding of
+# pseudo_distance and np.angle, so a skipped pair also computes to >= thr.
+_PRUNE_MARGIN = 1e-3
+# index pairs per block of _close_pairs: bounds the memory of an audit
+_BLOCK_PAIRS = 1 << 13
+
+
+def _window_half_width(rho, thr):
+    """Angular gap beyond which two points of modulus >= rho are >= thr apart.
+
+    For |z| = a, |w| = b at angular gap t in [0, pi],
+
+        d(z, w)^2 = N / (N + (1 - a^2)(1 - b^2)),  N = (a - b)^2 + 4ab sin^2(t/2),
+
+    which increases with t.  With a, b >= rho this gives
+    d >= 2 rho s / sqrt(4 rho^2 s^2 + (1 - rho^2)^2), s = sin(t/2), with
+    equality on the circle |z| = rho, and the bound reaches thr at
+    s = thr (1 - rho^2) / (2 rho sqrt(1 - thr^2)).  Returns None where no
+    window exists: rho = 0, thr >= 1, or that s is not below 1.
+    """
+    if rho <= 0.0 or thr >= 1.0:
+        return None
+    s = thr * (1.0 - rho * rho) / (2.0 * rho * math.sqrt(1.0 - thr * thr))
+    if s >= 1.0:
+        return None
+    return 2.0 * math.asin(s)
+
+
+def _close_pairs(q, p, thr):
+    """Blocks (i, j) of flat index arrays that hold, once each, every pair
+    with pseudo_distance(q[i], p[j]) < thr.
+
+    The points p and q are cut into bands of hyperbolic radius atanh|z|.  A
+    band of p meets only the q that pass the radial bound
+    d(z, w) >= ||z| - |w|| / (1 - |z| |w|), and of those, band by band of q,
+    only the pairs whose angular gap lies inside _window_half_width for the
+    smallest modulus of the two bands; both bounds are taken at
+    thr (1 + _PRUNE_MARGIN).  Two bands without a window meet in full, and
+    for thr >= 1 nothing is pruned.  A block holds at most
+    max(_BLOCK_PAIRS, len(p)) pairs.
+    """
+    q, p = np.asarray(q), np.asarray(p)
+    aq, ap = np.abs(q), np.abs(p)
+    if np.any(aq >= 1.0) or np.any(ap >= 1.0):
+        raise DomainError("lattice and audit points must lie in the open unit disc")
+    thr = thr * (1.0 + _PRUNE_MARGIN)
+    width = 0.5 * math.atanh(thr) if thr < 1.0 else math.inf
+    p_band = np.floor(np.arctanh(ap) / width).astype(int)
+    q_band = np.floor(np.arctanh(aq) / width).astype(int)
+    p_order = np.argsort(p_band, kind="stable")
+    q_order = np.argsort(aq, kind="stable")
+    aq_sorted = aq[q_order]
+    q_angle, p_angle = np.angle(q), np.angle(p)
+    for members in np.split(p_order, np.flatnonzero(np.diff(p_band[p_order])) + 1):
+        if not members.size:
+            continue
+        a_lo, a_hi = float(np.min(ap[members])), float(np.max(ap[members]))
+        b_lo = (a_lo - thr) / (1.0 - a_lo * thr) if a_lo > thr else 0.0
+        first = np.searchsorted(aq_sorted, b_lo, "left")
+        last = np.searchsorted(aq_sorted, pseudo_add(a_hi, thr), "right")
+        sel = q_order[first:last]
+        order = np.argsort(p_angle[members], kind="stable")
+        ang = p_angle[members][order]
+        ext = np.concatenate([ang - 2.0 * np.pi, ang, ang + 2.0 * np.pi])
+        # the selected q go band by band too, each with its own smallest modulus
+        for sub in np.split(sel, np.flatnonzero(np.diff(q_band[sel])) + 1):
+            if not sub.size:
+                continue
+            half = _window_half_width(min(a_lo, float(aq[sub[0]])), thr)
+            if half is None:
+                cand = members
+                lo = np.zeros(sub.size, dtype=int)
+                counts = np.full(sub.size, members.size)
+            else:
+                cand = np.tile(members[order], 3)
+                lo = np.searchsorted(ext, q_angle[sub] - half, "left")
+                counts = np.searchsorted(ext, q_angle[sub] + half, "right") - lo
+            step = max(1, _BLOCK_PAIRS // max(1, int(np.max(counts))))
+            for k in range(0, sub.size, step):
+                c = counts[k : k + step]
+                total = int(np.sum(c))
+                if total:
+                    offset = np.repeat(lo[k : k + step] - (np.cumsum(c) - c), c)
+                    yield np.repeat(sub[k : k + step], c), cand[offset + np.arange(total)]
+
+
+def _near_counts(q, p, thr, dist):
+    """For each point z of q, how many points w of p have dist(z, w) < thr.
+
+    dist evaluates pseudo_distance in the orientation the caller needs.
+    For thr >= 1 nothing can be pruned, and each point of p meets all of q
+    in one array operation.
+    """
+    counts = np.zeros(len(q), dtype=int)
+    if thr * (1.0 + _PRUNE_MARGIN) >= 1.0:
+        for w in p:
+            counts += dist(q, w) < thr
+        return counts
+    for i, j in _close_pairs(q, p, thr):
+        counts += np.bincount(i[dist(q[i], p[j]) < thr], minlength=len(q))
+    return counts
+
+
+def _min_pair_distance(pts, thr):
+    """Least pseudo_distance(pts[i], pts[j]), i < j, among the pairs that
+    _close_pairs keeps at thr (inf when there are none)."""
+    best = math.inf
+    for i, j in _close_pairs(pts, pts, thr):
+        later = i < j
+        if np.any(later):
+            best = min(best, float(np.min(pseudo_distance(pts[i[later]], pts[j[later]]))))
+    return best
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Greedy maximal (r/2)-separated point set inside |z| <= r_max.
@@ -163,6 +278,21 @@ class Lattice:
       * pairwise pseudo-distances >= r/2, hence Delta(a_k, r/4) are disjoint;
       * every point of |z| <= r_max lies in some Delta(a_k, r);
       * no point lies in more than multiplicity_bound of the Delta(a_k, 2r).
+
+    The audits evaluate pseudo_distance only on the pairs that can fall below
+    their threshold thr (r for the separation and the covering, 2r for the
+    multiplicity), band by band of hyperbolic radius.  Two proven lower
+    bounds rule the other pairs out:
+      * radial: d(z, w) >= ||z| - |w|| / (1 - |z| |w|);
+      * angular: for fixed moduli d increases with the angular gap t on
+        [0, pi], and with both moduli >= rho it is at least its value at
+        modulus rho, so one window half-width per (band, thr) certifies every
+        pair outside it (_window_half_width).
+    Where rho = 0 or the bound never reaches thr, a band is audited against
+    every point it selects.  For thr >= 1 (the multiplicity when r >= 0.5)
+    nothing can be pruned, and each lattice point meets the whole grid in
+    one array operation.  The values are those of the plain all-pairs
+    audit, bit for bit.
     """
 
     radius: float
@@ -171,28 +301,25 @@ class Lattice:
     multiplicity_bound: int
 
     def min_separation(self):
-        """Minimum pairwise pseudo-distance (the disjointness certificate)."""
-        pts = self.points
-        best = 1.0
-        for i in range(len(pts) - 1):
-            d = pseudo_distance(pts[i], pts[i + 1 :])
-            best = min(best, float(np.min(d)))
-        return best
+        """Minimum pairwise pseudo-distance (the disjointness certificate).
+
+        Pairs go in the orientation pseudo_distance(points[i], points[j]),
+        i < j.  If no pair within the lattice radius is below it, the
+        minimum may lie outside the window, so every pair is audited.
+        """
+        best = _min_pair_distance(self.points, self.radius)
+        if best >= self.radius:
+            best = _min_pair_distance(self.points, 1.0)
+        return min(1.0, best)
 
     def covering_fraction(self, grid):
         """Fraction of grid points lying in some Delta(a_k, radius)."""
-        covered = np.zeros(len(grid), dtype=bool)
-        for a in self.points:
-            covered |= pseudo_distance(np.asarray(grid), a) < self.radius
-            if covered.all():
-                break
+        covered = _near_counts(np.asarray(grid), self.points, self.radius, pseudo_distance) > 0
         return float(np.mean(covered))
 
     def multiplicity(self, grid):
         """Max over grid points of the number of Delta(a_k, 2 radius) hits."""
-        counts = np.zeros(len(grid), dtype=int)
-        for a in self.points:
-            counts += pseudo_distance(np.asarray(grid), a) < 2.0 * self.radius
+        counts = _near_counts(np.asarray(grid), self.points, 2.0 * self.radius, pseudo_distance)
         return int(np.max(counts))
 
     def to_json(self):
@@ -237,38 +364,57 @@ def _candidate_rings(r, r_max):
     return rings
 
 
+def _greedy_ring(cands, sep):
+    """The candidates of one ring, in order, that the greedy accepts: each one
+    at pseudo-distance >= sep from every earlier accepted one."""
+    earlier = [[] for _ in range(len(cands))]
+    for i, j in _close_pairs(cands, cands, sep):
+        later = i < j
+        i, j = i[later], j[later]
+        near = pseudo_distance(cands[i], cands[j]) < sep
+        for a, b in zip(i[near].tolist(), j[near].tolist()):
+            earlier[b].append(a)
+    accepted = []
+    for prev in earlier:
+        accepted.append(not any(accepted[a] for a in prev))
+    return cands[np.array(accepted, dtype=bool)]
+
+
 def build_lattice(r, r_max=0.995):
     """Greedy maximal (r/2)-separated lattice inside |z| <= r_max.
 
     Candidates stream outward along a fixed spiral of rings; a candidate is
     accepted when it is at pseudo-distance >= r/2 from every previously
-    accepted point.  Because consecutive rings are only ~r/8 apart, conflicts
-    can involve at most the last few rings, which keeps the scan linear.
+    accepted point.  Consecutive rings are only ~r/8 apart, so conflicts can
+    involve at most the last few rings, and the test looks back five rings.
+
+    Each candidate is tested only against the recent points inside its
+    angular window, not against all of them.  The window comes from two
+    proven lower bounds on d (see Lattice): the radial bound
+    ||z| - |w|| / (1 - |z| |w|), and the angular bound at the smallest
+    modulus involved, which holds because for fixed moduli d increases with
+    the angular gap on [0, pi].  Near the origin, where no window exists,
+    a ring is tested against every recent point.  One array pass per ring
+    marks the candidates that clash with earlier rings; the survivors then
+    run through the greedy in angle order against the accepted points of
+    their own ring that lie in their window.  Every pair that can decide
+    goes through pseudo_distance in the orientation (accepted, candidate),
+    so the points are those of the plain greedy, bit for bit.
     """
     if not (r > 0.0):
         raise DomainError(f"lattice radius {r} must be positive")
     if not (r_max < 1.0):
         raise DomainError(f"r_max {r_max} must be < 1")
     sep = r / 2.0
-    rings = _candidate_rings(r, r_max)
     # accepted points from rings within radial pseudo-gap < sep of the current
     # ring can conflict; with ring gap r/8 that is at most 5 rings back.
     window = 5
     accepted_per_ring = []
-    for rho, cands in rings:
-        recent = [p for ring_pts in accepted_per_ring[-window:] for p in ring_pts]
-        recent_arr = np.array(recent) if recent else np.empty(0, dtype=complex)
-        this_ring = []
-        for c in cands:
-            if recent_arr.size:
-                if np.min(pseudo_distance(recent_arr, c)) < sep:
-                    continue
-            if this_ring:
-                if np.min(pseudo_distance(np.array(this_ring), c)) < sep:
-                    continue
-            this_ring.append(c)
-        accepted_per_ring.append(this_ring)
-    points = np.array([p for ring in accepted_per_ring for p in ring])
+    for _, cands in _candidate_rings(r, r_max):
+        recent = np.concatenate(accepted_per_ring[-window:] or [np.empty(0, dtype=complex)])
+        clash = _near_counts(cands, recent, sep, lambda c, a: pseudo_distance(a, c))
+        accepted_per_ring.append(_greedy_ring(cands[clash == 0], sep))
+    points = np.concatenate(accepted_per_ring)
 
     # packing bound for the 2r-multiplicity: centers hitting z sit in
     # Delta(z, 2r), their r/4 disks are disjoint inside Delta(z, 2r (+) r/4)

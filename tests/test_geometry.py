@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergman_lab import (
@@ -21,6 +21,7 @@ from bergman_lab import (
     pseudo_disk,
     pseudo_distance,
 )
+from bergman_lab import geometry
 
 disc_points = st.complex_numbers(max_magnitude=0.97, allow_infinity=False, allow_nan=False)
 
@@ -141,6 +142,126 @@ class TestLattice:
             build_lattice(-0.1)
         with pytest.raises(DomainError):
             build_lattice(0.3, 1.0)
+
+
+def _reference_points(r, r_max):
+    """The scalar greedy: every candidate against every recent accepted point."""
+    sep = r / 2.0
+    accepted_per_ring = []
+    for _, cands in geometry._candidate_rings(r, r_max):
+        recent = [p for ring_pts in accepted_per_ring[-5:] for p in ring_pts]
+        recent_arr = np.array(recent) if recent else np.empty(0, dtype=complex)
+        this_ring = []
+        for c in cands:
+            if recent_arr.size and np.min(pseudo_distance(recent_arr, c)) < sep:
+                continue
+            if this_ring and np.min(pseudo_distance(np.array(this_ring), c)) < sep:
+                continue
+            this_ring.append(c)
+        accepted_per_ring.append(this_ring)
+    return np.array([p for ring in accepted_per_ring for p in ring])
+
+
+def _reference_min_separation(pts):
+    best = 1.0
+    for i in range(len(pts) - 1):
+        best = min(best, float(np.min(pseudo_distance(pts[i], pts[i + 1 :]))))
+    return best
+
+
+def _reference_covering_fraction(pts, r, grid):
+    covered = np.zeros(len(grid), dtype=bool)
+    for a in pts:
+        covered |= pseudo_distance(grid, a) < r
+    return float(np.mean(covered))
+
+
+def _reference_multiplicity(pts, r, grid):
+    counts = np.zeros(len(grid), dtype=int)
+    for a in pts:
+        counts += pseudo_distance(grid, a) < 2.0 * r
+    return int(np.max(counts))
+
+
+def _assert_matches_reference(r, r_max):
+    lat = build_lattice(r, r_max)
+    pts = _reference_points(r, r_max)
+    assert np.array_equal(lat.points, pts)
+    grid = audit_grid(2000, r_max)
+    assert lat.min_separation() == _reference_min_separation(pts)
+    assert lat.covering_fraction(grid) == _reference_covering_fraction(pts, r, grid)
+    assert lat.multiplicity(grid) == _reference_multiplicity(pts, r, grid)
+
+
+class TestWindowedLattice:
+    """The windowed build and audits against the scalar loops they replace."""
+
+    # (0.5, 0.99): 2r >= 1, so the multiplicity audit prunes nothing;
+    # (0.8, 0.9): a coarse lattice whose inner rings have no window
+    @pytest.mark.parametrize("r, r_max", [(0.3, 0.95), (0.5, 0.99), (0.15, 0.95), (0.8, 0.9)])
+    def test_matches_scalar_loops(self, r, r_max):
+        _assert_matches_reference(r, r_max)
+
+    @given(r=st.floats(0.15, 0.9), data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_matches_scalar_loops_property(self, r, data):
+        # a lattice has about 5 / (r^2 (1 - r_max)) points; the scalar
+        # reference stays near a second with at most about 2,000 of them
+        r_max = data.draw(st.floats(0.5, min(0.99, 1.0 - 2.5e-3 / (r * r))))
+        _assert_matches_reference(r, r_max)
+
+    @given(
+        rho=st.floats(1e-3, 0.999),
+        thr=st.floats(1e-3, 0.999),
+        a=st.floats(0.0, 1.0),
+        b=st.floats(0.0, 1.0),
+        gap=st.floats(0.0, 1.0),
+        angle=st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=300)
+    @example(rho=0.5, thr=0.25, a=0.0, b=0.0, gap=0.0, angle=0.0)
+    def test_window_half_width_is_sound(self, rho, thr, a, b, gap, angle):
+        half = geometry._window_half_width(rho, thr * (1.0 + geometry._PRUNE_MARGIN))
+        if half is None:
+            return
+        # moduli in [rho, 0.9999], angular gap in [half, pi]
+        p = (rho + a * (0.9999 - rho)) * np.exp(1j * angle)
+        t = half + gap * (np.pi - half)
+        c = (rho + b * (0.9999 - rho)) * np.exp(1j * (angle + t))
+        assert pseudo_distance(p, c) >= thr
+
+    @given(
+        q=st.lists(disc_points, min_size=1, max_size=40),
+        steps=st.lists(
+            st.tuples(st.floats(0.9, 1.0, exclude_max=True), st.floats(-np.pi, np.pi)),
+            min_size=1,
+            max_size=40,
+        ),
+        thr=st.floats(0.01, 1.2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_close_pairs_hold_every_near_pair_once(self, q, steps, thr):
+        # p[k] sits just inside pseudo-distance thr of q[k % len(q)]
+        q = np.array(q, dtype=complex)
+        p = np.array([
+            mobius(q[k % len(q)], min(thr, 0.999) * s * np.exp(1j * phi))
+            for k, (s, phi) in enumerate(steps)
+        ])
+        seen = []
+        for i, j in geometry._close_pairs(q, p, thr):
+            i, j = np.broadcast_arrays(i, j)
+            seen += list(zip(i.ravel().tolist(), j.ravel().tolist()))
+        assert len(seen) == len(set(seen))
+        d = pseudo_distance(q[:, None], p[None, :])
+        near = set(zip(*(idx.tolist() for idx in np.nonzero(d < thr))))
+        assert near <= set(seen)
+
+    def test_audits_reject_points_outside_the_disc(self):
+        lat = Lattice(0.3, 0.9, np.array([0.0, 1.0 + 0.0j]), 2)
+        with pytest.raises(DomainError):
+            lat.min_separation()
+        with pytest.raises(DomainError):
+            build_lattice(0.3, 0.9).covering_fraction(np.array([1.5 + 0.0j]))
 
 
 class TestBoundaryLadder:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bergman_lab import cli, measures, quadrature
+from bergman_lab import audit_grid, cli, geometry, measures, quadrature
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 LIBRARY_NAMES = (
@@ -83,3 +83,25 @@ def test_rule_builds_are_seen_by_the_tracer(tracer):
     assert tracer.counts[(0, "quadrature.leggauss.calls")] == 1
     assert tracer.counts[(0, "quadrature.roots_jacobi.calls")] == 1
     assert tracer.counts[(0, "quadrature.leggauss.repeat")] == 0
+
+
+def test_lattice_work_is_seen_by_the_tracer(tracer):
+    # the build and the audits look pseudo_distance up as a module global
+    # when they run, so a rebinding made after import counts every call
+    tracer.install()
+    tracer.job = 0
+    lat = geometry.build_lattice(0.5, 0.8)
+    grid = audit_grid(500, 0.8)
+    calls = [tracer.counts[(0, "geometry.pseudo_distance.calls")]]
+    for audit in (lat.min_separation, lambda: lat.covering_fraction(grid),
+                  lambda: lat.multiplicity(grid)):
+        audit()
+        calls.append(tracer.counts[(0, "geometry.pseudo_distance.calls")])
+    tracer.job = None
+    tracer.restore()
+    spans = [(name, end - start) for _, _, job, name, start, end, *_ in tracer.spans]
+    assert [name for name, _ in spans if name.startswith("geometry.")] == [
+        "geometry.build_lattice"] + ["geometry.certificates"] * 3
+    assert all(seconds > 0 for name, seconds in spans if name.startswith("geometry."))
+    # the build and each of the three audits evaluate distances
+    assert calls[0] > 0 and all(b > a for a, b in zip(calls, calls[1:]))
