@@ -320,6 +320,14 @@ def schatten_integral(
     proxy u(Delta(z, r)) / (1 - |z|)^4 sits behind phi="disk_mass".  The
     verdict compares the value across the outer-radius sweep: stable within
     5% reads convergent, growth by 2x or more reads divergent.
+
+    extras["degree_times_gap"] lists N (1 - R) for each sweep radius R, with
+    N the kernel degree.  A degree-N kernel resolves scales down to about
+    1/N, so a radius where N (1 - R) is O(1) carries kernel-truncation bias:
+    at N = 1600 the sweep reads [16, 8, 1.6], and for mu = (1 - |w|^2)^t dA
+    its last value is off the exact-kernel integral by 6.0e-4 (t = 0.8) and
+    6.9e-3 (t = 0.3) relative.  The list is reported only; no value or verdict
+    depends on it.
     """
     if C <= 0:
         raise DomainError("Schatten constant C must be positive")
@@ -349,6 +357,7 @@ def schatten_integral(
             "sweep_values": values,
             "sweep_ratio": ratio,
             "value_band": band(values),
+            "degree_times_gap": [m.degree * (1.0 - R) for R in sweep],
         },
     )
 

@@ -12,6 +12,7 @@ from bergman_lab import (
     assemble,
     atomic,
     boundary_ladder,
+    build_kernel_model,
     essential_norm_estimate,
     h_function,
     kernel_diag,
@@ -161,6 +162,12 @@ class TestSchatten:
         rep = schatten_integral(power_density(2.0), model_u1, ("power", 2.0))
         assert rep.verdict in ("finite", "inconclusive")
         assert all(v > 0 for v in rep.extras["sweep_values"])
+
+    def test_integral_reports_degree_times_gap(self, u1):
+        # the degree-1600 sweep of check 13: N (1 - R) = 1.6 at R = 0.999 is
+        # where the truncated kernel stops resolving the rim
+        rep = schatten_integral(power_density(0.8), build_kernel_model(u1, 1600), ("power", 2))
+        assert rep.extras["degree_times_gap"] == pytest.approx([16.0, 8.0, 1.6], rel=1e-12)
 
     def test_invalid_constant(self, model_u1_small):
         T = assemble(atomic([(0.0, 1.0)]), model_u1_small)
