@@ -220,6 +220,7 @@ def _close_pairs(q, p, thr):
         order = np.argsort(p_angle[members], kind="stable")
         ang = p_angle[members][order]
         ext = np.concatenate([ang - 2.0 * np.pi, ang, ang + 2.0 * np.pi])
+        ext_members = np.tile(members[order], 3)
         # the selected q go band by band too, each with its own smallest modulus
         for sub in np.split(sel, np.flatnonzero(np.diff(q_band[sel])) + 1):
             if not sub.size:
@@ -230,7 +231,7 @@ def _close_pairs(q, p, thr):
                 lo = np.zeros(sub.size, dtype=int)
                 counts = np.full(sub.size, members.size)
             else:
-                cand = np.tile(members[order], 3)
+                cand = ext_members
                 lo = np.searchsorted(ext, q_angle[sub] - half, "left")
                 counts = np.searchsorted(ext, q_angle[sub] + half, "right") - lo
             step = max(1, _BLOCK_PAIRS // max(1, int(np.max(counts))))

@@ -219,6 +219,7 @@ class TestWindowedLattice:
         angle=st.floats(-np.pi, np.pi),
     )
     @settings(max_examples=300)
+    # the tight case: both points on |z| = rho, exactly the half-width apart
     @example(rho=0.5, thr=0.25, a=0.0, b=0.0, gap=0.0, angle=0.0)
     def test_window_half_width_is_sound(self, rho, thr, a, b, gap, angle):
         half = geometry._window_half_width(rho, thr * (1.0 + geometry._PRUNE_MARGIN))
@@ -249,8 +250,7 @@ class TestWindowedLattice:
         ])
         seen = []
         for i, j in geometry._close_pairs(q, p, thr):
-            i, j = np.broadcast_arrays(i, j)
-            seen += list(zip(i.ravel().tolist(), j.ravel().tolist()))
+            seen += list(zip(i.tolist(), j.tolist()))
         assert len(seen) == len(set(seen))
         d = pseudo_distance(q[:, None], p[None, :])
         near = set(zip(*(idx.tolist() for idx in np.nonzero(d < thr))))
