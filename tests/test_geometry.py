@@ -211,6 +211,21 @@ class TestWindowedLattice:
         _assert_matches_reference(r, r_max)
 
     @given(
+        pts=st.lists(disc_points, min_size=1, max_size=30),
+        grid=st.lists(disc_points, min_size=1, max_size=30),
+        r=st.floats(0.05, 0.7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_audits_match_scalar_loops_on_any_points(self, pts, grid, r):
+        # loaded point sets need not be separated, so min_separation may
+        # have to fall back to every pair
+        pts, grid = np.array(pts, dtype=complex), np.array(grid, dtype=complex)
+        lat = Lattice(r, 0.97, pts, len(pts))
+        assert lat.min_separation() == _reference_min_separation(pts)
+        assert lat.covering_fraction(grid) == _reference_covering_fraction(pts, r, grid)
+        assert lat.multiplicity(grid) == _reference_multiplicity(pts, r, grid)
+
+    @given(
         rho=st.floats(1e-3, 0.999),
         thr=st.floats(1e-3, 0.999),
         a=st.floats(0.0, 1.0),
