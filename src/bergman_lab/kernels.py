@@ -7,8 +7,9 @@ product  <f, g> = int f conj(g) u dA:
     with G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr taken by quadrature.radial_moments
     on the package's one cached Gauss rule (Gauss-Jacobi for the standard
     weights, Gauss-Legendre in r^2 otherwise);
-  * general weights: the monomial Gram matrix is assembled by disc quadrature
-    and factored (Cholesky), giving a lower-triangular coefficient matrix.
+  * general weights: the monomial Gram matrix is taken on a polar rule by
+    quadrature.monomial_gram (one FFT per ring) and factored (Cholesky),
+    giving a lower-triangular coefficient matrix.
 
 The truncated kernel K_N(z, w) = sum e_n(z) conj(e_n(w)) is a polynomial, so
 kernel norms never blow up and are integrated on the full disc (radial
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .quadrature import disc_rule, radial_moments
+from .quadrature import disc_rule, monomial_gram, radial_moments
 from .weights import Weight
 
 __all__ = [
@@ -50,16 +51,6 @@ def _profile_in_t(u: Weight):
     return lambda t: u.radial_profile(np.sqrt(t))
 
 
-def _power_matrix(z, degree):
-    """Stack of monomials z^n, shape (degree+1, len(z))."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty((degree + 1, z.size), dtype=complex)
-    out[0] = 1.0
-    for n in range(1, degree + 1):
-        out[n] = out[n - 1] * z
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class KernelModel:
     """Orthonormal basis and truncated kernel for A^2(u)."""
@@ -77,7 +68,11 @@ class KernelModel:
 
     def basis_matrix(self, z):
         """e_n at the given points: shape (degree+1, len(z))."""
-        powers = _power_matrix(z, self.degree)
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        powers = np.empty((self.degree + 1, z.size), dtype=complex)
+        powers[0] = 1.0
+        for n in range(1, self.degree + 1):
+            powers[n] = powers[n - 1] * z
         if self.is_radial:
             return powers / np.sqrt(self.diag_norms)[:, None]
         return self.coeffs @ powers
@@ -85,11 +80,11 @@ class KernelModel:
     def kernel(self, z, w):
         """K_N(z, w) for arrays z against a single point w."""
         w = complex(w)
-        ew = np.conj(self.basis_matrix(np.array([w]))[:, 0])
         if self.is_radial:
             # K(z, w) = sum_n (z conj(w))^n / G_nn: Horner in x = z conj(w)
             x = np.asarray(z, dtype=complex) * np.conj(w)
             return np.polynomial.polynomial.polyval(x, 1.0 / self.diag_norms)
+        ew = np.conj(self.basis_matrix(np.array([w]))[:, 0])
         return (ew[:, None] * self.basis_matrix(z)).sum(axis=0)
 
     def kernel_diag(self, z):
@@ -118,13 +113,6 @@ class KernelModel:
         return out
 
 
-def _assemble_gram(u, degree, n_radial, n_angular):
-    rule = disc_rule(n_radial, n_angular, 1.0)
-    powers = _power_matrix(rule.nodes, degree)
-    wu = rule.weights * np.asarray(u(rule.nodes), dtype=float)
-    return (powers * wu) @ powers.conj().T
-
-
 def build_kernel_model(u: Weight, degree) -> KernelModel:
     """Orthonormalize monomials up to the given degree against u dA."""
     if degree < 1:
@@ -142,7 +130,7 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
 
     n_radial = degree + 16
     n_angular = 4 * degree + 64
-    gram = _assemble_gram(u, degree, n_radial, n_angular)
+    gram = monomial_gram(u, degree, n_radial, n_angular, 1.0)
     diag = np.real(np.diag(gram))
     if np.min(diag) <= 1e-12 * np.max(diag):
         raise DegeneracyError(
@@ -156,7 +144,7 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
 
     coeffs = solve_triangular(chol, np.eye(degree + 1, dtype=complex), lower=True)
     resid_same = float(np.max(np.abs(coeffs @ gram @ coeffs.conj().T - np.eye(degree + 1))))
-    gram2 = _assemble_gram(u, degree, n_radial + n_radial // 2, n_angular * 2)
+    gram2 = monomial_gram(u, degree, n_radial + n_radial // 2, n_angular * 2, 1.0)
     resid_fine = float(np.max(np.abs(coeffs @ gram2 @ coeffs.conj().T - np.eye(degree + 1))))
     if resid_same > 1e-8:
         raise DegeneracyError(f"orthonormalization residual {resid_same:.2e} above 1e-8")

@@ -14,7 +14,13 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
 from .geometry import check_disc_point, pseudo_disk, pseudo_distance
-from .quadrature import disc_rule, disk_integrals, radial_moments, region_quadrature
+from .quadrature import (
+    disc_rule,
+    disk_integrals,
+    monomial_gram,
+    radial_moments,
+    region_quadrature,
+)
 from .weights import Weight, disk_masses, mass, weight_from_config
 
 __all__ = [
@@ -180,7 +186,9 @@ def basis_gram(m, mu: DiscMeasure):
     """Matrix M with M[j, k] = int e_k conj(e_j) dmu (the Toeplitz entries).
 
     Radial weight + radial measure stay diagonal up to quadrature error; the
-    generic path assembles the full Hermitian matrix.
+    generic path takes the monomial Gram against the density on a polar rule
+    (quadrature.monomial_gram) and changes basis, radial and general models
+    alike.
     """
     n = m.degree + 1
     if mu.kind == "atomic":
@@ -191,10 +199,9 @@ def basis_gram(m, mu: DiscMeasure):
         return M
     if m.is_radial and _radial_measure(mu):
         return np.diag(_radial_gram_diag(m, mu)).astype(complex)
-    rule = _gram_rule(m, mu)
-    E = m.basis_matrix(rule.nodes)
-    wts = rule.weights * mu.density_at(rule.nodes)
-    return (np.conj(E) * wts) @ E.T
+    # M = conj(C) G^T C^T for e = C z^j and the monomial Gram G against mu
+    C = m.coeffs
+    return np.conj(C) @ monomial_gram(mu.density_at, m.degree, *_gram_rule(m, mu)).T @ C.T
 
 
 def _radial_measure(mu):
@@ -214,7 +221,8 @@ def _radial_gram_diag(m, mu):
 
 
 def _gram_rule(m, mu):
-    """Density rule fine enough for products of basis elements (degree 2N)."""
+    """Polar rule (n_radial, n_angular, r_max) fine enough for products of
+    basis elements (degree 2N)."""
     n_r = max(m.degree + 16, mu.resolution[0])
     n_t = max(1 << int(np.ceil(np.log2(2 * m.degree + 32))), mu.resolution[1])
-    return disc_rule(n_r, n_t, mu.r_max)
+    return n_r, n_t, mu.r_max

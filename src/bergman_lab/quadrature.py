@@ -49,6 +49,7 @@ __all__ = [
     "radial_moments",
     "region_quadrature",
     "disc_rule",
+    "monomial_gram",
     "disk_integrals",
 ]
 
@@ -198,6 +199,35 @@ def disc_rule(n_radial, n_angular, r_max=1.0):
     """Centered full-disc rule with explicit resolution (nodes stay interior)."""
     nodes, weights = _polar_rule(int(n_radial), int(n_angular), float(r_max))
     return DiscQuadrature(nodes, weights, FullDisc(float(r_max)), int(n_radial))
+
+
+def monomial_gram(g, degree, n_radial, n_angular, r_max):
+    """G[j, k] = sum w z^j conj(z)^k g(z) over the polar rule, j, k = 0..degree.
+
+    On a ring of radius rho, z^j conj(z)^k = rho^(j+k) e^(i (j-k) theta), so
+    one real FFT per ring of w g gives the angular sums ghat_rho(m) and
+    G[j, k] = sum_rho rho^(j+k) ghat_rho(j - k), with ghat_rho(-m) =
+    conj(ghat_rho(m)).  Indices j - k are taken mod n_angular, so this is the
+    rule's own trapezoid sum for any n_angular, aliased or not.  The lower
+    triangle is summed and the upper one is its conjugate: G is Hermitian
+    bit for bit.  g must be real; non-finite values raise EvaluationError.
+    """
+    nodes, weights = _polar_rule(int(n_radial), int(n_angular), float(r_max))
+    wg = weights * np.asarray(_finite_values(g, nodes), dtype=float)
+    # ghat_rho(m) = sum_theta w g e^(i m theta) for m = 0..n_angular // 2
+    half = np.conj(np.fft.rfft(wg.reshape(n_radial, n_angular), axis=1))
+    rho = nodes[::n_angular].real
+    powers = rho[:, None] ** np.arange(2 * degree + 1)
+    gram = np.empty((degree + 1, degree + 1), dtype=complex)
+    for d in range(degree + 1):
+        m = d % n_angular
+        ghat = half[:, m] if m <= n_angular // 2 else np.conj(half[:, n_angular - m])
+        # the d-th subdiagonal, G[k + d, k] for k = 0..degree-d, has rho^(2k+d)
+        sub = powers[:, d : 2 * degree + 1 - d : 2].T @ ghat
+        k = np.arange(degree + 1 - d)
+        gram[k + d, k] = sub
+        gram[k, k + d] = np.conj(sub)
+    return gram
 
 
 def _disk_map(centers, radii, resolution):

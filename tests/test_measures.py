@@ -9,10 +9,13 @@ from bergman_lab import (
     CarlesonSet,
     DomainError,
     EvaluationError,
+    Weight,
     atomic,
     basis_gram,
+    build_kernel_model,
     constant,
     density,
+    disc_rule,
     measure_from_config,
     power_density,
     power_one_minus_z,
@@ -21,12 +24,20 @@ from bergman_lab import (
     standard,
     weighted_area,
 )
+from bergman_lab.measures import _gram_rule
 from bergman_lab.quadrature import _BLOCK_NODES, _polar_rule
 
 _POINT = st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * np.pi)).map(
     lambda p: complex(p[0] * np.exp(1j * p[1]))
 )
 _POINTS = st.lists(_POINT, min_size=1, max_size=30)
+
+
+def _reference_basis_gram(m, mu):
+    """M[j, k] = int e_k conj(e_j) dmu with the basis evaluated on every node."""
+    rule = disc_rule(*_gram_rule(m, mu))
+    E = m.basis_matrix(rule.nodes)
+    return (np.conj(E) * (rule.weights * mu.density_at(rule.nodes))) @ E.T
 
 
 def _reference_disk_mass(mu, z, r):
@@ -182,3 +193,25 @@ class TestBasisGram:
         m2 = basis_gram(model_u1_small, atomic([(0.3, 1.0), (0.5j, 0.5)]))
         eig = np.linalg.eigvalsh(m2 - m1)
         assert eig[0] > -1e-12
+
+    @pytest.mark.parametrize(
+        "model, mu",
+        [
+            ((standard(1.0), 30), weighted_area(power_one_minus_z(1.0))),
+            ((power_one_minus_z(0.5), 20), power_density(1.5)),
+            # off the real axis the coefficients and the Gram are complex
+            ((Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, False), 20),
+             density(lambda z: np.abs(1.0 + 0.5 * z) ** 2)),
+        ],
+        ids=["radial-model", "general-model", "complex-coefficients"],
+    )
+    def test_density_path_matches_basis_on_nodes(self, model, mu):
+        m = build_kernel_model(*model)
+        got = basis_gram(m, mu)
+        want = _reference_basis_gram(m, mu)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_nonfinite_density_raises(self, model_u1_small):
+        mu = density(lambda z: np.where(np.real(z) > 0.5, np.inf, 1.0))
+        with pytest.raises(EvaluationError, match="not finite at node"):
+            basis_gram(model_u1_small, mu)

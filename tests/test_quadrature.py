@@ -2,14 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import beta
 
-from bergman_lab import CarlesonSet, EvaluationError, disc_rule, pseudo_disk, region_quadrature
+from bergman_lab import (
+    CarlesonSet,
+    EvaluationError,
+    disc_rule,
+    power_one_minus_z,
+    pseudo_disk,
+    region_quadrature,
+)
 from bergman_lab.quadrature import (
     CarlesonRegion,
     EuclideanDisk,
     FullDisc,
     gauss_rule,
+    monomial_gram,
     radial_moments,
 )
 
@@ -137,3 +147,40 @@ class TestCachedRules:
         q = region_quadrature(CarlesonRegion(0.5 + 0.1j), 16)
         with pytest.raises(ValueError):
             q.weights[0] = 0.0
+
+
+def _reference_gram(g, degree, n_radial, n_angular, r_max):
+    """The power-matrix Gram: every monomial evaluated on every node."""
+    rule = disc_rule(n_radial, n_angular, r_max)
+    powers = rule.nodes[None, :] ** np.arange(degree + 1)[:, None]
+    return (powers * (rule.weights * g(rule.nodes))) @ powers.conj().T
+
+
+class TestMonomialGram:
+    @given(
+        degree=st.integers(1, 60),
+        gamma=st.floats(-0.9, 2.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        n_radial=st.integers(4, 80),
+        n_angular=st.integers(3, 256),
+        r_max=st.sampled_from([1.0, 0.7]),
+    )
+    @settings(max_examples=60, deadline=None)
+    # n_angular < 2 degree + 1: the angular sums alias, as the rule's own do
+    @example(degree=40, gamma=1.0, phase=1.0, n_radial=56, n_angular=31, r_max=1.0)
+    def test_matches_power_matrix_gram(self, degree, gamma, phase, n_radial, n_angular, r_max):
+        # |1 - z|^gamma turned by phase: off the real axis its angular sums are complex
+        u = lambda z: power_one_minus_z(gamma)(z * np.exp(-1j * phase))  # noqa: E731
+        got = monomial_gram(u, degree, n_radial, n_angular, r_max)
+        want = _reference_gram(u, degree, n_radial, n_angular, r_max)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got, got.conj().T)
+
+    def test_exact_on_monomials(self):
+        # int z^j conj(z)^k dA = pi / (j + 1) if j == k, else 0
+        got = monomial_gram(lambda z: np.ones(z.shape), 20, 24, 64, 1.0)
+        assert np.max(np.abs(got - np.diag(np.pi / np.arange(1, 22)))) < 1e-14
+
+    def test_nonfinite_integrand_raises(self):
+        with pytest.raises(EvaluationError, match="not finite at node"):
+            monomial_gram(lambda z: np.where(np.real(z) > 0.5, np.nan, 1.0), 4, 8, 16, 1.0)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bergman_lab import audit_grid, cli, geometry, measures, quadrature
+from bergman_lab import audit_grid, cli, geometry, kernels, measures, quadrature
+from bergman_lab import power_density, power_one_minus_z
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 LIBRARY_NAMES = (
@@ -105,3 +106,16 @@ def test_lattice_work_is_seen_by_the_tracer(tracer):
     assert all(seconds > 0 for name, seconds in spans if name.startswith("geometry."))
     # the build and each of the three audits evaluate distances
     assert calls[0] > 0 and all(b > a for a, b in zip(calls, calls[1:]))
+
+
+def test_general_model_and_dense_gram_are_seen_by_the_tracer(tracer):
+    # the general kernel build and the dense Gram are counted by class, so
+    # the per-layer counters see the non-radial path
+    tracer.install()
+    tracer.job = 0
+    m = kernels.build_kernel_model(power_one_minus_z(0.5), 20)
+    measures.basis_gram(m, power_density(1.5))
+    tracer.job = None
+    tracer.restore()
+    assert tracer.counts[(0, "kernels.build_kernel_model.general_calls")] == 1
+    assert tracer.counts[(0, "measures.basis_gram.dense_calls")] == 1
