@@ -150,9 +150,10 @@ def carleson_contains(s: CarlesonSet, w) -> bool:
     return s.contains(w)
 
 
-def _hyperbolic_cell(rho):
-    """Mobius-invariant size rho^2 / (1 - rho^2) of a pseudo-disk of radius rho."""
-    return rho * rho / (1.0 - rho * rho)
+def _doubled(r):
+    """pseudo_add(r, r) = 2r / (1 + r^2): the radius of Delta(z, r) doubled in
+    the Bergman metric, below 1 for every r < 1."""
+    return pseudo_add(r, r)
 
 
 # Relative slack on every pruning threshold: a pair is skipped only where its
@@ -247,14 +248,8 @@ def _near_counts(q, p, thr, dist):
     """For each point z of q, how many points w of p have dist(z, w) < thr.
 
     dist evaluates pseudo_distance in the orientation the caller needs.
-    For thr >= 1 nothing can be pruned, and each point of p meets all of q
-    in one array operation.
     """
     counts = np.zeros(len(q), dtype=int)
-    if thr * (1.0 + _PRUNE_MARGIN) >= 1.0:
-        for w in p:
-            counts += dist(q, w) < thr
-        return counts
     for i, j in _close_pairs(q, p, thr):
         counts += np.bincount(i[dist(q[i], p[j]) < thr], minlength=len(q))
     return counts
@@ -278,11 +273,14 @@ class Lattice:
     Certificates (by construction and by audit):
       * pairwise pseudo-distances >= r/2, hence Delta(a_k, r/4) are disjoint;
       * every point of |z| <= r_max lies in some Delta(a_k, r);
-      * no point lies in more than multiplicity_bound of the Delta(a_k, 2r).
+      * no point lies in more than multiplicity_bound of the doubled disks
+        Delta(a_k, pseudo_add(r, r)), pseudo_add(r, r) = 2r / (1 + r^2) being
+        r doubled in the Bergman metric.
 
     The audits evaluate pseudo_distance only on the pairs that can fall below
-    their threshold thr (r for the separation and the covering, 2r for the
-    multiplicity), band by band of hyperbolic radius.  Two proven lower
+    their threshold thr (r for the separation and the covering,
+    pseudo_add(r, r) for the multiplicity), band by band of hyperbolic
+    radius.  Two proven lower
     bounds rule the other pairs out:
       * radial: d(z, w) >= ||z| - |w|| / (1 - |z| |w|);
       * angular: for fixed moduli d increases with the angular gap t on
@@ -290,9 +288,7 @@ class Lattice:
         modulus rho, so one window half-width per (band, thr) certifies every
         pair outside it (_window_half_width).
     Where rho = 0 or the bound never reaches thr, a band is audited against
-    every point it selects.  For thr >= 1 (the multiplicity when r >= 0.5)
-    nothing can be pruned, and each lattice point meets the whole grid in
-    one array operation.  The values are those of the plain all-pairs
+    every point it selects.  The values are those of the plain all-pairs
     audit, bit for bit.
     """
 
@@ -319,8 +315,8 @@ class Lattice:
         return float(np.mean(covered))
 
     def multiplicity(self, grid):
-        """Max over grid points of the number of Delta(a_k, 2 radius) hits."""
-        counts = _near_counts(np.asarray(grid), self.points, 2.0 * self.radius, pseudo_distance)
+        """Max over grid points of the number of Delta(a_k, pseudo_add(r, r)) hits."""
+        counts = _near_counts(np.asarray(grid), self.points, _doubled(self.radius), pseudo_distance)
         return int(np.max(counts))
 
     def to_json(self):
@@ -402,8 +398,8 @@ def build_lattice(r, r_max=0.995):
     goes through pseudo_distance in the orientation (accepted, candidate),
     so the points are those of the plain greedy, bit for bit.
     """
-    if not (r > 0.0):
-        raise DomainError(f"lattice radius {r} must be positive")
+    if not (0.0 < r < 1.0):
+        raise DomainError(f"lattice radius {r} outside (0, 1)")
     if not (r_max < 1.0):
         raise DomainError(f"r_max {r_max} must be < 1")
     sep = r / 2.0
@@ -417,15 +413,14 @@ def build_lattice(r, r_max=0.995):
         accepted_per_ring.append(_greedy_ring(cands[clash == 0], sep))
     points = np.concatenate(accepted_per_ring)
 
-    # packing bound for the 2r-multiplicity: centers hitting z sit in
-    # Delta(z, 2r), their r/4 disks are disjoint inside Delta(z, 2r (+) r/4)
-    two_r = 2.0 * r
-    if two_r >= 1.0 or pseudo_add(two_r, r / 4.0) >= 1.0:
-        bound = len(points)
-    else:
-        big = _hyperbolic_cell(pseudo_add(two_r, r / 4.0))
-        small = _hyperbolic_cell(r / 4.0)
-        bound = min(len(points), int(math.floor(big / small)))
+    # packing bound for the multiplicity: the centers hitting z lie in
+    # Delta(z, D), D = pseudo_add(r, r), and their disjoint Delta(a_k, q),
+    # q = r/4, lie in Delta(z, D (+) q).  In Mobius-invariant cells
+    # rho^2 / (1 - rho^2) the ratio of the two is ((D + q) / (q sqrt(1 - D^2)))^2,
+    # and sqrt(1 - D^2) = (1 - r^2) / (1 + r^2) stays positive for every r < 1
+    q = r / 4.0
+    cells = ((_doubled(r) + q) * (1.0 + r * r) / (q * (1.0 - r * r))) ** 2
+    bound = int(min(len(points), cells))
     return Lattice(radius=float(r), r_max=float(r_max), points=points, multiplicity_bound=bound)
 
 

@@ -141,7 +141,28 @@ class TestLattice:
         with pytest.raises(DomainError):
             build_lattice(-0.1)
         with pytest.raises(DomainError):
+            build_lattice(1.0)
+        with pytest.raises(DomainError):
             build_lattice(0.3, 1.0)
+
+    @pytest.mark.parametrize("r, cells", [(0.2, 88), (0.3, 99), (0.5, 152), (0.6, 213)])
+    def test_multiplicity_bound_is_the_packing_bound(self, r, cells):
+        # Mobius addition adds hyperbolic radii atanh(rho), and the cell
+        # rho^2 / (1 - rho^2) of a pseudo-disk is sinh(atanh(rho))^2: the
+        # disjoint Delta(a_k, r/4) of the centers in Delta(z, pseudo_add(r, r))
+        # fit in the cell of hyperbolic radius 2 atanh(r) + atanh(r/4)
+        q = np.arctanh(r / 4.0)
+        assert int(np.sinh(2.0 * np.arctanh(r) + q) ** 2 / np.sinh(q) ** 2) == cells
+        assert build_lattice(r, 0.95).multiplicity_bound == cells
+
+    def test_multiplicity_certificate_fails_on_a_cluster(self):
+        # 200 points within pseudo-distance 0.05 of 0.3 all lie in the doubled
+        # disk of every grid point near 0.3: more hits than the r = 0.5 bound
+        bound = build_lattice(0.5, 0.99).multiplicity_bound
+        k = np.arange(200)
+        cluster = mobius(0.3, 0.05 * np.sqrt((k + 0.5) / 200) * np.exp(2j * np.pi * 0.618 * k))
+        lat = Lattice(0.5, 0.99, cluster, bound)
+        assert lat.multiplicity(audit_grid(2000, 0.99)) > lat.multiplicity_bound
 
 
 def _reference_points(r, r_max):
@@ -179,7 +200,7 @@ def _reference_covering_fraction(pts, r, grid):
 def _reference_multiplicity(pts, r, grid):
     counts = np.zeros(len(grid), dtype=int)
     for a in pts:
-        counts += pseudo_distance(grid, a) < 2.0 * r
+        counts += pseudo_distance(grid, a) < pseudo_add(r, r)
     return int(np.max(counts))
 
 
@@ -196,8 +217,8 @@ def _assert_matches_reference(r, r_max):
 class TestWindowedLattice:
     """The windowed build and audits against the scalar loops they replace."""
 
-    # (0.5, 0.99): 2r >= 1, so the multiplicity audit prunes nothing;
-    # (0.8, 0.9): a coarse lattice whose inner rings have no window
+    # (0.5, 0.99): the multiplicity threshold pseudo_add(r, r) = 0.8 prunes
+    # little; (0.8, 0.9): a coarse lattice whose inner rings have no window
     @pytest.mark.parametrize("r, r_max", [(0.3, 0.95), (0.5, 0.99), (0.15, 0.95), (0.8, 0.9)])
     def test_matches_scalar_loops(self, r, r_max):
         _assert_matches_reference(r, r_max)
