@@ -31,7 +31,6 @@ from .geometry import (
     audit_grid,
     boundary_ladder,
     build_lattice,
-    carleson_contains,
     mobius,
     pseudo_add,
     pseudo_disk,

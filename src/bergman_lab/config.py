@@ -6,7 +6,7 @@ that the CLI, the verification suite, and ad-hoc use agree.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["Defaults", "DEFAULTS"]
 
@@ -28,9 +28,6 @@ class Defaults:
     lattice_r_max: float = 0.95
     ladder_rings: int = 12
     ladder_samples: int = 16
-
-    def as_dict(self):
-        return asdict(self)
 
 
 DEFAULTS = Defaults()

@@ -26,7 +26,6 @@ __all__ = [
     "PseudoDisk",
     "pseudo_disk",
     "CarlesonSet",
-    "carleson_contains",
     "Lattice",
     "build_lattice",
     "BoundaryLadder",
@@ -143,11 +142,6 @@ class CarlesonSet:
             w = check_disc_point(w, "w")
             return bool(np.real(np.conj(a) * mobius(a, w)) <= 0.0)
         return np.real(np.conj(a) * mobius(a, np.asarray(w))) <= 0.0
-
-
-def carleson_contains(s: CarlesonSet, w) -> bool:
-    """Functional form of CarlesonSet.contains."""
-    return s.contains(w)
 
 
 def _doubled(r):

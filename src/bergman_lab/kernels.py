@@ -164,7 +164,7 @@ def kernel_diag(m: KernelModel, z):
     return float(out[0]) if scalar else out
 
 
-def kernel_norm(m: KernelModel, w, p, rule=None):
+def kernel_norm(m: KernelModel, w, p):
     """|| K_w ||_{A^p(u)} = (int |K(z, w)|^p u dA)^(1/p) by quadrature.
 
     For p = 2 this must agree with sqrt(K(w, w)) (reproducing identity);
@@ -172,7 +172,7 @@ def kernel_norm(m: KernelModel, w, p, rule=None):
     """
     if p <= 0:
         raise DomainError("kernel norm exponent must be positive")
-    rule = rule or m.norm_rule()
+    rule = m.norm_rule()
     kv = m.kernel(rule.nodes, w)
     uvals = np.asarray(m.weight(rule.nodes), dtype=float)
     val = np.sum(rule.weights * uvals * np.abs(kv) ** p)

@@ -56,6 +56,10 @@ __all__ = [
 # nodes per block of disk_integrals: bounds its memory (2^18 raised the peak RSS
 # of a seeded CLI sweep from 148 to 160 MB; 2^16 keeps it at 148 MB)
 _BLOCK_NODES = 1 << 16
+# a Carleson rule is accepted when doubling its resolution moves its area by
+# less than _CARLESON_TOL (relative); it is doubled up to _CARLESON_MAX_RESOLUTION
+_CARLESON_TOL = 1e-6
+_CARLESON_MAX_RESOLUTION = 1024
 
 
 @dataclass(frozen=True)
@@ -276,13 +280,13 @@ def _build(region, resolution):
     return DiscQuadrature(nodes, weights, region, resolution)
 
 
-def region_quadrature(region, resolution=48, tol=1e-6, max_resolution=1024):
+def region_quadrature(region, resolution=48):
     """Build a rule for the region; only Carleson rules take a refinement test.
 
     Disks take the requested rule: it integrates constants exactly there.  A
     Carleson rule is kept when doubling the resolution moves the constant-1
-    integral by less than tol (relative); otherwise the doubled rule is tried
-    in turn, up to max_resolution.
+    integral by less than _CARLESON_TOL (relative); otherwise the doubled rule
+    is tried in turn, up to _CARLESON_MAX_RESOLUTION.
     """
     if resolution < 4:
         raise DomainError("resolution must be at least 4")
@@ -293,9 +297,9 @@ def region_quadrature(region, resolution=48, tol=1e-6, max_resolution=1024):
         return rule
     while True:
         finer = _build(region, 2 * res)
-        if abs(finer.area - rule.area) <= tol * max(1.0, abs(finer.area)):
+        if abs(finer.area - rule.area) <= _CARLESON_TOL * max(1.0, abs(finer.area)):
             return rule
-        if 2 * res > max_resolution:
+        if 2 * res > _CARLESON_MAX_RESOLUTION:
             raise PrecisionError(
                 f"region {region} not resolved at resolution {res} "
                 f"(area moved {abs(finer.area - rule.area):.3e})"
