@@ -145,8 +145,7 @@ class CarlesonSet:
 
 
 def _doubled(r):
-    """pseudo_add(r, r) = 2r / (1 + r^2): the radius of Delta(z, r) doubled in
-    the Bergman metric, below 1 for every r < 1."""
+    """pseudo_add(r, r) = 2r / (1 + r^2): r doubled in the Bergman metric."""
     return pseudo_add(r, r)
 
 
@@ -268,14 +267,12 @@ class Lattice:
       * pairwise pseudo-distances >= r/2, hence Delta(a_k, r/4) are disjoint;
       * every point of |z| <= r_max lies in some Delta(a_k, r);
       * no point lies in more than multiplicity_bound of the doubled disks
-        Delta(a_k, pseudo_add(r, r)), pseudo_add(r, r) = 2r / (1 + r^2) being
-        r doubled in the Bergman metric.
+        Delta(a_k, pseudo_add(r, r)).
 
     The audits evaluate pseudo_distance only on the pairs that can fall below
-    their threshold thr (r for the separation and the covering,
-    pseudo_add(r, r) for the multiplicity), band by band of hyperbolic
-    radius.  Two proven lower
-    bounds rule the other pairs out:
+    their threshold thr (r for the separation and the covering, the doubled
+    radius for the multiplicity), band by band of hyperbolic radius.  Two
+    proven lower bounds rule the other pairs out:
       * radial: d(z, w) >= ||z| - |w|| / (1 - |z| |w|);
       * angular: for fixed moduli d increases with the angular gap t on
         [0, pi], and with both moduli >= rho it is at least its value at
@@ -407,11 +404,9 @@ def build_lattice(r, r_max=0.995):
         accepted_per_ring.append(_greedy_ring(cands[clash == 0], sep))
     points = np.concatenate(accepted_per_ring)
 
-    # packing bound for the multiplicity: the centers hitting z lie in
-    # Delta(z, D), D = pseudo_add(r, r), and their disjoint Delta(a_k, q),
-    # q = r/4, lie in Delta(z, D (+) q).  In Mobius-invariant cells
-    # rho^2 / (1 - rho^2) the ratio of the two is ((D + q) / (q sqrt(1 - D^2)))^2,
-    # and sqrt(1 - D^2) = (1 - r^2) / (1 + r^2) stays positive for every r < 1
+    # packing bound: the centers hitting z lie in Delta(z, D), D = _doubled(r), and their
+    # disjoint Delta(a_k, q) in Delta(z, D (+) q); the ratio of the cells rho^2 / (1 - rho^2)
+    # is ((D + q) / (q sqrt(1 - D^2)))^2, sqrt(1 - D^2) = (1 - r^2) / (1 + r^2) > 0
     q = r / 4.0
     cells = ((_doubled(r) + q) * (1.0 + r * r) / (q * (1.0 - r * r))) ** 2
     bound = int(min(len(points), cells))

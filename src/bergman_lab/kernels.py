@@ -7,9 +7,8 @@ product  <f, g> = int f conj(g) u dA:
     with G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr taken by quadrature.radial_moments
     on the package's one cached Gauss rule (Gauss-Jacobi for the standard
     weights, Gauss-Legendre in r^2 otherwise);
-  * general weights: the monomial Gram matrix is taken on a polar rule by
-    quadrature.monomial_gram (one FFT per ring) and factored (Cholesky),
-    giving a lower-triangular coefficient matrix.
+  * general weights: the monomial Gram matrix (quadrature.monomial_gram, one
+    FFT per ring) is factored (Cholesky) into lower-triangular coefficients.
 
 The truncated kernel K_N(z, w) = sum e_n(z) conj(e_n(w)) is a polynomial, so
 kernel norms never blow up and are integrated on the full disc (radial

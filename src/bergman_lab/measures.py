@@ -14,13 +14,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
 from .geometry import check_disc_point, pseudo_disk, pseudo_distance
-from .quadrature import (
-    disc_rule,
-    disk_integrals,
-    monomial_gram,
-    radial_moments,
-    region_quadrature,
-)
+from .quadrature import disc_rule, disk_integrals, monomial_gram, radial_moments, region_quadrature
 from .weights import Weight, disk_masses, mass, weight_from_config
 
 __all__ = [
@@ -186,9 +180,8 @@ def basis_gram(m, mu: DiscMeasure):
     """Matrix M with M[j, k] = int e_k conj(e_j) dmu (the Toeplitz entries).
 
     Radial weight + radial measure stay diagonal up to quadrature error; the
-    generic path takes the monomial Gram against the density on a polar rule
-    (quadrature.monomial_gram) and changes basis, radial and general models
-    alike.
+    generic path changes the basis of the monomial Gram (monomial_gram) of
+    the density, for radial and general models alike.
     """
     n = m.degree + 1
     if mu.kind == "atomic":
@@ -221,8 +214,7 @@ def _radial_gram_diag(m, mu):
 
 
 def _gram_rule(m, mu):
-    """Polar rule (n_radial, n_angular, r_max) fine enough for products of
-    basis elements (degree 2N)."""
+    """(n_radial, n_angular, r_max) of a polar rule fine for degree-2N products."""
     n_r = max(m.degree + 16, mu.resolution[0])
     n_t = max(1 << int(np.ceil(np.log2(2 * m.degree + 32))), mu.resolution[1])
     return n_r, n_t, mu.r_max

@@ -56,8 +56,6 @@ __all__ = [
 # nodes per block of disk_integrals: bounds its memory (2^18 raised the peak RSS
 # of a seeded CLI sweep from 148 to 160 MB; 2^16 keeps it at 148 MB)
 _BLOCK_NODES = 1 << 16
-# a Carleson rule is accepted when doubling its resolution moves its area by
-# less than _CARLESON_TOL (relative); it is doubled up to _CARLESON_MAX_RESOLUTION
 _CARLESON_TOL = 1e-6
 _CARLESON_MAX_RESOLUTION = 1024
 
@@ -208,15 +206,13 @@ def disc_rule(n_radial, n_angular, r_max=1.0):
 def monomial_gram(g, degree, n_radial, n_angular, r_max):
     """G[j, k] = sum w z^j conj(z)^k g(z) over the polar rule, j, k = 0..degree.
 
-    On a ring of radius rho, z^j conj(z)^k = rho^(j+k) e^(i (j-k) theta), so
-    one real FFT per ring of w g gives the angular sums ghat_rho(m) and
-    G[j, k] = sum_rho rho^(j+k) ghat_rho(j - k), with ghat_rho(-m) =
-    conj(ghat_rho(m)).  Indices j - k are taken mod n_angular, so this is the
-    rule's own trapezoid sum for any n_angular, aliased or not.  The lower
-    triangle is summed and the upper one is its conjugate: G is Hermitian
-    bit for bit.  g must be real; non-finite values raise EvaluationError.
+    On a ring, z^j conj(z)^k = rho^(j+k) e^(i (j-k) theta), so one real FFT per
+    ring of w g gives G[j, k] = sum_rho rho^(j+k) ghat_rho(j - k), with
+    ghat_rho(-m) = conj(ghat_rho(m)) and j - k taken mod n_angular (the rule's
+    own sum, aliased or not).  The upper triangle is the conjugate of the lower,
+    so G is Hermitian bit for bit.  g is real; non-finite values raise EvaluationError.
     """
-    nodes, weights = _polar_rule(int(n_radial), int(n_angular), float(r_max))
+    nodes, weights = _polar_rule(n_radial, n_angular, r_max)
     wg = weights * np.asarray(_finite_values(g, nodes), dtype=float)
     # ghat_rho(m) = sum_theta w g e^(i m theta) for m = 0..n_angular // 2
     half = np.conj(np.fft.rfft(wg.reshape(n_radial, n_angular), axis=1))
