@@ -15,8 +15,16 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bergman_lab import audit_grid, cli, geometry, kernels, measures, quadrature
-from bergman_lab import power_density, power_one_minus_z
+from bergman_lab import (
+    audit_grid,
+    cli,
+    geometry,
+    kernels,
+    measures,
+    power_density,
+    power_one_minus_z,
+    quadrature,
+)
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 LIBRARY_NAMES = (
