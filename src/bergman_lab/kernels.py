@@ -3,12 +3,14 @@
 The model carries an orthonormal polynomial basis e_0..e_N for the inner
 product  <f, g> = int f conj(g) u dA:
 
-  * radial weights: monomials are already orthogonal, so e_n = z^n / sqrt(G_nn)
-    with G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr taken by quadrature.radial_moments
-    on the package's one cached Gauss rule (Gauss-Jacobi for the standard
-    weights, Gauss-Legendre in r^2 otherwise);
+  * radial weights: monomials are already orthogonal, so e_n = z^n / sqrt(G_nn).
+    Every radial weight the package builds is u = c (1 - |z|^2)^a, so
+    G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr = pi c B(n + 1, a + 1) is exact
+    (quadrature.beta_moments) and the model reports no refinement error;
   * general weights: the monomial Gram matrix (quadrature.monomial_gram, one
     FFT per ring) is factored (Cholesky) into lower-triangular coefficients.
+    Every Gram taken by quadrature, the model's and the Toeplitz matrices of
+    basis_gram alike, uses the polar rule of _gram_resolution.
 
 The truncated kernel K_N(z, w) = sum e_n(z) conj(e_n(w)) is a polynomial, so
 kernel norms never blow up and are integrated on the full disc (radial
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
-from .quadrature import disc_rule, monomial_gram, radial_moments
+from .quadrature import beta_moments, disc_rule, monomial_gram
 from .weights import Weight
 
 __all__ = [
@@ -37,17 +40,21 @@ __all__ = [
 ]
 
 
-def _radial_monomial_norms(u: Weight, degree):
-    """G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr = pi int_0^1 t^n u(sqrt t) dt."""
+def _radial_power(u: Weight):
+    """(c, a) with u = c (1 - |z|^2)^a; DomainError for any other radial kind."""
+    if u.kind == "constant":
+        return u.params["value"], 0.0
     if u.kind == "standard":
-        # (1 - t)^alpha is the Gauss-Jacobi weight, so the rule is exact
-        return radial_moments(None, degree, degree // 2 + 8, u.params["alpha"])
-    return radial_moments(_profile_in_t(u), degree, max(degree // 2 + 8, 256))
+        return 1.0, u.params["alpha"]
+    raise DomainError(f"radial weight kind {u.kind!r} has no closed-form monomial norms")
 
 
-def _profile_in_t(u: Weight):
-    """u(sqrt t): the radial weight in the variable t = |z|^2."""
-    return lambda t: u.radial_profile(np.sqrt(t))
+def _gram_resolution(degree):
+    """(n_radial, n_angular) of the polar rule of every Gram taken by quadrature."""
+    return (
+        max(degree + 16, DEFAULTS.density_radial),
+        max(4 * degree + 64, DEFAULTS.density_angular),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,17 +125,12 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
         raise DomainError("degree must be >= 1")
     degree = int(degree)
     if u.is_radial:
-        norms = _radial_monomial_norms(u, degree)
-        if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
-            raise DegeneracyError("radial monomial norms must be positive and finite")
+        c, a = _radial_power(u)
+        norms = c * beta_moments(a, degree)
         coeffs = np.diag(1.0 / np.sqrt(norms)).astype(complex)
-        # residual against an independently refined radial rule
-        fine = radial_moments(_profile_in_t(u), degree, max(degree + 24, 384))
-        resid = float(np.max(np.abs(fine / norms - 1.0)))
-        return KernelModel(u, degree, coeffs, norms, 0.0, resid)
+        return KernelModel(u, degree, coeffs, norms, 0.0, 0.0)
 
-    n_radial = degree + 16
-    n_angular = 4 * degree + 64
+    n_radial, n_angular = _gram_resolution(degree)
     gram = monomial_gram(u, degree, n_radial, n_angular, 1.0)
     diag = np.real(np.diag(gram))
     if np.min(diag) <= 1e-12 * np.max(diag):

@@ -14,7 +14,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
 from .geometry import check_disc_point, pseudo_disk, pseudo_distance
-from .quadrature import disc_rule, disk_integrals, monomial_gram, radial_moments, region_quadrature
+from .kernels import _gram_resolution, _radial_power
+from .quadrature import beta_moments, disc_rule, disk_integrals, monomial_gram, region_quadrature
 from .weights import Weight, disk_masses, mass, weight_from_config
 
 __all__ = [
@@ -37,14 +38,6 @@ class DiscMeasure:
     g: object = None  # density callable
     u: Weight = None  # weighted_area only
     params: dict = field(default_factory=dict)
-    # densities are integrated on the full disc; Gauss nodes stay interior,
-    # so no boundary evaluation occurs and no mass is truncated away
-    r_max: float = 1.0
-    resolution: tuple = (DEFAULTS.density_radial, DEFAULTS.density_angular)
-
-    def _rule(self, r_max=None):
-        n_r, n_t = self.resolution
-        return disc_rule(n_r, n_t, r_max if r_max is not None else self.r_max)
 
     def density_at(self, z):
         if self.kind == "atomic":
@@ -52,8 +45,12 @@ class DiscMeasure:
         g = self.g if self.g is not None else self.u
         return np.asarray(g(z), dtype=float)
 
-    def integrate(self, f, r_max=None):
-        """int f dmu: exact atom sum, or quadrature of f * density."""
+    def integrate(self, f):
+        """int f dmu: exact atom sum, or quadrature of f * density.
+
+        Densities are integrated on the full disc; Gauss nodes stay interior,
+        so no boundary evaluation occurs and no mass is truncated away.
+        """
         if self.kind == "atomic":
             total = 0.0
             for z, mz in self.atoms:
@@ -62,7 +59,7 @@ class DiscMeasure:
                     raise EvaluationError(f"integrand not finite at atom {z}")
                 total += mz * v
             return total
-        rule = self._rule(r_max)
+        rule = disc_rule(DEFAULTS.density_radial, DEFAULTS.density_angular)
         dens = self.density_at(rule.nodes)
         return rule.integrate(lambda z: np.asarray(f(z)) * dens)
 
@@ -85,13 +82,13 @@ class DiscMeasure:
         centers, radii = [d.euclid_center for d in disks], [d.euclid_radius for d in disks]
         return disk_integrals(self.density_at, centers, radii, 32)
 
-    def region_mass(self, region, resolution=None):
+    def region_mass(self, region):
         """mu(region) for a geometry region (PseudoDisk, CarlesonSet, ...)."""
         if self.kind == "atomic":
             return float(sum(mz for a, mz in self.atoms if region.contains(a)))
         if self.kind == "weighted_area":
-            return mass(self.u, region, resolution=resolution or 48)
-        q = region_quadrature(region, resolution or 32)
+            return mass(self.u, region, resolution=48)
+        q = region_quadrature(region, 32)
         return float(q.integrate(self.density_at))
 
     def total_mass(self):
@@ -110,8 +107,6 @@ class DiscMeasure:
             "density",
             g=lambda z, _g=g: c * np.asarray(_g(z), dtype=float),
             params={"scaled_from": self.kind, "factor": c, **self.params},
-            r_max=self.r_max,
-            resolution=self.resolution,
         )
 
     def config(self):
@@ -134,25 +129,20 @@ def atomic(atoms):
     return DiscMeasure("atomic", atoms=tuple(cleaned))
 
 
-def density(g, params=None, r_max=1.0):
+def density(g, params=None):
     """Measure g dA for a positive continuous density g."""
-    return DiscMeasure("density", g=g, params=params or {}, r_max=r_max)
+    return DiscMeasure("density", g=g, params=params or {})
 
 
-def power_density(t, r_max=1.0):
+def power_density(t):
     """Measure (1 - |z|^2)^t dA; finite on the disc for t > -1."""
     t = float(t)
-    return DiscMeasure(
-        "power_density",
-        g=lambda z: (1.0 - np.abs(z) ** 2) ** t,
-        params={"t": t},
-        r_max=r_max,
-    )
+    return DiscMeasure("power_density", g=lambda z: (1.0 - np.abs(z) ** 2) ** t, params={"t": t})
 
 
-def weighted_area(u: Weight, r_max=1.0):
+def weighted_area(u: Weight):
     """The canonical measure u dA."""
-    return DiscMeasure("weighted_area", u=u, params={"weight": u.config()}, r_max=r_max)
+    return DiscMeasure("weighted_area", u=u, params={"weight": u.config()})
 
 
 def measure_from_config(cfg, u: Weight = None):
@@ -179,9 +169,9 @@ def measure_from_config(cfg, u: Weight = None):
 def basis_gram(m, mu: DiscMeasure):
     """Matrix M with M[j, k] = int e_k conj(e_j) dmu (the Toeplitz entries).
 
-    Radial weight + radial measure stay diagonal up to quadrature error; the
-    generic path changes the basis of the monomial Gram (monomial_gram) of
-    the density, for radial and general models alike.
+    Radial weight + radial measure give the exact diagonal; the generic path
+    changes the basis of the monomial Gram (monomial_gram) of the density, for
+    radial and general models alike, on the polar rule of _gram_resolution.
     """
     n = m.degree + 1
     if mu.kind == "atomic":
@@ -194,7 +184,8 @@ def basis_gram(m, mu: DiscMeasure):
         return np.diag(_radial_gram_diag(m, mu)).astype(complex)
     # M = conj(C) G^T C^T for e = C z^j and the monomial Gram G against mu
     C = m.coeffs
-    return np.conj(C) @ monomial_gram(mu.density_at, m.degree, *_gram_rule(m, mu)).T @ C.T
+    gram = monomial_gram(mu.density_at, m.degree, *_gram_resolution(m.degree), 1.0)
+    return np.conj(C) @ gram.T @ C.T
 
 
 def _radial_measure(mu):
@@ -204,17 +195,9 @@ def _radial_measure(mu):
 
 
 def _radial_gram_diag(m, mu):
-    """Diagonal M_nn = pi int_0^1 t^n g(sqrt t) dt / G_nn for radial data."""
-    moments = radial_moments(
-        lambda t: mu.density_at(np.sqrt(t).astype(complex)),
-        m.degree,
-        max(m.degree + 32, 256),
-    )
-    return moments / m.diag_norms
+    """M_nn = pi c B(n + 1, t + 1) / G_nn for the density c (1 - |z|^2)^t of mu.
 
-
-def _gram_rule(m, mu):
-    """(n_radial, n_angular, r_max) of a polar rule fine for degree-2N products."""
-    n_r = max(m.degree + 16, mu.resolution[0])
-    n_t = max(1 << int(np.ceil(np.log2(2 * m.degree + 32))), mu.resolution[1])
-    return n_r, n_t, mu.r_max
+    For mu = u dA of the model's own weight the ratio is 1.0 exactly.
+    """
+    c, t = (1.0, mu.params["t"]) if mu.kind == "power_density" else _radial_power(mu.u)
+    return c * beta_moments(t, m.degree) / m.diag_norms

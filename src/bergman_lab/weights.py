@@ -17,7 +17,7 @@ a boundary ladder, whose per-ring maxima expose divergence as a trend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,12 +54,6 @@ class Weight:
 
     def __call__(self, z):
         return self.fn(np.asarray(z))
-
-    def radial_profile(self, r):
-        """u as a function of |z| (radial weights only)."""
-        if not self.is_radial:
-            raise DomainError(f"weight kind {self.kind!r} is not radial")
-        return self.fn(np.asarray(r, dtype=complex))
 
     def config(self):
         return {"kind": self.kind, **self.params}

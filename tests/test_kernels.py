@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from bergman_lab import (
     DomainError,
+    Weight,
     build_kernel_model,
+    constant,
     kernel_diag,
     kernel_eval,
     kernel_norm,
     normalized_kernel,
     power_one_minus_z,
     reproducing_check,
+    standard,
 )
+from bergman_lab.quadrature import _polar_rule
 
 
 class TestClassicalClosedForms:
@@ -79,6 +83,26 @@ class TestNorms:
             kernel_norm(model_u1, 0.1, 0.0)
 
 
+class TestRadialNorms:
+    @pytest.mark.parametrize("u, c, a", [(constant(2.5), 2.5, 0.0), (standard(0.5), 1.0, 0.5)])
+    def test_match_mpmath_beta(self, u, c, a):
+        # G_nn = pi c B(n + 1, a + 1) for u = c (1 - |z|^2)^a
+        mpmath = pytest.importorskip("mpmath")
+        degree = 1600
+        m = build_kernel_model(u, degree)
+        with mpmath.workdps(30):
+            exact = np.array(
+                [float(c * mpmath.pi * mpmath.beta(n + 1, a + 1)) for n in range(degree + 1)]
+            )
+        assert np.max(np.abs(m.diag_norms / exact - 1.0)) < 1e-13
+        assert m.gram_refinement_error == 0.0
+
+    def test_other_radial_kind_raises(self):
+        u = Weight("custom", {}, lambda z: np.ones(np.shape(z)), True)
+        with pytest.raises(DomainError, match="closed-form"):
+            build_kernel_model(u, 10)
+
+
 class TestGeneralWeightPath:
     def test_non_radial_model_reproduces(self):
         u = power_one_minus_z(1.0)
@@ -107,6 +131,15 @@ class TestGeneralWeightPath:
         z = np.array([0.3 + 0.1j, -0.5j, 0.7])
         for w in (0.2, 0.4j):
             assert np.allclose(mg.kernel(z, w), mr.kernel(z, w), rtol=1e-8)
+
+    def test_builds_leave_no_cached_rule(self):
+        # the Gram nodes are transient, so models cost no memory after the build
+        before = _polar_rule.cache_info()
+        for n in (120, 160, 200):
+            build_kernel_model(power_one_minus_z(0.5), n)
+        after = _polar_rule.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses, before.currsize)
 
     def test_truncation_converges(self, u1):
         # K_N(0.8, 0.8) increases to the closed form as N grows

@@ -10,6 +10,7 @@ from bergman_lab import (
     DomainError,
     EvaluationError,
     Weight,
+    assemble,
     atomic,
     basis_gram,
     build_kernel_model,
@@ -24,7 +25,7 @@ from bergman_lab import (
     standard,
     weighted_area,
 )
-from bergman_lab.measures import _gram_rule
+from bergman_lab.kernels import _gram_resolution
 from bergman_lab.quadrature import _BLOCK_NODES, _polar_rule
 
 _POINT = st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * np.pi)).map(
@@ -35,7 +36,7 @@ _POINTS = st.lists(_POINT, min_size=1, max_size=30)
 
 def _reference_basis_gram(m, mu):
     """M[j, k] = int e_k conj(e_j) dmu with the basis evaluated on every node."""
-    rule = disc_rule(*_gram_rule(m, mu))
+    rule = disc_rule(*_gram_resolution(m.degree))
     E = m.basis_matrix(rule.nodes)
     return (np.conj(E) * (rule.weights * mu.density_at(rule.nodes))) @ E.T
 
@@ -215,3 +216,31 @@ class TestBasisGram:
         mu = density(lambda z: np.where(np.real(z) > 0.5, np.inf, 1.0))
         with pytest.raises(EvaluationError, match="not finite at node"):
             basis_gram(model_u1_small, mu)
+
+
+class TestClosedFormDiagonals:
+    @pytest.mark.parametrize("t", [-0.1, 0.3, 0.8])
+    def test_power_density_diagonal(self, t):
+        # on A^2(dA), G_nn = pi / (n + 1), so M_nn = (n + 1) B(n + 1, t + 1)
+        mpmath = pytest.importorskip("mpmath")
+        degree = 200
+        with mpmath.workdps(30):
+            exact = np.array(
+                [float((n + 1) * mpmath.beta(n + 1, mpmath.mpf(t) + 1)) for n in range(degree + 1)]
+            )
+        M = basis_gram(build_kernel_model(constant(), degree), power_density(t))
+        assert np.array_equal(M, np.diag(np.diag(M)))
+        assert np.max(np.abs(np.real(np.diag(M)) / exact - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("u", [constant(2.5), standard(-0.5), standard(0.5), standard(2.0)])
+    def test_radial_weighted_area_is_identity(self, u):
+        m = build_kernel_model(u, 120)
+        assert np.array_equal(assemble(weighted_area(u), m).entries, np.eye(m.degree + 1))
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5])
+    def test_general_weighted_area_is_identity(self, gamma):
+        # the model's Gram and the Toeplitz matrix share one polar rule
+        u = power_one_minus_z(gamma)
+        m = build_kernel_model(u, 80)
+        T = assemble(weighted_area(u), m)
+        assert np.max(np.abs(T.entries - np.eye(m.degree + 1))) < 1e-12

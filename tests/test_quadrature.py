@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import beta
 
 from bergman_lab import (
     CarlesonSet,
+    DomainError,
     EvaluationError,
     disc_rule,
     power_one_minus_z,
@@ -18,9 +18,9 @@ from bergman_lab.quadrature import (
     CarlesonRegion,
     EuclideanDisk,
     FullDisc,
+    beta_moments,
     gauss_rule,
     monomial_gram,
-    radial_moments,
 )
 
 
@@ -110,20 +110,23 @@ class TestRegionQuadrature:
             assert 3.0 < r < 5.0  # quarters of (1-rho) give factor ~4
 
 
-class TestRadialMoments:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_jacobi_matches_beta(self, alpha):
-        # pi int_0^1 t^n (1 - t)^alpha dt = pi B(n + 1, alpha + 1)
-        degree = 200
-        got = radial_moments(None, degree, degree // 2 + 8, alpha)
-        exact = np.pi * beta(np.arange(degree + 1) + 1.0, alpha + 1.0)
-        assert np.max(np.abs(got / exact - 1.0)) < 1e-12
+class TestBetaMoments:
+    @pytest.mark.parametrize("a", [-0.9, -0.1, 0.0, 0.5, 1.0, 2.0, 2.5])
+    def test_matches_mpmath_beta(self, a):
+        # pi int_0^1 t^n (1 - t)^a dt = pi B(n + 1, a + 1), oracle at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        degree = 1600
+        with mpmath.workdps(30):
+            exact = np.array(
+                [float(mpmath.pi * mpmath.beta(n + 1, mpmath.mpf(a) + 1)) for n in range(degree + 1)]
+            )
+        got = beta_moments(a, degree)
+        assert got.shape == (degree + 1,)
+        assert np.max(np.abs(got / exact - 1.0)) < 1e-13
 
-    def test_legendre_with_profile(self):
-        # profile (1 - t)^2 through Gauss-Legendre equals the Jacobi weight
-        got = radial_moments(lambda t: (1.0 - t) ** 2, 60, 64)
-        exact = np.pi * beta(np.arange(61) + 1.0, 3.0)
-        assert np.max(np.abs(got / exact - 1.0)) < 1e-12
+    def test_exponent_above_minus_one(self):
+        with pytest.raises(DomainError):
+            beta_moments(-1.0, 4)
 
 
 class TestCachedRules:
