@@ -14,7 +14,12 @@ product  <f, g> = int f conj(g) u dA:
 
 The truncated kernel K_N(z, w) = sum e_n(z) conj(e_n(w)) is a polynomial, so
 kernel norms never blow up and are integrated on the full disc (radial
-Gauss-Legendre nodes stay strictly interior).
+Gauss-Legendre nodes stay strictly interior).  Its monomial coefficients in z
+are KernelModel.kernel_coefficients(w).  Off a rule, kernels and polynomials
+are Horner sums; at the nodes of a centered polar rule (the norm rule, the
+density rule of DiscMeasure.integrate_at) every polynomial, kernel and kernel
+diagonal takes one FFT per ring (quadrature.ring_values), so no per-node
+Horner or power table runs there.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
-from .quadrature import beta_moments, disc_rule, monomial_gram
+from .quadrature import DiscQuadrature, beta_moments, disc_rule, monomial_gram, ring_values
 from .weights import Weight
 
 __all__ = [
@@ -36,8 +41,22 @@ __all__ = [
     "kernel_norm",
     "NormalizedKernel",
     "normalized_kernel",
+    "polynomial_values",
     "reproducing_check",
 ]
+
+
+def polynomial_values(coefs, z):
+    """sum_n c_n z^n at points z (Horner), or at every node of a centered polar rule z.
+
+    On a rule the ring coefficients are c_n rho^n and quadrature.ring_values
+    takes one FFT per ring; no per-node Horner runs there.
+    """
+    coefs = np.asarray(coefs, dtype=complex)
+    if isinstance(z, DiscQuadrature):
+        n = np.arange(coefs.size)
+        return ring_values(z, lambda rho: coefs * rho[:, None] ** n)
+    return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), coefs)
 
 
 def _radial_power(u: Weight):
@@ -83,20 +102,45 @@ class KernelModel:
             return powers / np.sqrt(self.diag_norms)[:, None]
         return self.coeffs @ powers
 
-    def kernel(self, z, w):
-        """K_N(z, w) for arrays z against a single point w."""
-        w = complex(w)
+    def kernel_coefficients(self, w):
+        """k with K_N(z, w) = sum_n k_n z^n: conj(w)^n / G_nn, or C^T conj(e(w))."""
+        cw = np.cumprod(np.concatenate(([1.0], np.full(self.degree, np.conj(complex(w))))))
         if self.is_radial:
-            # K(z, w) = sum_n (z conj(w))^n / G_nn: Horner in x = z conj(w)
-            x = np.asarray(z, dtype=complex) * np.conj(w)
-            return np.polynomial.polynomial.polyval(x, 1.0 / self.diag_norms)
-        ew = np.conj(self.basis_matrix(np.array([w]))[:, 0])
-        return (ew[:, None] * self.basis_matrix(z)).sum(axis=0)
+            return cw / self.diag_norms
+        return self.coeffs.T @ (np.conj(self.coeffs) @ cw)
+
+    def kernel(self, z, w):
+        """K_N(z, w) against a single point w, at points z or at a centered polar rule."""
+        return polynomial_values(self.kernel_coefficients(w), z)
 
     def kernel_diag(self, z):
-        """K_N(z, z), real and nonnegative."""
+        """K_N(z, z), real and nonnegative, at points z or at a centered polar rule.
+
+        Radial: sum_n x^n / G_nn with x = |z|^2.  General, on a rule: with
+        P = C^T conj(C), K(z, z) = sum_(j,k) P[j, k] z^j conj(z)^k, which on a
+        ring is b(0) + 2 Re sum_(d>=1) b(d) e^(i d theta) for the diagonal sums
+        b(d) = sum_k P[k + d, k] rho^(2k + d).
+        """
+        if isinstance(z, DiscQuadrature):
+            return np.real(ring_values(z, self._ring_diag_coefficients))
+        z = np.asarray(z, dtype=complex)
+        if self.is_radial:
+            return np.polynomial.polynomial.polyval(np.abs(z) ** 2, 1.0 / self.diag_norms)
         e = self.basis_matrix(z)
         return np.real((e * np.conj(e)).sum(axis=0))
+
+    def _ring_diag_coefficients(self, rho):
+        """Per-ring coefficients of K_N(z, z) for ring_values (see kernel_diag)."""
+        if self.is_radial:
+            x = rho[:, None] ** 2
+            return (x ** np.arange(self.degree + 1)) @ (1.0 / self.diag_norms)[:, None]
+        P = self.coeffs.T @ np.conj(self.coeffs)
+        powers = rho[:, None] ** np.arange(2 * self.degree + 1)
+        b = np.empty((rho.size, self.degree + 1), dtype=complex)
+        for d in range(self.degree + 1):
+            b[:, d] = powers[:, d : 2 * self.degree + 1 - d : 2] @ np.diagonal(P, -d)
+        b[:, 1:] *= 2.0
+        return b
 
     def norm_rule(self):
         """Disc rule exact enough for integrands built from the basis."""
@@ -174,7 +218,7 @@ def kernel_norm(m: KernelModel, w, p):
     if p <= 0:
         raise DomainError("kernel norm exponent must be positive")
     rule = m.norm_rule()
-    kv = m.kernel(rule.nodes, w)
+    kv = m.kernel(rule, w)
     uvals = np.asarray(m.weight(rule.nodes), dtype=float)
     val = np.sum(rule.weights * uvals * np.abs(kv) ** p)
     return float(val ** (1.0 / p))
@@ -209,9 +253,9 @@ def reproducing_check(m: KernelModel, coefs, w):
     if len(coefs) - 1 > m.degree:
         raise DomainError("polynomial degree exceeds the model truncation")
     rule = m.norm_rule()
-    fvals = np.polynomial.polynomial.polyval(rule.nodes, coefs)
-    kv = m.kernel(rule.nodes, complex(w))
+    fvals = polynomial_values(coefs, rule)
+    kv = m.kernel(rule, w)
     uvals = np.asarray(m.weight(rule.nodes), dtype=float)
     pairing = np.sum(rule.weights * uvals * fvals * np.conj(kv))
-    fw = np.polynomial.polynomial.polyval(complex(w), coefs)
+    fw = polynomial_values(coefs, complex(w))
     return float(abs(pairing - fw))

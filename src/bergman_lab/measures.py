@@ -15,7 +15,14 @@ from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
 from .geometry import check_disc_point, pseudo_disk, pseudo_distance
 from .kernels import _gram_resolution, _radial_power
-from .quadrature import beta_moments, disc_rule, disk_integrals, monomial_gram, region_quadrature
+from .quadrature import (
+    DiscQuadrature,
+    beta_moments,
+    disc_rule,
+    disk_integrals,
+    monomial_gram,
+    region_quadrature,
+)
 from .weights import Weight, disk_masses, mass, weight_from_config
 
 __all__ = [
@@ -46,10 +53,16 @@ class DiscMeasure:
         return np.asarray(g(z), dtype=float)
 
     def integrate(self, f):
-        """int f dmu: exact atom sum, or quadrature of f * density.
+        """int f dmu for f on complex arrays: exact atom sum, or quadrature of f * density."""
+        return self.integrate_at(lambda at: f(at.nodes if isinstance(at, DiscQuadrature) else at))
 
-        Densities are integrated on the full disc; Gauss nodes stay interior,
-        so no boundary evaluation occurs and no mass is truncated away.
+    def integrate_at(self, f):
+        """int f dmu, with f given each atom as a one-point array, or the density's polar rule.
+
+        Given the rule itself, f can evaluate polynomials and kernels at its
+        nodes one FFT per ring (kernels.polynomial_values).  Densities are
+        integrated on the full disc; Gauss nodes stay interior, so no boundary
+        evaluation occurs and no mass is truncated away.
         """
         if self.kind == "atomic":
             total = 0.0
@@ -61,7 +74,8 @@ class DiscMeasure:
             return total
         rule = disc_rule(DEFAULTS.density_radial, DEFAULTS.density_angular)
         dens = self.density_at(rule.nodes)
-        return rule.integrate(lambda z: np.asarray(f(z)) * dens)
+        values = np.asarray(f(rule))
+        return rule.integrate(lambda z: values * dens)
 
     def disk_mass(self, z, r):
         """mu(Delta(z, r)); atoms use strict pseudo-disk membership."""
@@ -135,8 +149,10 @@ def density(g, params=None):
 
 
 def power_density(t):
-    """Measure (1 - |z|^2)^t dA; finite on the disc for t > -1."""
+    """Measure (1 - |z|^2)^t dA; finite on the disc for t > -1, DomainError otherwise."""
     t = float(t)
+    if not t > -1.0:
+        raise DomainError(f"power density needs t > -1 for finite mass, got {t}")
     return DiscMeasure("power_density", g=lambda z: (1.0 - np.abs(z) ** 2) ** t, params={"t": t})
 
 

@@ -20,6 +20,11 @@ Every Gauss rule in the package comes from one cached Gauss-Legendre rule on
 [-1, 1] (gauss_rule).  Radial moments need no rule: every radial weight and
 measure is c (1 - |z|^2)^a, whose moments are the Beta values of beta_moments.
 
+On a centered polar rule a polynomial in z and conj(z) is, ring by ring, a
+discrete Fourier sum in the angle: monomial_gram takes Grams and ring_values
+takes values at the nodes with one FFT per ring (exact at the nodes, aliased
+frequencies included).
+
 Only Carleson sets take a refinement test.  The polar rule (Gauss-Legendre
 in r dr, trapezoid in angle) integrates constants exactly on every disk, so
 for disks the test could only compare two exact areas pi R^2; the Carleson
@@ -50,6 +55,7 @@ __all__ = [
     "region_quadrature",
     "disc_rule",
     "monomial_gram",
+    "ring_values",
     "disk_integrals",
 ]
 
@@ -225,6 +231,28 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
         gram[k + d, k] = sub
         gram[k, k + d] = np.conj(sub)
     return gram
+
+
+def ring_values(rule, coefficients):
+    """sum_d a_rho(d) e^(i d theta) at every node of a centered polar rule, in node order.
+
+    coefficients(rho) takes the ring radii and returns a_rho(d) for d = 0..D,
+    one row per ring.  On a ring the sum is a discrete Fourier sum over the
+    n_angular equispaced angles, so one inverse FFT per ring gives every node
+    of it; frequencies d >= n_angular fold onto d mod n_angular, which is
+    exact at the nodes.  A rule that is not full_disc raises DomainError.
+    """
+    if not isinstance(rule.region, FullDisc):
+        raise DomainError(f"ring evaluation needs a centered polar rule, not {rule.region}")
+    n_radial = rule.resolution
+    n_angular = rule.nodes.size // n_radial
+    # node 0 of ring i is rho_i e^(0i), exactly rho_i
+    coeffs = np.asarray(coefficients(rule.nodes[::n_angular].real))
+    if coeffs.shape[1] > n_angular:
+        pad = -coeffs.shape[1] % n_angular
+        coeffs = np.pad(coeffs, ((0, 0), (0, pad))).reshape(n_radial, -1, n_angular).sum(axis=1)
+    # the unscaled inverse DFT: sum_d a(d) e^(2 pi i d k / n), and theta_k = 2 pi k / n
+    return np.fft.ifft(coeffs, n=n_angular, axis=1, norm="forward").ravel()
 
 
 def _disk_map(centers, radii, resolution):

@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
 from .geometry import BoundaryLadder
-from .kernels import KernelModel, build_kernel_model
+from .kernels import KernelModel, build_kernel_model, polynomial_values
 from .measures import DiscMeasure, _radial_measure, basis_gram
 from .quadrature import disc_rule, gauss_rule
 from .reports import CriterionReport, band, classify_ring_trend, ring_slope
@@ -130,7 +130,7 @@ def trace_identity_check(T: ToeplitzMatrix, mu: DiscMeasure, m: KernelModel):
     else:
         rule = m.norm_rule()
         dens = mu.density_at(rule.nodes)
-        integral = float(np.sum(rule.weights * dens * m.kernel_diag(rule.nodes)))
+        integral = float(np.sum(rule.weights * dens * m.kernel_diag(rule)))
     return abs(lam - integral)
 
 
@@ -140,13 +140,10 @@ def apply_toeplitz(mu: DiscMeasure, m: KernelModel, coefs, z):
     if len(coefs) - 1 > m.degree:
         raise DomainError("polynomial degree exceeds the model truncation")
     z = complex(z)
-
-    def integrand(w):
-        fw = np.polynomial.polynomial.polyval(np.asarray(w, dtype=complex), coefs)
-        # K(z, w) = conj(K(w, z)) by Hermitian symmetry of the kernel
-        return fw * np.conj(m.kernel(np.asarray(w, dtype=complex), z))
-
-    return complex(mu.integrate(integrand))
+    # K(z, w) = conj(K(w, z)) by Hermitian symmetry of the kernel
+    return complex(
+        mu.integrate_at(lambda w: polynomial_values(coefs, w) * np.conj(m.kernel(w, z)))
+    )
 
 
 def _basis_coordinates(m: KernelModel, coefs):
@@ -176,13 +173,11 @@ def pairing_check(mu: DiscMeasure, m: KernelModel, fcoefs, gcoefs):
     ga = _basis_coordinates(m, gcoefs)
     lhs = complex(np.sum((basis_gram(m, mu) @ fa) * np.conj(ga)))
 
-    def integrand(w):
-        w = np.asarray(w, dtype=complex)
-        fw = np.polynomial.polynomial.polyval(w, np.asarray(fcoefs, dtype=complex))
-        gw = np.polynomial.polynomial.polyval(w, np.asarray(gcoefs, dtype=complex))
-        return fw * np.conj(gw)
-
-    rhs = complex(mu.integrate(integrand))
+    rhs = complex(
+        mu.integrate_at(
+            lambda w: polynomial_values(fcoefs, w) * np.conj(polynomial_values(gcoefs, w))
+        )
+    )
     return abs(lhs - rhs)
 
 
@@ -292,14 +287,14 @@ def _schatten_value(mu, m, hfun, C, r_out, phi, r_avg, n_radial=200):
         x, w = gauss_rule(n_radial)
         rr = 0.5 * r_out * (x + 1.0)
         wts = 0.5 * r_out * w * 2.0 * np.pi * rr
-        pts = rr.astype(complex)
+        pts = at = rr.astype(complex)
     else:
-        rule = disc_rule(n_radial, 4 * n_radial, r_out)
-        pts, wts = rule.nodes, rule.weights
+        at = disc_rule(n_radial, 4 * n_radial, r_out)
+        pts, wts = at.nodes, at.weights
     bz = berezin_profile(mu, m, pts)
     uv = np.asarray(u(pts), dtype=float)
     if phi == "kernel_diag":
-        ph = m.kernel_diag(pts)
+        ph = m.kernel_diag(at)
     else:
         ph = disk_masses(u, r_avg, pts, 24) / (1.0 - np.abs(pts)) ** 4
     return float(np.sum(wts * hfun(C * bz) * ph * uv))

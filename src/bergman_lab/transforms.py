@@ -38,25 +38,25 @@ __all__ = [
 
 def _quadratic_profile(M, m: KernelModel, points, chunk=512):
     """conj(e(z))^H M conj(e(z)) / K(z,z) over the points."""
-    points = np.asarray(points, dtype=complex)
     out = np.empty(points.size, dtype=float)
-    diag_only = M.ndim == 1
     for i in range(0, points.size, chunk):
         E = np.conj(m.basis_matrix(points[i : i + chunk]))
         kd = np.real((E * np.conj(E)).sum(axis=0))
-        if diag_only:
-            num = np.real((M[:, None] * np.abs(E) ** 2).sum(axis=0))
-        else:
-            num = np.real((np.conj(E) * (M @ E)).sum(axis=0))
+        num = np.real((np.conj(E) * (M @ E)).sum(axis=0))
         out[i : i + chunk] = num / kd
     return out
 
 
 def berezin_profile(mu: DiscMeasure, m: KernelModel, points):
     """Berezin transform at many points via the measure Gram matrix."""
+    points = np.asarray(points, dtype=complex)
     if m.is_radial and _radial_measure(mu):
-        # radial weight and measure: the Gram matrix is its diagonal
-        return _quadratic_profile(_radial_gram_diag(m, mu), m, points)
+        # radial weight and measure: the Gram matrix is its diagonal M_nn and
+        # |e_n(z)|^2 = x^n / G_nn, so the numerator, like K(z, z), is a real
+        # Horner sum in x = |z|^2
+        x = np.abs(points) ** 2
+        num = np.polynomial.polynomial.polyval(x, _radial_gram_diag(m, mu) / m.diag_norms)
+        return num / m.kernel_diag(points)
     return _quadratic_profile(basis_gram(m, mu), m, points)
 
 
@@ -74,7 +74,7 @@ def t_berezin_profile(mu: DiscMeasure, m: KernelModel, t, points):
     points = np.asarray(points, dtype=complex)
     out = np.empty(points.size, dtype=float)
     for i, z in enumerate(points):
-        num = mu.integrate(lambda w: np.abs(m.kernel(w, z)) ** t)
+        num = mu.integrate_at(lambda w: np.abs(m.kernel(w, z)) ** t)
         out[i] = num / kernel_norm(m, z, t) ** t
     return out
 

@@ -1,8 +1,10 @@
 """Kernel models: closed forms, reproducing property, norms, general weights."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergman_lab import (
@@ -10,6 +12,7 @@ from bergman_lab import (
     Weight,
     build_kernel_model,
     constant,
+    disc_rule,
     kernel_diag,
     kernel_eval,
     kernel_norm,
@@ -147,3 +150,71 @@ class TestGeneralWeightPath:
         vals = [kernel_diag(build_kernel_model(u1, n), 0.8) for n in (10, 20, 40)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert kernel_diag(build_kernel_model(u1, 200), 0.8) == pytest.approx(exact, rel=1e-6)
+
+
+@lru_cache(maxsize=None)
+def _model(key):
+    """Radial models at degree 60 and |1 - z|^gamma models at degree 40, built once."""
+    if key == "constant":
+        return build_kernel_model(constant(2.5), 60)
+    if key == "standard":
+        return build_kernel_model(standard(0.5), 60)
+    return build_kernel_model(power_one_minus_z(float(key)), 40)
+
+
+_MODEL_KEYS = ["constant", "standard", "-0.5", "0.5", "1.0"]
+
+
+def _basis_kernel(m, z, w):
+    """K_N(z, w) = sum_n e_n(z) conj(e_n(w)) with the basis on every point."""
+    ew = np.conj(m.basis_matrix(np.array([complex(w)]))[:, 0])
+    return (ew[:, None] * m.basis_matrix(z)).sum(axis=0)
+
+
+def _basis_diag(m, z):
+    e = m.basis_matrix(z)
+    return np.real((e * np.conj(e)).sum(axis=0))
+
+
+def _rel_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestRingEvaluation:
+    @given(
+        key=st.sampled_from(_MODEL_KEYS),
+        n_radial=st.integers(2, 40),
+        n_angular=st.integers(3, 160),
+        r_max=st.sampled_from([1.0, 0.7]),
+    )
+    @settings(max_examples=40, deadline=None)
+    # fewer angles than the degree: the diagonal sums alias, as the nodes repeat
+    @example(key="0.5", n_radial=20, n_angular=31, r_max=1.0)
+    @example(key="constant", n_radial=20, n_angular=7, r_max=1.0)
+    def test_kernel_diag_on_rule_matches_basis_matrix(self, key, n_radial, n_angular, r_max):
+        m = _model(key)
+        rule = disc_rule(n_radial, n_angular, r_max)
+        assert _rel_error(m.kernel_diag(rule), _basis_diag(m, rule.nodes)) <= 1e-12
+
+    @pytest.mark.parametrize("key", _MODEL_KEYS)
+    def test_kernel_on_norm_rule_matches_basis_matrix(self, key):
+        m = _model(key)
+        rule = m.norm_rule()
+        assert _rel_error(m.kernel_diag(rule), _basis_diag(m, rule.nodes)) <= 1e-12
+        for w in (0.0, 0.45 - 0.6j, -0.9j):
+            assert _rel_error(m.kernel(rule, w), _basis_kernel(m, rule.nodes, w)) <= 1e-12
+
+    @pytest.mark.parametrize("key", _MODEL_KEYS)
+    def test_kernel_off_rule_matches_basis_matrix(self, key, disc_points):
+        # Horner on kernel_coefficients(w); w off the real axis checks its conjugate
+        m = _model(key)
+        for w in (0.3 + 0.5j, -0.7 + 0.1j):
+            assert _rel_error(m.kernel(disc_points, w), _basis_kernel(m, disc_points, w)) <= 1e-12
+        assert _rel_error(m.kernel_diag(disc_points), _basis_diag(m, disc_points)) <= 1e-12
+
+    def test_kernel_coefficients(self):
+        m = _model("standard")
+        w = 0.4 - 0.3j
+        assert np.allclose(
+            m.kernel_coefficients(w), np.conj(w) ** np.arange(61) / m.diag_norms, rtol=1e-13
+        )

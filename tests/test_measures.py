@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bergman_lab import (
     CarlesonSet,
+    DiscQuadrature,
     DomainError,
     EvaluationError,
     Weight,
@@ -69,6 +70,14 @@ class TestConstruction:
         back = measure_from_config(mu.config())
         assert back.total_mass() == pytest.approx(mu.total_mass(), rel=1e-12)
 
+    @pytest.mark.parametrize("t", [-1.0, -1.5, -2.0])
+    def test_power_density_needs_finite_mass(self, t):
+        # (1 - |z|^2)^t dA has infinite mass for t <= -1
+        with pytest.raises(DomainError, match="t > -1"):
+            power_density(t)
+        with pytest.raises(DomainError, match="t > -1"):
+            measure_from_config({"kind": "power_density", "t": t})
+
 
 class TestIntegration:
     def test_atomic_exact(self):
@@ -80,6 +89,21 @@ class TestIntegration:
         # int (1 - |z|^2)^t dA = pi / (t + 1)
         for t in (0.0, 1.0, 2.5):
             assert power_density(t).total_mass() == pytest.approx(np.pi / (t + 1), rel=1e-10)
+
+    def test_integrate_at_gives_densities_the_rule(self):
+        # atoms come one at a time as arrays; densities hand over their polar rule
+        seen = []
+
+        def f(at):
+            seen.append(at)
+            return np.abs(getattr(at, "nodes", at)) ** 2
+
+        mu = atomic([(0.5, 2.0), (0.25j, 1.0)])
+        assert mu.integrate_at(f) == mu.integrate(lambda z: np.abs(z) ** 2)
+        assert [a.tolist() for a in seen] == [[0.5], [0.25j]]
+        mu = power_density(1.0)
+        assert mu.integrate_at(f) == mu.integrate(lambda z: np.abs(z) ** 2)
+        assert isinstance(seen[-1], DiscQuadrature)
 
     def test_weighted_area_total_mass(self):
         assert weighted_area(standard(1.0)).total_mass() == pytest.approx(np.pi / 2, rel=1e-10)

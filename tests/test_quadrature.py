@@ -21,6 +21,7 @@ from bergman_lab.quadrature import (
     beta_moments,
     gauss_rule,
     monomial_gram,
+    ring_values,
 )
 
 
@@ -187,3 +188,51 @@ class TestMonomialGram:
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(EvaluationError, match="not finite at node"):
             monomial_gram(lambda z: np.where(np.real(z) > 0.5, np.nan, 1.0), 4, 8, 16, 1.0)
+
+
+class TestRingValues:
+    @given(
+        degree=st.integers(0, 260),
+        n_radial=st.integers(1, 16),
+        n_angular=st.integers(3, 512),
+        r_max=st.sampled_from([1.0, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    # n_angular <= degree: frequencies fold mod n_angular, as the nodes repeat
+    @example(degree=260, n_radial=8, n_angular=3, r_max=1.0, seed=0)
+    @example(degree=200, n_radial=12, n_angular=64, r_max=0.7, seed=1)
+    @example(degree=0, n_radial=4, n_angular=5, r_max=1.0, seed=2)
+    def test_matches_power_matrix(self, degree, n_radial, n_angular, r_max, seed):
+        # a_rho(d) = c_d rho^d makes the ring sums the polynomial sum_d c_d z^d
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        rule = disc_rule(n_radial, n_angular, r_max)
+        got = ring_values(rule, lambda rho: c * rho[:, None] ** np.arange(degree + 1))
+        want = (rule.nodes[:, None] ** np.arange(degree + 1)) @ c
+        assert got.shape == rule.nodes.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_per_ring_coefficients(self):
+        # coefficients that are no polynomial in z: a_rho(d) = rho^(d + 1) / (d + 1 + rho)
+        rule = disc_rule(6, 7, 0.9)
+        d = np.arange(19)
+        got = ring_values(rule, lambda rho: rho[:, None] ** (d + 1) / (d + 1 + rho[:, None]))
+        rho, theta = np.abs(rule.nodes), np.angle(rule.nodes)
+        terms = rho[:, None] ** (d + 1) / (d + 1 + rho[:, None]) * np.exp(1j * d * theta[:, None])
+        want = terms.sum(axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_column_is_constant_on_rings(self):
+        rule = disc_rule(5, 12)
+        got = ring_values(rule, lambda rho: rho[:, None] ** 2)
+        assert np.allclose(got, np.abs(rule.nodes) ** 2, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "region",
+        [EuclideanDisk(0.0, 0.5), EuclideanDisk(0.2j, 0.3), CarlesonSet(0.5), CarlesonSet(0.0)],
+    )
+    def test_other_rules_raise(self, region):
+        rule = region_quadrature(region, 8)
+        with pytest.raises(DomainError, match="centered polar rule"):
+            ring_values(rule, lambda rho: np.ones((rho.size, 3)))

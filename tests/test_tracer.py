@@ -18,12 +18,15 @@ import scipy.special
 from bergman_lab import (
     audit_grid,
     cli,
+    constant,
     geometry,
     kernels,
     measures,
     power_density,
     power_one_minus_z,
     quadrature,
+    toeplitz,
+    transforms,
 )
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -125,3 +128,27 @@ def test_general_model_and_dense_gram_are_seen_by_the_tracer(tracer):
     tracer.restore()
     assert tracer.counts[(0, "kernels.build_kernel_model.general_calls")] == 1
     assert tracer.counts[(0, "measures.basis_gram.dense_calls")] == 1
+
+
+def test_polar_rule_callers_run_no_node_sized_horner(tracer):
+    # kernels, polynomials and kernel diagonals on polar rules take one FFT per
+    # ring; polyval is left to scalar f(w), at most degree + 1 terms a call
+    m = kernels.build_kernel_model(constant(), 200)
+    mu = power_density(1.3)
+    T = toeplitz.assemble(mu, m)
+    coefs = np.linspace(1.0, 2.0, 51) * (1.0 + 0.5j)
+    points = np.array([0.2 + 0.1j, -0.6j])
+    calls = (
+        lambda: kernels.reproducing_check(m, coefs, 0.3 + 0.4j),
+        lambda: kernels.kernel_norm(m, 0.5j, 3.0),
+        lambda: toeplitz.trace_identity_check(T, mu, m),
+        lambda: transforms.t_berezin_profile(mu, m, 1.5, points),
+    )
+    tracer.install()
+    tracer.job = 0
+    for call in calls:
+        call()
+    tracer.job = None
+    tracer.restore()
+    assert tracer.counts[(0, "kernels.polyval.calls")] >= 1  # f(w) is still counted
+    assert tracer.counts[(0, "kernels.polyval.terms")] <= (m.degree + 1) * len(calls)

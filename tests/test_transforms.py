@@ -77,6 +77,30 @@ class TestTBerezin:
         for z in (0.0, 0.3, 0.5j):
             assert t_berezin(mu, model_u1, 4.0, z) == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("t", [1.3, 3.1])
+    @pytest.mark.parametrize(
+        "u, degree", [(constant(), 60), (standard(0.5), 60), (power_one_minus_z(1.0), 30)]
+    )
+    def test_matches_per_node_path(self, u, degree, t):
+        # the old path: K_N(w, z) from the basis at every node of both rules
+        m = build_kernel_model(u, degree)
+        pts = np.array([0.0, 0.35 - 0.2j, -0.7j, 0.85])
+        rule = m.norm_rule()
+        uvals = u(rule.nodes)
+
+        def kernel_at(w, z):
+            ez = np.conj(m.basis_matrix(np.array([z]))[:, 0])
+            return (ez[:, None] * m.basis_matrix(w)).sum(axis=0)
+
+        for mu in (power_density(1.3), weighted_area(power_one_minus_z(0.5))):
+            want = [
+                mu.integrate(lambda w, z=z: np.abs(kernel_at(w, z)) ** t)
+                / np.sum(rule.weights * uvals * np.abs(kernel_at(rule.nodes, z)) ** t)
+                for z in pts
+            ]
+            got = t_berezin_profile(mu, m, t, pts)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
     def test_requires_positive_t(self, model_u1_small):
         with pytest.raises(DomainError):
             t_berezin(power_density(1.0), model_u1_small, 0.0, 0.1)
