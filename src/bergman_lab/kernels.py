@@ -17,9 +17,10 @@ kernel norms never blow up and are integrated on the full disc (radial
 Gauss-Legendre nodes stay strictly interior).  Its monomial coefficients in z
 are KernelModel.kernel_coefficients(w).  Off a rule, kernels and polynomials
 are Horner sums; at the nodes of a centered polar rule (the norm rule, the
-density rule of DiscMeasure.integrate_at) every polynomial, kernel and kernel
-diagonal takes one FFT per ring (quadrature.ring_values), so no per-node
-Horner or power table runs there.
+density rule of DiscMeasure.integrate_at) every polynomial, kernel and
+quadratic form e^T M conj(e) (the kernel diagonal, Berezin values) takes one
+FFT per ring (quadrature.ring_values), so no per-node Horner or power table
+runs there.
 """
 
 from __future__ import annotations
@@ -113,34 +114,44 @@ class KernelModel:
         """K_N(z, w) against a single point w, at points z or at a centered polar rule."""
         return polynomial_values(self.kernel_coefficients(w), z)
 
-    def kernel_diag(self, z):
-        """K_N(z, z), real and nonnegative, at points z or at a centered polar rule.
+    def quadratic_form(self, M, z):
+        """e(z)^T M conj(e(z)), real, at points z or at a centered polar rule.
 
-        Radial: sum_n x^n / G_nn with x = |z|^2.  General, on a rule: with
-        P = C^T conj(C), K(z, z) = sum_(j,k) P[j, k] z^j conj(z)^k, which on a
-        ring is b(0) + 2 Re sum_(d>=1) b(d) e^(i d theta) for the diagonal sums
-        b(d) = sum_k P[k + d, k] rho^(2k + d).
+        M is Hermitian, or a vector taken as its diagonal; kernel_diag is M = I.
+        With Q = C^T M conj(C) the form is sum_(j,k) Q[j, k] z^j conj(z)^k,
+        which on a ring is b(0) + 2 Re sum_(d>=1) b(d) e^(i d theta) for the
+        diagonal sums b(d) = sum_k Q[k + d, k] rho^(2k + d): one FFT per ring,
+        with no (degree+1) x nodes array.  A radial model with a diagonal M has
+        Q_nn = M_nn / G_nn, a real Horner sum in x = |z|^2 (one value per ring).
         """
-        if isinstance(z, DiscQuadrature):
-            return np.real(ring_values(z, self._ring_diag_coefficients))
-        z = np.asarray(z, dtype=complex)
-        if self.is_radial:
-            return np.polynomial.polynomial.polyval(np.abs(z) ** 2, 1.0 / self.diag_norms)
-        e = self.basis_matrix(z)
-        return np.real((e * np.conj(e)).sum(axis=0))
+        M = np.asarray(M)
+        on_rule = isinstance(z, DiscQuadrature)
+        n = np.arange(self.degree + 1)
+        if self.is_radial and M.ndim == 1:
+            q = M / self.diag_norms
+            if on_rule:
+                return np.real(ring_values(z, lambda rho: (rho[:, None] ** 2) ** n @ q[:, None]))
+            return np.polynomial.polynomial.polyval(np.abs(np.asarray(z)) ** 2, q)
+        if M.ndim == 1:
+            M = np.diag(M)
+        if not on_rule:
+            e = self.basis_matrix(z)
+            return np.real((e * (M @ np.conj(e))).sum(axis=0))
+        Q = self.coeffs.T @ M @ np.conj(self.coeffs)
 
-    def _ring_diag_coefficients(self, rho):
-        """Per-ring coefficients of K_N(z, z) for ring_values (see kernel_diag)."""
-        if self.is_radial:
-            x = rho[:, None] ** 2
-            return (x ** np.arange(self.degree + 1)) @ (1.0 / self.diag_norms)[:, None]
-        P = self.coeffs.T @ np.conj(self.coeffs)
-        powers = rho[:, None] ** np.arange(2 * self.degree + 1)
-        b = np.empty((rho.size, self.degree + 1), dtype=complex)
-        for d in range(self.degree + 1):
-            b[:, d] = powers[:, d : 2 * self.degree + 1 - d : 2] @ np.diagonal(P, -d)
-        b[:, 1:] *= 2.0
-        return b
+        def coefficients(rho):
+            powers = rho[:, None] ** np.arange(2 * self.degree + 1)
+            b = np.empty((rho.size, self.degree + 1), dtype=complex)
+            for d in n:
+                b[:, d] = powers[:, d : 2 * self.degree + 1 - d : 2] @ np.diagonal(Q, -d)
+            b[:, 1:] *= 2.0
+            return b
+
+        return np.real(ring_values(z, coefficients))
+
+    def kernel_diag(self, z):
+        """K_N(z, z) = sum_n |e_n(z)|^2, at points z or at a centered polar rule."""
+        return self.quadratic_form(np.ones(self.degree + 1), z)
 
     def norm_rule(self):
         """Disc rule exact enough for integrands built from the basis."""

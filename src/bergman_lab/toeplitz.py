@@ -291,7 +291,7 @@ def _schatten_value(mu, m, hfun, C, r_out, phi, r_avg, n_radial=200):
     else:
         at = disc_rule(n_radial, 4 * n_radial, r_out)
         pts, wts = at.nodes, at.weights
-    bz = berezin_profile(mu, m, pts)
+    bz = berezin_profile(mu, m, at)
     uv = np.asarray(u(pts), dtype=float)
     if phi == "kernel_diag":
         ph = m.kernel_diag(at)

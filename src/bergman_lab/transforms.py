@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import KernelModel, kernel_norm
 from .measures import DiscMeasure, _radial_gram_diag, _radial_measure, basis_gram
-from .quadrature import disc_rule
+from .quadrature import DiscQuadrature, disc_rule
 from .reports import CriterionReport, band, classify_ring_trend
 from .weights import Weight, disk_masses
 
@@ -36,28 +36,17 @@ __all__ = [
 ]
 
 
-def _quadratic_profile(M, m: KernelModel, points, chunk=512):
-    """conj(e(z))^H M conj(e(z)) / K(z,z) over the points."""
-    out = np.empty(points.size, dtype=float)
-    for i in range(0, points.size, chunk):
-        E = np.conj(m.basis_matrix(points[i : i + chunk]))
-        kd = np.real((E * np.conj(E)).sum(axis=0))
-        num = np.real((np.conj(E) * (M @ E)).sum(axis=0))
-        out[i : i + chunk] = num / kd
-    return out
-
-
 def berezin_profile(mu: DiscMeasure, m: KernelModel, points):
-    """Berezin transform at many points via the measure Gram matrix."""
-    points = np.asarray(points, dtype=complex)
-    if m.is_radial and _radial_measure(mu):
-        # radial weight and measure: the Gram matrix is its diagonal M_nn and
-        # |e_n(z)|^2 = x^n / G_nn, so the numerator, like K(z, z), is a real
-        # Horner sum in x = |z|^2
-        x = np.abs(points) ** 2
-        num = np.polynomial.polynomial.polyval(x, _radial_gram_diag(m, mu) / m.diag_norms)
-        return num / m.kernel_diag(points)
-    return _quadratic_profile(basis_gram(m, mu), m, points)
+    """Berezin transform e(z)^T M conj(e(z)) / K(z, z) via the measure Gram matrix M.
+
+    points is an array, or a centered polar rule (one FFT per ring at its nodes).
+    """
+    if not isinstance(points, DiscQuadrature):
+        points = np.asarray(points, dtype=complex)
+    # radial weight and measure: the Gram matrix is its diagonal
+    radial = m.is_radial and _radial_measure(mu)
+    M = _radial_gram_diag(m, mu) if radial else basis_gram(m, mu)
+    return m.quadratic_form(M, points) / m.kernel_diag(points)
 
 
 def berezin(mu: DiscMeasure, m: KernelModel, z):

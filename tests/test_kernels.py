@@ -154,15 +154,19 @@ class TestGeneralWeightPath:
 
 @lru_cache(maxsize=None)
 def _model(key):
-    """Radial models at degree 60 and |1 - z|^gamma models at degree 40, built once."""
+    """Radial models at degree 60 and general models at degree 40, built once."""
     if key == "constant":
         return build_kernel_model(constant(2.5), 60)
     if key == "standard":
         return build_kernel_model(standard(0.5), 60)
+    if key == "turned":
+        # off the real axis the coefficients are complex
+        u = Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, False)
+        return build_kernel_model(u, 40)
     return build_kernel_model(power_one_minus_z(float(key)), 40)
 
 
-_MODEL_KEYS = ["constant", "standard", "-0.5", "0.5", "1.0"]
+_MODEL_KEYS = ["constant", "standard", "-0.5", "0.5", "1.0", "turned"]
 
 
 def _basis_kernel(m, z, w):

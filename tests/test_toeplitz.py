@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bergman_lab import (
     DomainError,
+    KernelModel,
     Spectrum,
     apply_toeplitz,
     assemble,
@@ -16,14 +17,18 @@ from bergman_lab import (
     essential_norm_estimate,
     h_function,
     kernel_diag,
+    kernel_norm,
     matrix_apply,
     pairing_check,
     power_density,
+    power_one_minus_z,
+    reproducing_check,
     schatten_integral,
     schatten_membership,
     schatten_membership_report,
     spectrum,
     standard,
+    t_berezin_profile,
     trace_identity_check,
     weighted_area,
 )
@@ -173,3 +178,28 @@ class TestSchatten:
         T = assemble(atomic([(0.0, 1.0)]), model_u1_small)
         with pytest.raises(DomainError):
             schatten_membership(T, ("power", 2.0), C=0.0)
+
+
+def test_polar_rule_callers_build_no_basis_on_nodes(monkeypatch):
+    # on polar rules kernels, diagonals and Berezin values go one FFT per ring:
+    # the basis (the power loop) is built at single points only
+    m = build_kernel_model(power_one_minus_z(0.5), 20)
+    mu = power_density(1.5)
+    T = assemble(mu, m)
+    sizes = []
+    basis_matrix = KernelModel.basis_matrix
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return basis_matrix(self, z)
+
+    monkeypatch.setattr(KernelModel, "basis_matrix", counted)
+    coefs = [1.0, 0.5j, -0.25]
+    reproducing_check(m, coefs, 0.3 + 0.2j)
+    kernel_norm(m, 0.4j, 3.0)
+    trace_identity_check(T, mu, m)
+    t_berezin_profile(mu, m, 1.5, np.array([0.1, -0.5j]))
+    apply_toeplitz(mu, m, coefs, 0.2)
+    pairing_check(mu, m, coefs, coefs[::-1])
+    schatten_integral(mu, m, ("power", 1.0), sweep=(0.9,))
+    assert all(n <= 1 for n in sizes)

@@ -5,6 +5,7 @@ import pytest
 
 from bergman_lab import (
     DomainError,
+    Weight,
     atomic,
     average_function,
     average_profile,
@@ -13,6 +14,8 @@ from bergman_lab import (
     comparability_report,
     build_kernel_model,
     constant,
+    density,
+    disc_rule,
     kernel_diag,
     power_density,
     power_one_minus_z,
@@ -55,6 +58,27 @@ class TestBerezin:
             for z in pts
         ]
         assert berezin_profile(mu, m, pts) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "u, degree, mu",
+        [
+            (constant(), 60, weighted_area(power_one_minus_z(1.0))),
+            (standard(1.0), 40, power_density(0.5)),
+            (power_one_minus_z(0.5), 30, power_density(1.5)),
+            # off the real axis the coefficients and the Gram are complex
+            (Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, False), 20,
+             density(lambda z: np.abs(1.0 + 0.5 * z) ** 2)),
+        ],
+        ids=["radial-model", "radial-pair", "general-model", "complex-coefficients"],
+    )
+    def test_profile_on_polar_rule_matches_nodes(self, u, degree, mu):
+        # one FFT per ring at the nodes against the basis (or Horner) at the same nodes
+        m = build_kernel_model(u, degree)
+        # the second rule has fewer angles than the degree: its ring sums alias
+        for rule in (disc_rule(24, 64, 0.9), disc_rule(12, 7, 0.99)):
+            got = berezin_profile(mu, m, rule)
+            want = berezin_profile(mu, m, rule.nodes)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
     def test_positive_and_linear(self, model_u1_small):
         mu = atomic([(0.3, 1.0)])
