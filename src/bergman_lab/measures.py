@@ -183,11 +183,11 @@ def measure_from_config(cfg, u: Weight = None):
 
 
 def basis_gram(m, mu: DiscMeasure):
-    """Matrix M with M[j, k] = int e_k conj(e_j) dmu (the Toeplitz entries).
+    """M[j, k] = int e_k conj(e_j) dmu (the Toeplitz entries), or their diagonal.
 
-    Radial weight + radial measure give the exact diagonal; the generic path
-    changes the basis of the monomial Gram (monomial_gram) of the density, for
-    radial and general models alike, on the polar rule of _gram_resolution.
+    A radial model with mu = c (1 - |z|^2)^t dA gets the real 1-D diagonal
+    M_nn = pi c B(n + 1, t + 1) / G_nn (1.0 exactly for u dA); other pairs get
+    the dense complex matrix (atoms exact, densities through monomial_gram).
     """
     n = m.degree + 1
     if mu.kind == "atomic":
@@ -197,7 +197,8 @@ def basis_gram(m, mu: DiscMeasure):
             M += mz * np.outer(np.conj(e), e)
         return M
     if m.is_radial and _radial_measure(mu):
-        return np.diag(_radial_gram_diag(m, mu)).astype(complex)
+        c, t = (1.0, mu.params["t"]) if mu.kind == "power_density" else _radial_power(mu.u)
+        return c * beta_moments(t, m.degree) / m.diag_norms
     # M = conj(C) G^T C^T for e = C z^j and the monomial Gram G against mu
     C = m.coeffs
     gram = monomial_gram(mu.density_at, m.degree, *_gram_resolution(m.degree), 1.0)
@@ -208,12 +209,3 @@ def _radial_measure(mu):
     return mu.kind == "power_density" or (
         mu.kind == "weighted_area" and mu.u.is_radial
     )
-
-
-def _radial_gram_diag(m, mu):
-    """M_nn = pi c B(n + 1, t + 1) / G_nn for the density c (1 - |z|^2)^t of mu.
-
-    For mu = u dA of the model's own weight the ratio is 1.0 exactly.
-    """
-    c, t = (1.0, mu.params["t"]) if mu.kind == "power_density" else _radial_power(mu.u)
-    return c * beta_moments(t, m.degree) / m.diag_norms

@@ -2,13 +2,14 @@
 
 The Toeplitz operator of a positive measure mu acts on the truncated model
 through the matrix M[m, n] = int e_n conj(e_m) dmu, which is Hermitian and
-positive semidefinite.  On top of the matrix sit:
+positive semidefinite; for a radial pair it is diagonal, kept as a 1-D array
+whose sorted entries are the eigenvalues.  On top of the matrix sit:
 
   * spectrum        -- descending eigenvalues (= singular values, positivity)
   * trace identity  -- sum of eigenvalues against an independent quadrature
                        of int K_N(w, w) dmu
   * apply           -- T_mu f both as a direct integral and as matrix action
-  * essential norm  -- boundary-ladder estimate of limsup mu~_t(z) u(Delta)^e
+  * essential norm  -- boundary-ladder estimate of limsup mu~_t(z) / u(Delta)^e
   * Schatten tests  -- the integral criterion int h(C mu~) Phi u dA and the
                        eigenvalue sum  sum_k h(C lambda_k)
 
@@ -23,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
+from .criteria import _bc_quantities, qlp_index
 from .errors import DegeneracyError, DomainError
 from .geometry import BoundaryLadder
 from .kernels import KernelModel, build_kernel_model, polynomial_values
-from .measures import DiscMeasure, _radial_measure, basis_gram
+from .measures import DiscMeasure, basis_gram
 from .quadrature import disc_rule, gauss_rule
-from .reports import CriterionReport, band, classify_ring_trend, ring_slope
-from .transforms import berezin_profile, profile_lp_norm, t_berezin_profile
+from .reports import CriterionReport, band, classify_ring_trend
 from .weights import Weight, disk_masses
 
 __all__ = [
@@ -50,27 +51,42 @@ __all__ = [
 
 
 class ToeplitzMatrix:
-    """Hermitian PSD matrix of T_mu in the orthonormal basis of A^2(u)."""
+    """Hermitian PSD matrix of T_mu in the A^2(u) basis; gram keeps a diagonal one as a 1-D array."""
 
     def __init__(self, model: KernelModel, measure: DiscMeasure, entries):
-        entries = np.asarray(entries, dtype=complex)
-        scale = float(np.max(np.abs(entries))) or 1.0
-        herm = float(np.max(np.abs(entries - entries.conj().T)))
-        if herm > 1e-10 * scale:
-            raise DegeneracyError(f"assembled matrix not Hermitian: defect {herm:.2e}")
+        gram = np.asarray(entries)
+        if gram.ndim == 1 and np.iscomplexobj(gram):
+            raise DegeneracyError("diagonal operator with complex entries is not Hermitian")
+        if gram.ndim == 2:
+            entries = gram.astype(complex, copy=False)
+            scale = float(np.max(np.abs(entries))) or 1.0
+            herm = float(np.max(np.abs(entries - entries.conj().T)))
+            if herm > 1e-10 * scale:
+                raise DegeneracyError(f"assembled matrix not Hermitian: defect {herm:.2e}")
+            gram = 0.5 * (entries + entries.conj().T)
         self.model = model
         self.measure = measure
-        self.entries = 0.5 * (entries + entries.conj().T)
+        self.gram = gram
         self._eigs = None
 
     @property
     def size(self):
-        return self.entries.shape[0]
+        return self.gram.shape[0]
+
+    @property
+    def entries(self):
+        """The dense complex matrix; a diagonal operator builds it on each read."""
+        return np.diag(self.gram).astype(complex) if self.gram.ndim == 1 else self.gram
+
+    def _block_eigenvalues(self, k):
+        """Ascending eigenvalues of the leading k x k block (a diagonal's sorted prefix)."""
+        g = self.gram
+        return np.sort(g[:k]) if g.ndim == 1 else np.linalg.eigvalsh(g[:k, :k])
 
     def eigenvalues(self):
         """Eigenvalues of the Hermitian matrix, descending; cached."""
         if self._eigs is None:
-            vals = np.linalg.eigvalsh(self.entries)[::-1]
+            vals = self._block_eigenvalues(self.size)[::-1]
             scale = max(float(vals[0]), 1.0e-300)
             if vals[-1] < -1e-8 * scale:
                 raise DegeneracyError(
@@ -126,7 +142,7 @@ def trace_identity_check(T: ToeplitzMatrix, mu: DiscMeasure, m: KernelModel):
     """| sum_k lambda_k - int K_N(w, w) dmu |, by independent quadrature."""
     lam = float(np.sum(T.eigenvalues()))
     if mu.kind == "atomic":
-        integral = float(sum(mz * m.kernel_diag(np.array([z]))[0] for z, mz in mu.atoms))
+        integral = float(mu.integrate_at(m.kernel_diag))
     else:
         rule = m.norm_rule()
         dens = mu.density_at(rule.nodes)
@@ -171,7 +187,9 @@ def pairing_check(mu: DiscMeasure, m: KernelModel, fcoefs, gcoefs):
     """| <T_mu f, g>_{A^2(u)} - int f conj(g) dmu | for polynomial pairs."""
     fa = _basis_coordinates(m, fcoefs)
     ga = _basis_coordinates(m, gcoefs)
-    lhs = complex(np.sum((basis_gram(m, mu) @ fa) * np.conj(ga)))
+    M = basis_gram(m, mu)
+    # a 1-D M is a diagonal, on which M @ fa would be a dot product
+    lhs = complex(np.sum((M * fa if M.ndim == 1 else M @ fa) * np.conj(ga)))
 
     rhs = complex(
         mu.integrate_at(
@@ -191,20 +209,18 @@ def essential_norm_estimate(
     ladder: BoundaryLadder,
     m: KernelModel = None,
 ) -> CriterionReport:
-    """Boundary estimate of ||T_mu||_e ~ limsup mu~_t(z) u(Delta(z,r))^((q-p)/(pq)).
+    """Boundary estimate of ||T_mu||_e ~ limsup mu~_t(z) / u(Delta(z,r))^(1/p - 1/q).
 
-    For 0 < q < p a bounded T_mu is automatically compact, so the estimate
-    short-circuits to 0 whenever the L^{pq/(p-q)} norm of the averaging
-    function is finite.
+    The quantities are those of criteria.compactness_index.  For 0 < q < p a
+    bounded T_mu is automatically compact, so the estimate is 0 whenever
+    criteria.qlp_index reads the L^{pq/(p-q)} norm of mu^_r finite.
     """
     if p <= 0 or q <= 0:
         raise DomainError("exponents must be positive")
     params = {"p": p, "q": q, "t": t, "r": r}
     if q < p:
-        exponent = p * q / (p - q)
-        norm, _, partials = profile_lp_norm(mu, u, r, exponent)
-        growth = ring_slope(partials[partials > 0], tail=8)
-        finite = np.isfinite(norm) and growth < 0.04
+        qlp = qlp_index(mu, u, m, p, q, t, r)
+        finite = qlp.verdict == "finite"
         return CriterionReport(
             name="essential_norm",
             parameters=params,
@@ -214,8 +230,8 @@ def essential_norm_estimate(
             verdict="vanishing" if finite else "divergent",
             extras={
                 "regime": "q<p",
-                "qlp_norm": norm,
-                "qlp_tail_slope": growth,
+                "qlp_norm": qlp.index_value,
+                "qlp_tail_slope": qlp.extras["tail_slope"],
                 "note": "bounded implies compact when q < p; estimate 0",
             },
         )
@@ -223,13 +239,8 @@ def essential_norm_estimate(
     m = m or build_kernel_model(
         u, DEFAULTS.degree_radial if u.is_radial else DEFAULTS.degree_general
     )
-    expo = (q - p) / (p * q)
     points = ladder.points()
-    # u(Delta(z, r)) once per point: the averaging function and the factor share it
-    ud = disk_masses(u, r, points, 32)
-    factor = ud**expo
-    av = mu.disk_masses(points, r) / ud * factor
-    tb = t_berezin_profile(mu, m, t, points) * factor
+    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
     rings_avg, rings_tb = ladder.ring_max(av), ladder.ring_max(tb)
     trend = list(zip(ladder.radii, rings_tb))
     verdict = classify_ring_trend(rings_tb)
@@ -280,10 +291,10 @@ def h_function(spec):
     raise DomainError(f"unrecognized h spec kind {kind!r}")
 
 
-def _schatten_value(mu, m, hfun, C, r_out, phi, r_avg, n_radial=200):
-    """int_{|z|<r_out} h(C mu~_2) Phi u dA; radial data on a 2 pi r dr Gauss rule."""
+def _schatten_value(M, m, hfun, C, r_out, phi, r_avg, n_radial=200):
+    """int_{|z|<r_out} h(C mu~_2) Phi u dA; a diagonal M (basis_gram) on a 2 pi r dr Gauss rule."""
     u = m.weight
-    if m.is_radial and _radial_measure(mu):
+    if M.ndim == 1:
         x, w = gauss_rule(n_radial)
         rr = 0.5 * r_out * (x + 1.0)
         wts = 0.5 * r_out * w * 2.0 * np.pi * rr
@@ -291,12 +302,10 @@ def _schatten_value(mu, m, hfun, C, r_out, phi, r_avg, n_radial=200):
     else:
         at = disc_rule(n_radial, 4 * n_radial, r_out)
         pts, wts = at.nodes, at.weights
-    bz = berezin_profile(mu, m, at)
+    kd = m.kernel_diag(at)
+    bz = m.quadratic_form(M, at) / kd
     uv = np.asarray(u(pts), dtype=float)
-    if phi == "kernel_diag":
-        ph = m.kernel_diag(at)
-    else:
-        ph = disk_masses(u, r_avg, pts, 24) / (1.0 - np.abs(pts)) ** 4
+    ph = kd if phi == "kernel_diag" else disk_masses(u, r_avg, pts, 24) / (1.0 - np.abs(pts)) ** 4
     return float(np.sum(wts * hfun(C * bz) * ph * uv))
 
 
@@ -329,7 +338,8 @@ def schatten_integral(
     if phi not in ("kernel_diag", "disk_mass"):
         raise DomainError(f"unknown integrand proxy {phi!r}")
     hname, hfun = h_function(h)
-    values = [_schatten_value(mu, m, hfun, C, R, phi, r) for R in sweep]
+    M = basis_gram(m, mu)
+    values = [_schatten_value(M, m, hfun, C, R, phi, r) for R in sweep]
     ratio = values[-1] / values[0] if values[0] > 0 else float("inf")
     # change measured against the final (largest) value: a convergent tail
     # contributes a shrinking fraction of the limit
@@ -379,8 +389,7 @@ def schatten_membership_report(T: ToeplitzMatrix, h, C=1.0) -> CriterionReport:
     sizes = sorted({max(2, n // 4), max(2, n // 2), n})
     sums = []
     for k in sizes:
-        block = T.entries[:k, :k]
-        lam = np.maximum(np.linalg.eigvalsh(block), 0.0)
+        lam = np.maximum(T._block_eigenvalues(k), 0.0)
         sums.append(float(np.sum(hfun(C * lam))))
     ratio = sums[-1] / sums[-2] if len(sums) > 1 and sums[-2] > 0 else 1.0
     # a divergent eigenvalue sum keeps growing by a fixed factor per doubling

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import KernelModel, kernel_norm
-from .measures import DiscMeasure, _radial_gram_diag, _radial_measure, basis_gram
+from .measures import DiscMeasure, basis_gram
 from .quadrature import DiscQuadrature, disc_rule
 from .reports import CriterionReport, band, classify_ring_trend
 from .weights import Weight, disk_masses
@@ -37,16 +37,13 @@ __all__ = [
 
 
 def berezin_profile(mu: DiscMeasure, m: KernelModel, points):
-    """Berezin transform e(z)^T M conj(e(z)) / K(z, z) via the measure Gram matrix M.
+    """Berezin transform e(z)^T M conj(e(z)) / K(z, z) for M = basis_gram(m, mu).
 
     points is an array, or a centered polar rule (one FFT per ring at its nodes).
     """
     if not isinstance(points, DiscQuadrature):
         points = np.asarray(points, dtype=complex)
-    # radial weight and measure: the Gram matrix is its diagonal
-    radial = m.is_radial and _radial_measure(mu)
-    M = _radial_gram_diag(m, mu) if radial else basis_gram(m, mu)
-    return m.quadratic_form(M, points) / m.kernel_diag(points)
+    return m.quadratic_form(basis_gram(m, mu), points) / m.kernel_diag(points)
 
 
 def berezin(mu: DiscMeasure, m: KernelModel, z):

@@ -29,8 +29,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bergman_lab import verification
+from bergman_lab import measures, toeplitz, verification
 from bergman_lab.errors import DomainError
+from bergman_lab.kernels import KernelModel
 from bergman_lab.geometry import boundary_ladder
 from bergman_lab.reports import classify_ring_trend
 
@@ -130,6 +131,34 @@ def test_criterion_06_rank_one_spectrum():
 
 def test_criterion_07_trace_identity():
     _run(verification.check_07_trace_identity)
+
+
+# Certificates that can fail: one program mutation per check turns it red.
+
+
+def test_criterion_05_sees_drifted_measure_moments(monkeypatch):
+    beta_moments = measures.beta_moments
+    monkeypatch.setattr(measures, "beta_moments", lambda a, n: beta_moments(a, n) * (1.0 + 1e-6))
+    res = verification.check_05_toeplitz_identity()
+    assert not res["passed"]
+    assert res["details"]["max_matrix_deviation"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_criterion_06_sees_a_scaled_basis_row(monkeypatch):
+    # the atom's basis row enters the Gram matrix; the trace side does not use it
+    basis_matrix = KernelModel.basis_matrix
+    monkeypatch.setattr(KernelModel, "basis_matrix", lambda m, z: basis_matrix(m, z) * (1.0 + 1e-6))
+    res = verification.check_06_rank_one_spectrum()
+    assert not res["passed"]
+    assert res["details"]["top_error"] > 1e-8 and res["details"]["trace_residual"] > 1e-10
+
+
+def test_criterion_07_sees_a_dropped_eigenvalue(monkeypatch):
+    eigenvalues = toeplitz.ToeplitzMatrix.eigenvalues
+    monkeypatch.setattr(toeplitz.ToeplitzMatrix, "eigenvalues", lambda T: eigenvalues(T)[1:])
+    res = verification.check_07_trace_identity()
+    assert not res["passed"]
+    assert res["details"]["relative_residual"] > 1e-6
 
 
 def test_criterion_08_lattice_certificates():

@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergman_lab import (
+    DegeneracyError,
     DomainError,
     KernelModel,
     Spectrum,
+    ToeplitzMatrix,
     apply_toeplitz,
     assemble,
     atomic,
+    basis_gram,
     boundary_ladder,
     build_kernel_model,
+    compactness_index,
+    constant,
     essential_norm_estimate,
     h_function,
     kernel_diag,
@@ -68,6 +73,48 @@ class TestMatrix:
         T2 = assemble(atomic([(0.3, 1.0), (0.1j, 0.5)]), model_u1_small)
         # mu1 <= mu2 implies lambda_k(T1) <= lambda_k(T2) (Weyl monotonicity)
         assert np.all(T1.eigenvalues() <= T2.eigenvalues() + 1e-12)
+
+
+def _dense_block_eigenvalues(d, k):
+    """Eigenvalues of the leading k x k block of diag(d), as the dense path takes them."""
+    M = np.diag(d).astype(complex)
+    M = 0.5 * (M + M.conj().T)
+    return np.linalg.eigvalsh(M[:k, :k])
+
+
+class TestDiagonalOperator:
+    @given(
+        alpha=st.one_of(st.none(), st.floats(-0.9, 3.0)),
+        degree=st.integers(1, 300),
+        t=st.floats(-0.9, 3.0),
+        area=st.booleans(),
+    )
+    @example(alpha=None, degree=1, t=0.5, area=False)
+    @example(alpha=1.0, degree=6, t=0.3, area=True)
+    @example(alpha=None, degree=300, t=0.8, area=False)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_eigvalsh(self, alpha, degree, t, area):
+        # radial model (constant for alpha None, else standard(alpha)) and a
+        # radial measure: the operator is its diagonal, and every spectrum
+        # taken from it equals the dense eigen-solve bit for bit
+        m = build_kernel_model(constant() if alpha is None else standard(alpha), degree)
+        mu = weighted_area(standard(t)) if area else power_density(t)
+        d = basis_gram(m, mu)
+        T = assemble(mu, m)
+        assert d.ndim == 1 and np.array_equal(T.gram, d)
+        assert np.array_equal(T.entries, np.diag(d).astype(complex))
+        want = np.maximum(np.real(_dense_block_eigenvalues(d, d.size)[::-1]), 0.0)
+        assert np.array_equal(T.eigenvalues(), want)
+        assert np.array_equal(spectrum(T).eigenvalues, tuple(float(v) for v in want))
+        rep = schatten_membership_report(T, ("power", 2.0))
+        for k, got in zip(rep.extras["block_sizes"], rep.extras["block_sums"]):
+            lam = np.maximum(_dense_block_eigenvalues(d, k), 0.0)
+            assert np.array_equal(got, float(np.sum(lam**2.0)))
+
+    def test_complex_diagonal_raises(self, model_u1_small):
+        d = basis_gram(model_u1_small, power_density(1.0))
+        with pytest.raises(DegeneracyError):
+            ToeplitzMatrix(model_u1_small, power_density(1.0), d.astype(complex))
 
 
 class TestTraceIdentity:
@@ -127,6 +174,17 @@ class TestEssentialNorm:
         lad = boundary_ladder(6, 8)
         rep = essential_norm_estimate(power_density(1.0), u1, 2.0, 2.0, 2.0, 0.3, lad, m=model_u1)
         assert rep.verdict == "vanishing"
+
+    @pytest.mark.parametrize("mu", [weighted_area(constant()), power_density(0.4)], ids=["u-dA", "t0.4"])
+    def test_p_below_q_is_the_compactness_quantity(self, mu, model_u1, u1):
+        # mu~_t / u(Delta)^(1/p - 1/q) grows along the ladder for these
+        # measures, as compactness_index reads it; multiplying by the same
+        # power instead read "vanishing"
+        lad = boundary_ladder(8, 8)
+        rep = essential_norm_estimate(mu, u1, 2.0, 4.0, 2.0, 0.3, lad, m=model_u1)
+        ref = compactness_index(mu, u1, model_u1, 2.0, 4.0, 2.0, 0.3, lad)
+        assert rep.verdict == "divergent"
+        assert rep.extras["ring_max_berezin"] == ref.extras["ring_max_berezin"]
 
     def test_q_less_p_short_circuit(self, u1):
         rep = essential_norm_estimate(power_density(2.0), u1, 4.0, 2.0, 2.0, 0.3, None)

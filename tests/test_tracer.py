@@ -152,3 +152,24 @@ def test_polar_rule_callers_run_no_node_sized_horner(tracer):
     tracer.restore()
     assert tracer.counts[(0, "kernels.polyval.calls")] >= 1  # f(w) is still counted
     assert tracer.counts[(0, "kernels.polyval.terms")] <= (m.degree + 1) * len(calls)
+
+
+def test_diagonal_operator_runs_no_eigen_solve(tracer):
+    # a radial pair is kept as its diagonal: its spectrum, membership blocks
+    # and Schatten integral sort that array; an atomic T still needs eigvalsh
+    m = kernels.build_kernel_model(constant(), 120)
+    mu = power_density(0.8)
+    diagonal = toeplitz.assemble(mu, m)
+    dense = toeplitz.assemble(measures.atomic([(0.3, 1.0), (0.5j, 0.5)]), m)
+    tracer.install()
+    tracer.job = 0
+    toeplitz.spectrum(diagonal)
+    toeplitz.schatten_membership_report(diagonal, ("power", 2))
+    toeplitz.schatten_integral(mu, m, ("power", 2))
+    diagonal_n3 = tracer.counts[(0, "toeplitz.eig_n3")]
+    toeplitz.spectrum(dense)
+    toeplitz.schatten_membership_report(dense, ("power", 2))
+    tracer.job = None
+    tracer.restore()
+    assert diagonal_n3 == 0
+    assert tracer.counts[(0, "toeplitz.eig_n3")] > 0
