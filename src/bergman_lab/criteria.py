@@ -23,11 +23,9 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet
-from .kernels import KernelModel
-from .measures import DiscMeasure
 from .reports import CriterionReport, band, classify_ring_trend, ring_slope
 from .transforms import profile_lp_norm, t_berezin_profile
-from .weights import Weight, disk_masses, mass
+from .weights import disk_masses, mass, on_moduli
 
 __all__ = [
     "boundedness_index",
@@ -55,9 +53,22 @@ def _bc_quantities(mu, u, m, p, q, t, r, points):
 
 
 def _carleson_ratios(mu, u, expo, points):
-    """mu(S(a)) / u(S(a))^expo at every anchor a."""
-    sets = [CarlesonSet(complex(a)) for a in points]
-    return np.array([mu.region_mass(s) / mass(u, s) ** expo for s in sets])
+    """mu(S(a)) / u(S(a))^expo at every anchor a.
+
+    S(a) turns with a, so a radial mu or u takes its masses once per distinct
+    |a|, on S(|a|).
+    """
+
+    def masses(mass_of, radial):
+        def at(pts):
+            return np.array([mass_of(CarlesonSet(complex(a))) for a in pts])
+
+        return (on_moduli(at, points) if radial else at(points)).tolist()
+
+    mu_s = masses(mu.region_mass, mu.is_radial)
+    u_s = masses(lambda s: mass(u, s), u.is_radial)
+    # powers on python floats: numpy's vectorised power may differ in the last bit
+    return np.array([a / b**expo for a, b in zip(mu_s, u_s)])
 
 
 def boundedness_index(mu, u, m, p, q, t, r, grid) -> CriterionReport:

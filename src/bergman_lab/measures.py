@@ -23,7 +23,7 @@ from .quadrature import (
     monomial_gram,
     region_quadrature,
 )
-from .weights import Weight, disk_masses, mass, weight_from_config
+from .weights import Weight, disk_masses, mass, on_moduli, weight_from_config
 
 __all__ = [
     "DiscMeasure",
@@ -45,6 +45,11 @@ class DiscMeasure:
     g: object = None  # density callable
     u: Weight = None  # weighted_area only
     params: dict = field(default_factory=dict)
+
+    @property
+    def is_radial(self):
+        """True for c (1 - |z|^2)^t dA: power densities, and u dA for a radial u."""
+        return _radial_measure(self)
 
     def density_at(self, z):
         if self.kind == "atomic":
@@ -82,9 +87,19 @@ class DiscMeasure:
         return float(self.disk_masses([z], r)[0])
 
     def disk_masses(self, points, r):
-        """mu(Delta(z, r)) for every z; atoms count when d(z, atom) < r strictly."""
+        """mu(Delta(z, r)) for every z; atoms count when d(z, atom) < r strictly.
+
+        A radial density takes one disk per distinct |z|, centred at the real
+        point |z| (weights.on_moduli); u dA is weights.disk_masses.
+        """
         if self.kind == "weighted_area":
             return disk_masses(self.u, r, points, 48)
+        if self.is_radial:
+            return on_moduli(lambda pts: self._disk_masses(pts, r), points)
+        return self._disk_masses(points, r)
+
+    def _disk_masses(self, points, r):
+        """mu(Delta(z, r)) with one disk per point."""
         disks = [pseudo_disk(z, r) for z in np.ravel(points)]
         if self.kind == "atomic":
             centers = np.array([d.center for d in disks], dtype=complex)
@@ -196,7 +211,7 @@ def basis_gram(m, mu: DiscMeasure):
             e = m.basis_matrix(np.array([z]))[:, 0]
             M += mz * np.outer(np.conj(e), e)
         return M
-    if m.is_radial and _radial_measure(mu):
+    if m.is_radial and mu.is_radial:
         c, t = (1.0, mu.params["t"]) if mu.kind == "power_density" else _radial_power(mu.u)
         return c * beta_moments(t, m.degree) / m.diag_norms
     # M = conj(C) G^T C^T for e = C z^j and the monomial Gram G against mu

@@ -99,11 +99,12 @@ class ToeplitzMatrix:
         return float(self.eigenvalues()[0])
 
     def to_dict(self):
+        entries = self.entries
         return {
             "degree": self.model.degree,
             "measure": self.measure.config(),
-            "entries_real": np.real(self.entries).tolist(),
-            "entries_imag": np.imag(self.entries).tolist(),
+            "entries_real": np.real(entries).tolist(),
+            "entries_imag": np.imag(entries).tolist(),
         }
 
 
@@ -178,7 +179,8 @@ def _basis_coordinates(m: KernelModel, coefs):
 def matrix_apply(T: ToeplitzMatrix, coefs, z):
     """T_mu f(z) via the matrix action on f's basis coordinates."""
     a = _basis_coordinates(T.model, coefs)
-    b = T.entries @ a
+    # a 1-D gram is a diagonal: T.entries would build the dense matrix
+    b = T.gram * a if T.gram.ndim == 1 else T.gram @ a
     e = T.model.basis_matrix(np.array([complex(z)]))[:, 0]
     return complex(np.sum(b * e))
 

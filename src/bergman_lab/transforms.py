@@ -21,7 +21,7 @@ from .errors import DomainError
 from .kernels import KernelModel, kernel_norm
 from .measures import DiscMeasure, basis_gram
 from .quadrature import DiscQuadrature, disc_rule
-from .reports import CriterionReport, band, classify_ring_trend
+from .reports import CriterionReport, band
 from .weights import Weight, disk_masses
 
 __all__ = [
@@ -75,7 +75,11 @@ def average_function(mu: DiscMeasure, u: Weight, r, z):
 
 
 def average_profile(mu: DiscMeasure, u: Weight, r, points):
-    """The averaging function mu^_r at every point, on batched disk masses."""
+    """The averaging function mu^_r at every point, on batched disk masses.
+
+    Radial mu and u take one disk per distinct |z| (weights.on_moduli), so a
+    polar rule costs one disk per ring modulus, not one per node.
+    """
     if not (0.0 < r < 1.0):
         raise DomainError("averaging radius must lie in (0, 1)")
     return mu.disk_masses(points, r) / disk_masses(u, r, points, 32)

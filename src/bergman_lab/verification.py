@@ -16,7 +16,7 @@ import numpy as np
 
 from . import criteria, toeplitz, transforms
 from .geometry import audit_grid, boundary_ladder, build_lattice, pseudo_add
-from .kernels import build_kernel_model, kernel_diag, kernel_eval, reproducing_check
+from .kernels import build_kernel_model, kernel_diag, reproducing_check
 from .measures import atomic, power_density, weighted_area
 from .reports import _jsonable
 from .weights import constant, disk_masses, standard

@@ -12,6 +12,10 @@ The B_p constant takes joint averages over Carleson sets S(a); the C_p
 constant takes the same averages over pseudohyperbolic disks Delta(z, r).
 Suprema over the disc are replaced by maxima over a supplied anchor set plus
 a boundary ladder, whose per-ring maxima expose divergence as a trend.
+
+A radial weight integrated over Delta(z, r) or S(z) gives a number of |z|
+alone: both regions turn with their centre.  Such quantities are taken once
+per distinct modulus, at the real point |z| (on_moduli).
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BoundaryLadder, PseudoDisk, pseudo_disk
-from .quadrature import CarlesonRegion, EuclideanDisk, as_region, disk_integrals, region_quadrature
+from .geometry import BoundaryLadder, CarlesonSet, PseudoDisk, pseudo_disk
+from .quadrature import EuclideanDisk, disk_integrals, region_quadrature
 from .reports import classify_ring_trend
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "weight_from_config",
     "mass",
     "disk_masses",
+    "on_moduli",
     "WeightConstantReport",
     "bekolle_constant",
     "cp_constant",
@@ -126,19 +131,40 @@ def weight_from_config(cfg):
 
 
 def mass(u: Weight, region, resolution=48):
-    """u(E) = integral of u over the region; a disk is one case of disk_masses."""
-    if isinstance(region, (PseudoDisk, EuclideanDisk)):
-        region = as_region(region)
+    """u(E) = integral of u over the region; a pseudo-disk is one case of disk_masses."""
+    if isinstance(region, PseudoDisk):
+        return float(disk_masses(u, region.radius, [region.center], resolution)[0])
+    if isinstance(region, EuclideanDisk):
         return float(_euclid_masses(u, [region.center], [region.radius], resolution)[0])
     return region_quadrature(region, resolution).integrate(u)
 
 
+def on_moduli(f, points):
+    """f(points) for an f whose value at z depends on |z| alone.
+
+    f takes an array of points and returns one value per point; it is called
+    once, on the distinct moduli of the points (equal as floats) as real
+    points, and its values are scattered back in the order of the points.
+    """
+    z = np.ravel(points)
+    # hypot is Python's abs(complex), which pseudo_disk takes; np.abs can differ in the last bit
+    moduli, inverse = np.unique(np.hypot(np.real(z), np.imag(z)), return_inverse=True)
+    return np.asarray(f(moduli.astype(complex)))[inverse]
+
+
 def disk_masses(u: Weight, r, points, resolution):
-    """u(Delta(z, r)) for every z in points, with Euclidean forms from pseudo_disk."""
-    disks = [pseudo_disk(z, r) for z in np.ravel(points)]
-    return _euclid_masses(
-        u, [d.euclid_center for d in disks], [d.euclid_radius for d in disks], resolution
-    )
+    """u(Delta(z, r)) for every z in points, with Euclidean forms from pseudo_disk.
+
+    A radial u is integrated once per distinct |z|, on the disk centred at
+    the real point |z|; other weights take one disk per point.
+    """
+
+    def masses(pts):
+        disks = [pseudo_disk(z, r) for z in np.ravel(pts)]
+        centers, radii = [d.euclid_center for d in disks], [d.euclid_radius for d in disks]
+        return _euclid_masses(u, centers, radii, resolution)
+
+    return on_moduli(masses, points) if u.is_radial else masses(points)
 
 
 def _euclid_masses(u, centers, radii, resolution):
@@ -177,6 +203,15 @@ def _joint_average(u, p, region, resolution):
     return (m1 / area) * (m2 / area) ** (p - 1.0)
 
 
+def _joint_averages(u, p, region_of, points, resolution):
+    """Joint averages over region_of(a) for every a; a radial u takes one per distinct |a|."""
+
+    def at(pts):
+        return np.array([_joint_average(u, p, region_of(a), resolution) for a in pts])
+
+    return (on_moduli(at, points) if u.is_radial else at(points)).tolist()
+
+
 def _constant_report(region_of, u, p, anchors, ladder, resolution, kind):
     if p <= 1:
         raise DomainError("joint-average constants need p > 1")
@@ -184,11 +219,11 @@ def _constant_report(region_of, u, p, anchors, ladder, resolution, kind):
     on_ladder = ladder is not None and bool(ladder.radii)
     if not anchors and not on_ladder:
         raise DomainError("no anchors supplied")
-    per_anchor = [(a, _joint_average(u, p, region_of(a), resolution)) for a in anchors]
+    per_anchor = list(zip(anchors, _joint_averages(u, p, region_of, anchors, resolution)))
     trend = []
     if on_ladder:
         pts = ladder.points()
-        vals = [_joint_average(u, p, region_of(a), resolution) for a in pts]
+        vals = _joint_averages(u, p, region_of, pts, resolution)
         trend = list(zip(ladder.radii, ladder.ring_max(vals)))
         per_anchor.extend(zip(pts, vals))
     value = max(v for _, v in per_anchor)
@@ -199,14 +234,16 @@ def bekolle_constant(u, p, anchors=None, ladder: BoundaryLadder = None, resoluti
     """Estimate [u]_{B_p}: max over anchors a of the S(a) joint average.
 
     A non-integrable u^{-p'/p} shows up as +inf for that anchor (not an error).
+    S(a) turns with a, so a radial u takes one Carleson rule per distinct |a|
+    (at the real anchor |a|) for the anchors and the ladder points alike.
     """
     return _constant_report(
-        lambda a: CarlesonRegion(complex(a)), u, p, anchors, ladder, resolution, "bp"
+        lambda a: CarlesonSet(complex(a)), u, p, anchors, ladder, resolution, "bp"
     )
 
 
 def cp_constant(u, p, r, centers=None, ladder: BoundaryLadder = None, resolution=32):
-    """Estimate [u]_{C_p}: same joint average over pseudo disks Delta(z, r)."""
+    """Estimate [u]_{C_p}: same joint average over pseudo disks Delta(z, r), per |z| for a radial u."""
     if not (0.0 < r < 1.0):
         raise DomainError("C_p disk radius must lie in (0, 1)")
     return _constant_report(

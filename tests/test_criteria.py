@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from bergman_lab import (
+    CarlesonSet,
     DomainError,
     boundary_ladder,
     boundedness_index,
     carleson_test,
     compactness_index,
+    atomic,
+    constant,
+    mass,
     power_density,
+    power_one_minus_z,
     qlp_index,
+    standard,
     theorem_consistency_report,
     vanishing_carleson_test,
     weighted_area,
@@ -108,6 +114,34 @@ class TestCarleson:
         assert rep.verdict == "vanishing"
         rep_id = vanishing_carleson_test(weighted_area(u1), u1, 2.0, 2.0, lad)
         assert rep_id.verdict == "finite"
+
+
+class TestCarlesonRatiosPerModulus:
+    @pytest.mark.parametrize(
+        "mu, u",
+        [
+            (power_density(0.6), standard(1.0)),
+            (weighted_area(standard(0.5)), constant(2.0)),
+            (power_density(-0.5), power_one_minus_z(0.5)),
+            (atomic([(0.5, 1.0), (-0.9j, 0.3)]), standard(-0.5)),
+        ],
+    )
+    def test_matches_per_anchor_ratios(self, mu, u):
+        # a radial mu or u takes S(|a|) once per modulus; the ratios agree
+        # with one S(a) per anchor, and a pair with neither radial is unchanged
+        lad = boundary_ladder(5, 6)
+        rep = vanishing_carleson_test(mu, u, 2.0, 3.0, lad)
+        got = np.array([v for _, v in rep.per_point])
+        want = np.array([
+            mu.region_mass(CarlesonSet(a)) / mass(u, CarlesonSet(a)) ** 1.5 for a in lad.points()
+        ])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [1.0, -1.2j, np.nan])
+    def test_anchor_outside_the_disc_raises(self, model_u1, bad):
+        with pytest.raises(DomainError):
+            carleson_test(power_density(0.6), standard(1.0), model_u1, 2.0, 2.0, 0.3, 2.0, 1.0,
+                          [0.2, bad])
 
 
 class TestConsistency:

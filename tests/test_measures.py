@@ -161,9 +161,25 @@ class TestDiskMass:
     )
     @settings(max_examples=40, deadline=None)
     def test_batched_densities_match_loop(self, mu, r, points):
-        want = np.array([_reference_disk_mass(mu, z, r) for z in points])
-        assert np.array_equal(mu.disk_masses(points, r), want)
+        rotated = np.array([_reference_disk_mass(mu, z, r) for z in points])
+        got = mu.disk_masses(points, r)
+        if mu.is_radial:
+            # Delta(z, r) turns with z: one disk per modulus, centred at |z|
+            want = np.array([_reference_disk_mass(mu, abs(z), r) for z in points])
+            assert np.allclose(got, rotated, rtol=1e-10, atol=0.0)
+        else:
+            want = rotated
+        assert np.array_equal(got, want)
+        if mu.kind == "weighted_area" and mu.u.kind == "constant":
+            assert np.array_equal(got, rotated)
         assert mu.disk_mass(points[-1], r) == want[-1]
+
+    def test_is_radial(self):
+        assert power_density(0.4).is_radial and weighted_area(standard(1.0)).is_radial
+        assert not weighted_area(power_one_minus_z(1.0)).is_radial
+        assert not density(lambda z: np.ones(np.shape(z))).is_radial
+        assert not atomic([(0.0, 1.0)]).is_radial
+        assert not power_density(0.4).scaled(2.0).is_radial
 
     def test_nonfinite_density_in_a_later_block_raises(self):
         mu = density(lambda z: np.where(np.real(z) > 0.9, np.nan, 1.0))

@@ -111,6 +111,33 @@ class TestDiagonalOperator:
             lam = np.maximum(_dense_block_eigenvalues(d, k), 0.0)
             assert np.array_equal(got, float(np.sum(lam**2.0)))
 
+    @given(
+        alpha=st.one_of(st.none(), st.floats(-0.9, 3.0)),
+        degree=st.integers(1, 300),
+        t=st.floats(-0.9, 3.0),
+        area=st.booleans(),
+        coefs=st.lists(
+            st.complex_numbers(max_magnitude=2.0, allow_infinity=False, allow_nan=False),
+            min_size=1,
+            max_size=8,
+        ),
+        z=st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow_nan=False),
+    )
+    @example(alpha=None, degree=1, t=0.5, area=False, coefs=[1.0, 0.5j], z=0.3)
+    @example(alpha=1.0, degree=300, t=0.3, area=True, coefs=[0.2, -1.0, 0.5j], z=-0.9j)
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_apply_matches_dense(self, alpha, degree, t, area, coefs, z):
+        # the diagonal acts elementwise; the dense matrix of the parent gives the same bits
+        from bergman_lab.toeplitz import _basis_coordinates
+
+        m = build_kernel_model(constant() if alpha is None else standard(alpha), degree)
+        mu = weighted_area(standard(t)) if area else power_density(t)
+        T = assemble(mu, m)
+        coefs = coefs[: degree + 1]
+        e = m.basis_matrix(np.array([complex(z)]))[:, 0]
+        want = complex(np.sum((T.entries @ _basis_coordinates(m, coefs)) * e))
+        assert T.gram.ndim == 1 and matrix_apply(T, coefs, z) == want
+
     def test_complex_diagonal_raises(self, model_u1_small):
         d = basis_gram(model_u1_small, power_density(1.0))
         with pytest.raises(DegeneracyError):

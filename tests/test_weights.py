@@ -20,7 +20,8 @@ from bergman_lab import (
     standard,
     weight_from_config,
 )
-from bergman_lab.quadrature import _polar_rule
+from bergman_lab.quadrature import CarlesonRegion, _polar_rule, region_quadrature
+from bergman_lab.weights import _joint_average, on_moduli
 
 _XS = np.linspace(-1, 1, 8)
 _WEIGHTS = [
@@ -110,8 +111,18 @@ class TestDiskMasses:
              points=[-0.1240977221040393 - 0.2548723229595808j], resolution=32)
     def test_matches_per_point_loop(self, u, r, points, resolution):
         # at resolution 64 a block holds 4 disks, so 40 points span ten blocks
-        want = np.array([_reference_mass(u, z, r, resolution) for z in points])
-        assert np.array_equal(disk_masses(u, r, points, resolution), want)
+        rotated = np.array([_reference_mass(u, z, r, resolution) for z in points])
+        got = disk_masses(u, r, points, resolution)
+        if u.is_radial:
+            # Delta(z, r) turns with z: one disk per modulus, centred at |z|
+            want = np.array([_reference_mass(u, abs(z), r, resolution) for z in points])
+            assert np.allclose(got, rotated, rtol=1e-10, atol=0.0)
+        else:
+            want = rotated
+        assert np.array_equal(got, want)
+        if u.kind == "constant":
+            # pi c R^2 depends on |z| alone: the same bits as before
+            assert np.array_equal(got, rotated)
         assert mass(u, pseudo_disk(points[-1], r), resolution) == want[-1]
 
     def test_pseudo_disk_validation(self):
@@ -161,3 +172,109 @@ class TestJointAverages:
     def test_cp_positive(self, rho):
         rep = cp_constant(standard(1.0), 2.0, 0.3, centers=[rho])
         assert rep.value >= 1.0 - 1e-6  # Jensen: joint average >= 1
+
+
+class TestPerModulus:
+    def test_on_moduli_scatters_one_value_per_distinct_modulus(self):
+        seen = []
+
+        def f(pts):
+            seen.append(pts)
+            return pts.real * 10.0
+
+        points = np.array([0.5j, -0.3, 0.5, 0.0, 0.3j, 0.5])
+        got = on_moduli(f, points)
+        assert len(seen) == 1 and np.array_equal(seen[0], [0.0, 0.3, 0.5])
+        assert np.array_equal(got, [5.0, 3.0, 5.0, 0.0, 3.0, 5.0])
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0j, 1.5, np.nan, complex(np.nan, 0.2)])
+    def test_points_outside_the_disc_raise(self, bad):
+        from bergman_lab import power_density
+
+        with pytest.raises(DomainError):
+            disk_masses(standard(1.0), 0.3, [0.1, bad], 32)
+        with pytest.raises(DomainError):
+            power_density(0.6).disk_masses([bad, 0.2j], 0.3)
+        with pytest.raises(DomainError):
+            bekolle_constant(standard(1.0), 2.0, anchors=[0.2, bad])
+        with pytest.raises(DomainError):
+            cp_constant(standard(1.0), 2.0, 0.3, centers=[bad])
+
+    @given(
+        u=st.sampled_from([standard(-0.5), standard(1.0), standard(2.5)]),
+        p=st.sampled_from([1.5, 2.0, 3.0]),
+        anchors=st.lists(_POINT, min_size=1, max_size=6),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_constants_match_per_anchor_values(self, u, p, anchors):
+        # one joint average per |a| agrees with the old one per anchor
+        anchors = anchors + [a * 1j for a in anchors]
+        lad = boundary_ladder(3, 4)
+        for report, region_of, resolution in (
+            (bekolle_constant(u, p, anchors=anchors, ladder=lad), CarlesonSet, 48),
+            (cp_constant(u, p, 0.3, centers=anchors, ladder=lad),
+             lambda a: pseudo_disk(a, 0.3), 32),
+        ):
+            got = np.array([v for _, v in report.per_anchor])
+            want = np.array([_joint_average(u, p, region_of(complex(a)), resolution)
+                             for a, _ in report.per_anchor])
+            assert len(got) == len(anchors) + 12
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_constant_weight_constants_are_bit_identical(self):
+        anchors = [0.3, 0.3j, -0.7, 0.7 * np.exp(1j)]
+        rep = cp_constant(constant(2.0), 2.0, 0.4, centers=anchors)
+        want = [_joint_average(constant(2.0), 2.0, pseudo_disk(a, 0.4), 32) for a in anchors]
+        assert [v for _, v in rep.per_anchor] == want
+
+
+def _count_disks(monkeypatch):
+    """Wrap disk_integrals wherever bergman_lab holds it; returns the disk counts."""
+    import sys
+
+    from bergman_lab import quadrature
+
+    original, counts = quadrature.disk_integrals, []
+
+    def counted(f, centers, radii, resolution):
+        counts.append(len(radii))
+        return original(f, centers, radii, resolution)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bergman_lab") and getattr(mod, "disk_integrals", None) is original:
+            monkeypatch.setattr(mod, "disk_integrals", counted)
+    return counts
+
+
+def test_average_profile_integrates_one_disk_per_modulus(monkeypatch):
+    from bergman_lab import average_profile, disc_rule, power_density
+
+    nodes = disc_rule(48, 96, 0.995).nodes
+    distinct = np.unique(np.hypot(nodes.real, nodes.imag)).size
+    counts = _count_disks(monkeypatch)
+    average_profile(power_density(0.6), standard(1.0), 0.3, nodes)
+    # one disk for mu and one for u per distinct modulus, not per node
+    assert distinct <= 156 and sum(counts) <= 2 * distinct
+
+
+def test_vanishing_carleson_builds_rules_at_distinct_moduli(monkeypatch):
+    import sys
+
+    from bergman_lab import power_density, vanishing_carleson_test
+
+    anchors = []
+
+    def recorded(region, resolution=48):
+        anchors.append(complex(region.anchor))
+        return region_quadrature(region, resolution)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bergman_lab") and getattr(mod, "region_quadrature", None) is region_quadrature:
+            monkeypatch.setattr(mod, "region_quadrature", recorded)
+    ladder = boundary_ladder(6, 8)
+    points = ladder.points()
+    moduli = set(np.hypot(points.real, points.imag).tolist())
+    vanishing_carleson_test(power_density(0.6), standard(1.0), 2.0, 2.0, ladder)
+    # mu(S(a)) and u(S(a)) once each per distinct |a|, at the real anchor |a|
+    assert all(a.imag == 0.0 for a in anchors)
+    assert sorted(a.real for a in anchors) == sorted(2 * list(moduli))
