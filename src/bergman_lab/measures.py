@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
-from .geometry import check_disc_point, pseudo_disk, pseudo_distance
+from .geometry import PseudoDisk, check_disc_point, pseudo_disk, pseudo_distance
 from .kernels import _gram_resolution, _radial_power
 from .quadrature import (
     DiscQuadrature,
@@ -112,9 +112,11 @@ class DiscMeasure:
         return disk_integrals(self.density_at, centers, radii, 32)
 
     def region_mass(self, region):
-        """mu(region) for a geometry region (PseudoDisk, CarlesonSet, ...)."""
+        """mu(region) for a geometry region (PseudoDisk, CarlesonSet, ...); a pseudo-disk is disk_mass."""
         if self.kind == "atomic":
             return float(sum(mz for a, mz in self.atoms if region.contains(a)))
+        if isinstance(region, PseudoDisk):
+            return self.disk_mass(region.center, region.radius)
         if self.kind == "weighted_area":
             return mass(self.u, region, resolution=48)
         q = region_quadrature(region, 32)
