@@ -19,7 +19,8 @@ class Defaults:
     # outer truncation radius for criteria / profile integrals; basis and
     # kernel-norm integrands are polynomials and use the full disc instead
     r_max: float = 0.995
-    # quadrature resolutions (radial node counts; angular = 4x unless noted)
+    # quadrature resolutions (radial node counts; angular = 4x on disks, 2x on
+    # Carleson sets, unless noted)
     region_resolution: int = 48
     density_radial: int = 128
     density_angular: int = 256

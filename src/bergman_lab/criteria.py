@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet
 from .reports import CriterionReport, band, classify_ring_trend, ring_slope
-from .transforms import profile_lp_norm, t_berezin_profile
+from .transforms import _grid_points, profile_lp_norm, t_berezin_profile
 from .weights import disk_masses, mass, on_moduli
 
 __all__ = [
@@ -35,13 +35,6 @@ __all__ = [
     "vanishing_carleson_test",
     "theorem_consistency_report",
 ]
-
-
-def _grid_points(grid):
-    pts = getattr(grid, "points", grid)
-    if callable(pts):
-        pts = pts()
-    return np.asarray(pts, dtype=complex)
 
 
 def _bc_quantities(mu, u, m, p, q, t, r, points):

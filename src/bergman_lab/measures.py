@@ -108,8 +108,7 @@ class DiscMeasure:
             return np.array(
                 [float(sum(mz for (_, mz), hit in zip(self.atoms, row) if hit)) for row in inside]
             )
-        centers, radii = [d.euclid_center for d in disks], [d.euclid_radius for d in disks]
-        return disk_integrals(self.density_at, centers, radii, 32)
+        return disk_integrals(self.density_at, disks, 32)
 
     def region_mass(self, region):
         """mu(region) for a geometry region (PseudoDisk, CarlesonSet, ...); a pseudo-disk is disk_mass."""

@@ -1,14 +1,20 @@
 """Deterministic quadrature on the unit disc and its sub-regions.
 
 Every area integral in the package goes through a DiscQuadrature: a list of
-complex nodes and positive weights for one of three region kinds:
+complex nodes and positive weights.  Besides the disc itself, the rules cover
+the two regions of geometry on which the paper states its conditions:
 
-  * full_disc(r_max)            -- Gauss-Legendre in radius on [0, r_max],
-                                   uniform (trapezoid) grid in angle;
-  * euclidean_disk(c, rho)      -- the same polar rule recentered on the disk;
-  * carleson_set(a)             -- the half-disc preimage of S(a) under the
-                                   involution phi_a, mapped forward with the
-                                   |phi_a'|^2 Jacobian baked into the weights.
+  * disc_rule(n_radial, n_angular, r_max) -- Gauss-Legendre in radius on
+                                [0, r_max], uniform (trapezoid) grid in angle;
+                                the one centered polar rule;
+  * PseudoDisk Delta(z, r)   -- the same polar rule moved onto the disk's
+                                Euclidean realization;
+  * CarlesonSet S(a)         -- the half-disc preimage of S(a) under the
+                                involution phi_a, mapped forward with the
+                                |phi_a'|^2 Jacobian baked into the weights.
+
+region_quadrature builds the rule of one region; disk_integrals integrates
+over many pseudo-disks at once, bit for bit as their rules do one by one.
 
 The Carleson rule deserves a comment: S(a) is a Mobius image of the half-disc
 H_a = {Re(conj(a) z) <= 0}, and on H_a the Jacobian (1-|a|^2)^2 / |1-conj(a)z|^4
@@ -46,9 +52,6 @@ from .errors import DomainError, EvaluationError, PrecisionError
 from .geometry import CarlesonSet, PseudoDisk
 
 __all__ = [
-    "FullDisc",
-    "EuclideanDisk",
-    "CarlesonRegion",
     "DiscQuadrature",
     "gauss_rule",
     "beta_moments",
@@ -64,38 +67,17 @@ __all__ = [
 _BLOCK_NODES = 1 << 16
 _CARLESON_TOL = 1e-6
 _CARLESON_MAX_RESOLUTION = 1024
-
-
-@dataclass(frozen=True)
-class FullDisc:
-    r_max: float = 1.0
-
-
-@dataclass(frozen=True)
-class EuclideanDisk:
-    center: complex
-    radius: float
-
-
-@dataclass(frozen=True)
-class CarlesonRegion:
-    anchor: complex
-
-
-def as_region(region):
-    """Normalize the region vocabulary accepted across the package."""
-    if isinstance(region, (FullDisc, EuclideanDisk, CarlesonRegion)):
-        return region
-    if isinstance(region, PseudoDisk):
-        return EuclideanDisk(region.euclid_center, region.euclid_radius)
-    if isinstance(region, CarlesonSet):
-        return CarlesonRegion(region.anchor)
-    raise DomainError(f"unrecognized region {region!r}")
+# preimage radius at which Carleson rules stop; ROADMAP item 3 integrates out to 1
+_CARLESON_R_INNER = 0.995
 
 
 @dataclass(frozen=True, eq=False)
 class DiscQuadrature:
-    """An accepted quadrature rule: complex nodes, positive weights, region."""
+    """An accepted quadrature rule: complex nodes, positive weights, region.
+
+    region is the PseudoDisk or CarlesonSet the rule covers, or None for the
+    centered polar rule of disc_rule.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -184,15 +166,15 @@ def _polar_rule(n_radial, n_angular, r_max):
 
 
 @lru_cache(maxsize=256)
-def _carleson_rule(re_a, im_a, n_radial, n_angular, r_inner):
-    """Quadrature for S(a) built in the phi_a preimage half-disc."""
+def _carleson_rule(re_a, im_a, resolution):
+    """Quadrature for S(a) built in the phi_a preimage half-disc, 2 resolution angles."""
     a = complex(re_a, im_a)
     if a == 0:
-        return _polar_rule(n_radial, n_angular, r_inner)
+        return _polar_rule(resolution, 2 * resolution, _CARLESON_R_INNER)
     phase = np.angle(a)
     # half-disc {Re(conj(a) z) <= 0}: angles in [phase + pi/2, phase + 3 pi/2]
-    r, wr = _gauss_legendre(n_radial, 0.0, r_inner)
-    theta, wtheta = _gauss_legendre(n_angular, phase + 0.5 * np.pi, phase + 1.5 * np.pi)
+    r, wr = _gauss_legendre(resolution, 0.0, _CARLESON_R_INNER)
+    theta, wtheta = _gauss_legendre(2 * resolution, phase + 0.5 * np.pi, phase + 1.5 * np.pi)
     z = r[:, None] * np.exp(1j * theta)[None, :]
     w2 = (wr * r)[:, None] * wtheta[None, :]
     jac = ((1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2) ** 2
@@ -203,7 +185,7 @@ def _carleson_rule(re_a, im_a, n_radial, n_angular, r_inner):
 def disc_rule(n_radial, n_angular, r_max=1.0):
     """Centered full-disc rule with explicit resolution (nodes stay interior)."""
     nodes, weights = _polar_rule(int(n_radial), int(n_angular), float(r_max))
-    return DiscQuadrature(nodes, weights, FullDisc(float(r_max)), int(n_radial))
+    return DiscQuadrature(nodes, weights, None, int(n_radial))
 
 
 def monomial_gram(g, degree, n_radial, n_angular, r_max):
@@ -240,9 +222,9 @@ def ring_values(rule, coefficients):
     one row per ring.  On a ring the sum is a discrete Fourier sum over the
     n_angular equispaced angles, so one inverse FFT per ring gives every node
     of it; frequencies d >= n_angular fold onto d mod n_angular, which is
-    exact at the nodes.  A rule that is not full_disc raises DomainError.
+    exact at the nodes.  A rule that is not disc_rule's raises DomainError.
     """
-    if not isinstance(rule.region, FullDisc):
+    if rule.region is not None:
         raise DomainError(f"ring evaluation needs a centered polar rule, not {rule.region}")
     n_radial = rule.resolution
     n_angular = rule.nodes.size // n_radial
@@ -255,66 +237,60 @@ def ring_values(rule, coefficients):
     return np.fft.ifft(coeffs, n=n_angular, axis=1, norm="forward").ravel()
 
 
-def _disk_map(centers, radii, resolution):
-    """The reference polar rule mapped onto Euclidean disks, one row per disk.
+def _disk_map(disks, resolution):
+    """The reference polar rule mapped onto pseudo-disks, one row per disk.
 
+    Each PseudoDisk is its Euclidean disk, which lies inside the unit disc.
     R^2 is taken on python floats: numpy's square can differ in the last bit.
     """
-    for c, rho in zip(centers, radii):
-        if abs(c) + rho > 1.0 + 1e-12:
-            raise DomainError(f"euclidean disk ({c}, {rho}) leaves the unit disc")
+    centers = np.array([d.euclid_center for d in disks])
+    radii = [float(d.euclid_radius) for d in disks]
     base_nodes, base_weights = _polar_rule(resolution, 4 * resolution, 1.0)
-    nodes = np.asarray(centers)[:, None] + np.asarray(radii)[:, None] * base_nodes
+    nodes = centers[:, None] + np.asarray(radii)[:, None] * base_nodes
     weights = np.array([rho**2 for rho in radii])[:, None] * base_weights
     return nodes, weights
 
 
-def disk_integrals(f, centers, radii, resolution):
-    """int f dA over each Euclidean disk (centers[k], radii[k]), as an array.
+def disk_integrals(f, disks, resolution):
+    """int f dA over each PseudoDisk in disks, as an array.
 
-    Entry k equals region_quadrature(EuclideanDisk(centers[k], radii[k]),
-    resolution).integrate(f) bit for bit; disks go in blocks of at most
-    _BLOCK_NODES nodes.
+    Entry k equals region_quadrature(disks[k], resolution).integrate(f) bit
+    for bit; disks go in blocks of at most _BLOCK_NODES nodes.
     """
     if resolution < 4:
         raise DomainError("resolution must be at least 4")
-    radii = [float(rho) for rho in radii]
     step = max(1, _BLOCK_NODES // (4 * resolution * resolution))
-    out = np.empty(len(radii))
-    for i in range(0, len(radii), step):
-        nodes, weights = _disk_map(centers[i : i + step], radii[i : i + step], resolution)
+    out = np.empty(len(disks))
+    for i in range(0, len(disks), step):
+        nodes, weights = _disk_map(disks[i : i + step], resolution)
         out[i : i + step] = (weights * _finite_values(f, nodes)).sum(axis=1)
     return out
 
 
 def _build(region, resolution):
-    region = as_region(region)
-    if isinstance(region, FullDisc):
-        nodes, weights = _polar_rule(resolution, 4 * resolution, region.r_max)
-    elif isinstance(region, EuclideanDisk):
-        nodes, weights = _disk_map([region.center], [region.radius], resolution)
-        nodes, weights = nodes[0], weights[0]
-    else:
-        nodes, weights = _carleson_rule(
-            region.anchor.real, region.anchor.imag, resolution, 2 * resolution, 0.995
-        )
-    return DiscQuadrature(nodes, weights, region, resolution)
+    if isinstance(region, PseudoDisk):
+        nodes, weights = _disk_map([region], resolution)
+        return DiscQuadrature(nodes[0], weights[0], region, resolution)
+    a = region.anchor
+    return DiscQuadrature(*_carleson_rule(a.real, a.imag, resolution), region, resolution)
 
 
 def region_quadrature(region, resolution=48):
-    """Build a rule for the region; only Carleson rules take a refinement test.
+    """The rule of a PseudoDisk or a CarlesonSet; only Carleson rules take a refinement test.
 
-    Disks take the requested rule: it integrates constants exactly there.  A
+    Other regions raise DomainError.  Disks take the requested rule: it
+    integrates constants exactly there.  A
     Carleson rule is kept when doubling the resolution moves the constant-1
     integral by less than _CARLESON_TOL (relative); otherwise the doubled rule
     is tried in turn, up to _CARLESON_MAX_RESOLUTION.
     """
+    if not isinstance(region, (PseudoDisk, CarlesonSet)):
+        raise DomainError(f"quadrature needs a PseudoDisk or a CarlesonSet, not {region!r}")
     if resolution < 4:
         raise DomainError("resolution must be at least 4")
-    region = as_region(region)
     res = int(resolution)
     rule = _build(region, res)
-    if not isinstance(region, CarlesonRegion):
+    if isinstance(region, PseudoDisk):
         return rule
     while True:
         finer = _build(region, 2 * res)

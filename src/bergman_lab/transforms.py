@@ -103,6 +103,14 @@ def profile_lp_norm(mu: DiscMeasure, u: Weight, r, exponent, reference="u_dA", r
     return float(partials[-1]), radii, partials
 
 
+def _grid_points(grid):
+    """The points of a Lattice (attribute), a BoundaryLadder (method) or an array."""
+    pts = getattr(grid, "points", grid)
+    if callable(pts):
+        pts = pts()
+    return np.asarray(pts, dtype=complex)
+
+
 def comparability_report(
     mu: DiscMeasure, m: KernelModel, t, r, grid, u: Weight = None, p=2.0
 ) -> CriterionReport:
@@ -114,7 +122,7 @@ def comparability_report(
       (c) discrete L^p norms of both profiles over the grid, with their ratio.
     """
     u = u or m.weight
-    points = np.asarray(getattr(grid, "points", grid), dtype=complex)
+    points = _grid_points(grid)
     tb = t_berezin_profile(mu, m, t, points)
     av = average_profile(mu, u, r, points)
     with np.errstate(divide="ignore", invalid="ignore"):

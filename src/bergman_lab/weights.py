@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet, PseudoDisk, pseudo_disk
-from .quadrature import EuclideanDisk, disk_integrals, region_quadrature
+from .quadrature import disk_integrals, region_quadrature
 from .reports import classify_ring_trend
 
 __all__ = [
@@ -131,11 +131,9 @@ def weight_from_config(cfg):
 
 
 def mass(u: Weight, region, resolution=48):
-    """u(E) = integral of u over the region; a pseudo-disk is one case of disk_masses."""
+    """u(E) over a PseudoDisk (one case of disk_masses) or a CarlesonSet; else DomainError."""
     if isinstance(region, PseudoDisk):
         return float(disk_masses(u, region.radius, [region.center], resolution)[0])
-    if isinstance(region, EuclideanDisk):
-        return float(_euclid_masses(u, [region.center], [region.radius], resolution)[0])
     return region_quadrature(region, resolution).integrate(u)
 
 
@@ -160,19 +158,17 @@ def disk_masses(u: Weight, r, points, resolution):
     """
 
     def masses(pts):
-        disks = [pseudo_disk(z, r) for z in np.ravel(pts)]
-        centers, radii = [d.euclid_center for d in disks], [d.euclid_radius for d in disks]
-        return _euclid_masses(u, centers, radii, resolution)
+        return _pseudo_disk_masses(u, [pseudo_disk(z, r) for z in np.ravel(pts)], resolution)
 
     return on_moduli(masses, points) if u.is_radial else masses(points)
 
 
-def _euclid_masses(u, centers, radii, resolution):
-    """u over Euclidean disks; constant weights integrate exactly as value * pi * R^2."""
+def _pseudo_disk_masses(u, disks, resolution):
+    """u over pseudo-disks; constant weights integrate exactly as value * pi * R^2."""
     if u.kind == "constant":
         value = float(u.params["value"])
-        return np.array([value * np.pi * float(rho) ** 2 for rho in radii])
-    return disk_integrals(u, centers, radii, resolution)
+        return np.array([value * np.pi * float(d.euclid_radius) ** 2 for d in disks])
+    return disk_integrals(u, disks, resolution)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,15 +9,14 @@ from bergman_lab import (
     CarlesonSet,
     DomainError,
     EvaluationError,
+    constant,
     disc_rule,
+    mass,
     power_one_minus_z,
     pseudo_disk,
     region_quadrature,
 )
 from bergman_lab.quadrature import (
-    CarlesonRegion,
-    EuclideanDisk,
-    FullDisc,
     beta_moments,
     gauss_rule,
     monomial_gram,
@@ -54,19 +53,18 @@ class TestDiscRule:
 
 
 class TestRegionQuadrature:
-    def test_euclidean_disk_area(self):
-        q = region_quadrature(EuclideanDisk(0.2 + 0.1j, 0.3), 32)
-        assert q.integrate(lambda z: np.ones(z.shape)) == pytest.approx(np.pi * 0.09, rel=1e-10)
-
     def test_pseudo_disk_area(self):
         d = pseudo_disk(0.5, 0.4)
         q = region_quadrature(d, 32)
         exact = np.pi * d.euclid_radius**2
         assert q.integrate(lambda z: np.ones(z.shape)) == pytest.approx(exact, rel=1e-10)
 
-    def test_full_disc(self):
-        q = region_quadrature(FullDisc(), 32)
-        assert q.area == pytest.approx(np.pi, rel=1e-10)
+    @pytest.mark.parametrize("region", [0.5, 0.2j, None, disc_rule(8, 16)])
+    def test_only_geometry_regions(self, region):
+        with pytest.raises(DomainError, match="PseudoDisk or a CarlesonSet"):
+            region_quadrature(region, 16)
+        with pytest.raises(DomainError, match="PseudoDisk or a CarlesonSet"):
+            mass(constant(), region, 16)
 
     def test_disks_build_one_rule_carleson_sets_refine(self, monkeypatch):
         from bergman_lab import quadrature
@@ -79,10 +77,9 @@ class TestRegionQuadrature:
             return build(region, resolution)
 
         monkeypatch.setattr(quadrature, "_build", counted)
-        region_quadrature(EuclideanDisk(0.2 + 0.1j, 0.3), 16)
+        region_quadrature(pseudo_disk(0.2 + 0.1j, 0.3), 16)
         region_quadrature(pseudo_disk(0.5, 0.4), 16)
-        region_quadrature(FullDisc(0.9), 16)
-        assert built == [16, 16, 16]
+        assert built == [16, 16]
         built.clear()
         region_quadrature(CarlesonSet(0.5), 16)
         assert built[:2] == [16, 32]
@@ -91,20 +88,20 @@ class TestRegionQuadrature:
         # S(a) swallows more of the disc as the anchor moves inward
         areas = []
         for a in (0.7, 0.3, 1e-4):
-            q = region_quadrature(CarlesonRegion(a + 0j), 64)
+            q = region_quadrature(CarlesonSet(a + 0j), 64)
             areas.append(q.integrate(lambda z: np.ones(z.shape)))
         assert areas[0] < areas[1] < areas[2] < np.pi
 
     def test_carleson_nodes_inside_set(self):
         a = 0.6 + 0.2j
-        q = region_quadrature(CarlesonRegion(a), 48)
+        q = region_quadrature(CarlesonSet(a), 48)
         assert np.all(CarlesonSet(a).contains(q.nodes))
 
     def test_carleson_area_shrinks_near_boundary(self):
         # area(S(a)) ~ (1 - |a|)^2 up to constants
         areas = []
         for rho in (0.9, 0.95, 0.975):
-            q = region_quadrature(CarlesonRegion(rho + 0j), 48)
+            q = region_quadrature(CarlesonSet(rho + 0j), 48)
             areas.append(q.integrate(lambda z: np.ones(z.shape)))
         ratios = [areas[i] / areas[i + 1] for i in range(2)]
         for r in ratios:
@@ -148,7 +145,7 @@ class TestCachedRules:
         assert disc_rule(8, 16).area == area
 
     def test_carleson_rule_read_only(self):
-        q = region_quadrature(CarlesonRegion(0.5 + 0.1j), 16)
+        q = region_quadrature(CarlesonSet(0.5 + 0.1j), 16)
         with pytest.raises(ValueError):
             q.weights[0] = 0.0
 
@@ -230,7 +227,7 @@ class TestRingValues:
 
     @pytest.mark.parametrize(
         "region",
-        [EuclideanDisk(0.0, 0.5), EuclideanDisk(0.2j, 0.3), CarlesonSet(0.5), CarlesonSet(0.0)],
+        [pseudo_disk(0, 0.5), pseudo_disk(0.2j, 0.3), CarlesonSet(0.5), CarlesonSet(0.0)],
     )
     def test_other_rules_raise(self, region):
         rule = region_quadrature(region, 8)

@@ -11,6 +11,7 @@ from bergman_lab import (
     average_profile,
     berezin,
     berezin_profile,
+    boundary_ladder,
     comparability_report,
     build_kernel_model,
     constant,
@@ -180,6 +181,15 @@ class TestComparability:
         assert rep.extras["lp_ratio"] == pytest.approx(1.0, rel=1e-6)
         lo, hi = rep.extras["berezin_band"]
         assert lo == pytest.approx(1.0, rel=1e-6) and hi == pytest.approx(1.0, rel=1e-6)
+
+    def test_ladder_grid_is_its_points(self, model_u1_small):
+        # BoundaryLadder.points is a method, Lattice.points an attribute
+        ladder = boundary_ladder(4, 8)
+        mu = power_density(1.0)
+        rep = comparability_report(mu, model_u1_small, 2.0, 0.3, ladder)
+        want = comparability_report(mu, model_u1_small, 2.0, 0.3, ladder.points())
+        assert len(rep.per_point) == 32
+        assert rep.to_json() == want.to_json()
 
     def test_power_density_comparable(self, model_u1_small, lattice_small):
         rep = comparability_report(power_density(1.0), model_u1_small, 2.0, 0.3, lattice_small)

@@ -20,7 +20,7 @@ from bergman_lab import (
     standard,
     weight_from_config,
 )
-from bergman_lab.quadrature import CarlesonRegion, _polar_rule, region_quadrature
+from bergman_lab.quadrature import _polar_rule, disc_rule, region_quadrature
 from bergman_lab.weights import _joint_average, on_moduli
 
 _XS = np.linspace(-1, 1, 8)
@@ -89,9 +89,7 @@ class TestMass:
 
     def test_standard_whole_disc(self):
         # int (1 - |z|^2) dA = pi/2
-        from bergman_lab.quadrature import FullDisc
-
-        assert mass(standard(1.0), FullDisc(), resolution=64) == pytest.approx(np.pi / 2, rel=1e-8)
+        assert disc_rule(64, 256).integrate(standard(1.0)) == pytest.approx(np.pi / 2, rel=1e-8)
 
     def test_carleson_set_mass_positive(self):
         v = mass(standard(1.0), CarlesonSet(0.5 + 0.2j))
@@ -125,6 +123,9 @@ class TestDiskMasses:
                 assert np.allclose(got, rotated, rtol=1e-10, atol=0.0)
         else:
             want = rotated
+            # entry k is the one-disk rule of its pseudo-disk, bit for bit
+            one = [region_quadrature(pseudo_disk(z, r), resolution).integrate(u) for z in points]
+            assert np.array_equal(got, one)
         assert np.array_equal(got, want)
         if u.kind == "constant":
             # pi c R^2 depends on |z| alone: the same bits as before
@@ -252,9 +253,9 @@ def _count_disks(monkeypatch):
 
     original, counts = quadrature.disk_integrals, []
 
-    def counted(f, centers, radii, resolution):
-        counts.append(len(radii))
-        return original(f, centers, radii, resolution)
+    def counted(f, disks, resolution):
+        counts.append(len(disks))
+        return original(f, disks, resolution)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("bergman_lab") and getattr(mod, "disk_integrals", None) is original:
@@ -280,7 +281,7 @@ def _record_carleson_anchors(monkeypatch):
     anchors = []
 
     def recorded(region, resolution=48):
-        if isinstance(region, (CarlesonSet, CarlesonRegion)):
+        if isinstance(region, CarlesonSet):
             anchors.append(complex(region.anchor))
         return region_quadrature(region, resolution)
 
