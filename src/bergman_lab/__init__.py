@@ -43,6 +43,7 @@ from .kernels import (
     kernel_diag,
     kernel_eval,
     kernel_norm,
+    kernel_norms,
     normalized_kernel,
     reproducing_check,
 )
@@ -55,7 +56,7 @@ from .measures import (
     power_density,
     weighted_area,
 )
-from .quadrature import DiscQuadrature, disc_rule, region_quadrature
+from .quadrature import DiscQuadrature, disc_rule, region_quadrature, weighted_disc_rule
 from .reports import CriterionReport, band, classify_ring_trend, ring_slope
 from .toeplitz import (
     Spectrum,

@@ -22,6 +22,8 @@ class Defaults:
     # quadrature resolutions (radial node counts; angular = 4x on disks, 2x on
     # Carleson sets, unless noted)
     region_resolution: int = 48
+    # DiscMeasure.integrate_at: nodes in r (Gauss-Legendre), or in |z|^2
+    # (Gauss-Jacobi) for a radial density, and in angle
     density_radial: int = 128
     density_angular: int = 256
     # lattice / ladder defaults

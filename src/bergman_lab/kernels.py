@@ -13,9 +13,14 @@ product  <f, g> = int f conj(g) u dA:
     basis_gram alike, uses the polar rule of _gram_resolution.
 
 The truncated kernel K_N(z, w) = sum e_n(z) conj(e_n(w)) is a polynomial, so
-kernel norms never blow up and are integrated on the full disc (radial
-Gauss-Legendre nodes stay strictly interior).  Its monomial coefficients in z
-are KernelModel.kernel_coefficients(w).  Off a rule, kernels and polynomials
+kernel norms never blow up and are integrated on the full disc (Gauss nodes
+stay strictly interior).  Its monomial coefficients in z are
+KernelModel.kernel_coefficients(w).  Integrals against u dA (kernel_norm,
+kernel_norms, reproducing_check) take KernelModel.norm_rule: for a radial u
+it is quadrature.weighted_disc_rule, Gauss-Jacobi in |z|^2 with u folded
+into its weights, which is exact for the reproducing pairing and for
+||K_w||_2^2 and never evaluates u; a general model keeps Gauss-Legendre in r
+and evaluates u once per call.  Off a rule, kernels and polynomials
 are Horner sums; at the nodes of a centered polar rule (the norm rule, the
 density rule of DiscMeasure.integrate_at) every polynomial, kernel and
 quadratic form e^T M conj(e) (the kernel diagonal, Berezin values) takes one
@@ -31,8 +36,15 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
-from .quadrature import DiscQuadrature, beta_moments, disc_rule, monomial_gram, ring_values
-from .weights import Weight
+from .quadrature import (
+    DiscQuadrature,
+    beta_moments,
+    disc_rule,
+    monomial_gram,
+    ring_values,
+    weighted_disc_rule,
+)
+from .weights import Weight, on_moduli
 
 __all__ = [
     "KernelModel",
@@ -40,6 +52,7 @@ __all__ = [
     "kernel_eval",
     "kernel_diag",
     "kernel_norm",
+    "kernel_norms",
     "NormalizedKernel",
     "normalized_kernel",
     "polynomial_values",
@@ -163,11 +176,26 @@ class KernelModel:
         """K_N(z, z) = sum_n |e_n(z)|^2, at points z or at a centered polar rule."""
         return self.quadratic_form(np.ones(self.degree + 1), z)
 
-    def norm_rule(self):
-        """Disc rule exact enough for integrands built from the basis."""
-        n_r = max(self.degree + 16, 64)
-        n_t = 1 << int(np.ceil(np.log2(max(2 * self.degree + 32, 128))))
-        return disc_rule(n_r, n_t, 1.0)
+    def norm_rule(self, power=None):
+        """Polar rule for integrands built from the basis, against u dA or c (1 - |z|^2)^a dA.
+
+        power = (c, a) defaults to the weight's own for a radial model.  The
+        rule is then weighted_disc_rule with that density in its weights and
+        floor(N/2) + 2 nodes in t = |z|^2: it integrates f conj(g) exactly
+        for polynomials f, g of degree <= N.  A general model without power
+        gets area_rule, on which the caller multiplies by u.
+        """
+        if power is None and not self.is_radial:
+            return self.area_rule()
+        c, a = power if power is not None else _radial_power(self.weight)
+        return weighted_disc_rule(self.degree // 2 + 2, self._norm_angular(), c, a)
+
+    def area_rule(self):
+        """Gauss-Legendre in r against plain dA, for basis integrands times a density."""
+        return disc_rule(max(self.degree + 16, 64), self._norm_angular(), 1.0)
+
+    def _norm_angular(self):
+        return 1 << int(np.ceil(np.log2(max(2 * self.degree + 32, 128))))
 
     def dump(self):
         out = {
@@ -230,19 +258,39 @@ def kernel_diag(m: KernelModel, z):
     return float(out[0]) if scalar else out
 
 
-def kernel_norm(m: KernelModel, w, p):
-    """|| K_w ||_{A^p(u)} = (int |K(z, w)|^p u dA)^(1/p) by quadrature.
+def _weighted_norm_rule(m: KernelModel):
+    """m.norm_rule() and its weights against u dA: u folded in when radial, else evaluated once."""
+    rule = m.norm_rule()
+    if m.is_radial:
+        return rule, rule.weights
+    return rule, rule.weights * np.asarray(m.weight(rule.nodes), dtype=float)
 
-    For p = 2 this must agree with sqrt(K(w, w)) (reproducing identity);
-    that identity is asserted in the test-suite, not silently substituted.
+
+def kernel_norms(m: KernelModel, points, p):
+    """|| K_w ||_{A^p(u)} = (int |K(z, w)|^p u dA)^(1/p) at every point w, by quadrature.
+
+    One rule and one weight evaluation serve all points.  For a radial model
+    the norm depends on |w| alone, so it is taken once per distinct modulus
+    (weights.on_moduli).  For p = 2 it must agree with sqrt(K(w, w))
+    (reproducing identity); that identity is asserted in the test-suite, not
+    silently substituted.
     """
     if p <= 0:
         raise DomainError("kernel norm exponent must be positive")
-    rule = m.norm_rule()
-    kv = m.kernel(rule, w)
-    uvals = np.asarray(m.weight(rule.nodes), dtype=float)
-    val = np.sum(rule.weights * uvals * np.abs(kv) ** p)
-    return float(val ** (1.0 / p))
+    rule, weights = _weighted_norm_rule(m)
+
+    def norms(pts):
+        return np.array(
+            [float(np.sum(weights * np.abs(m.kernel(rule, w)) ** p) ** (1.0 / p)) for w in pts]
+        )
+
+    points = np.ravel(np.asarray(points, dtype=complex))
+    return on_moduli(norms, points) if m.is_radial else norms(points)
+
+
+def kernel_norm(m: KernelModel, w, p):
+    """|| K_w ||_{A^p(u)}: kernel_norms at the one point w."""
+    return float(kernel_norms(m, [w], p)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,15 +316,13 @@ def reproducing_check(m: KernelModel, coefs, w):
     """| <f, K_w> - f(w) | for the polynomial f with the given coefficients.
 
     The pairing is computed by quadrature (not via basis algebra), making this
-    the fundamental self-test of the model plus its integration backbone.
+    the fundamental self-test of the model plus its integration backbone.  On
+    a radial model's Gauss-Jacobi norm rule it is exact up to rounding.
     """
     coefs = np.asarray(coefs, dtype=complex)
     if len(coefs) - 1 > m.degree:
         raise DomainError("polynomial degree exceeds the model truncation")
-    rule = m.norm_rule()
-    fvals = polynomial_values(coefs, rule)
-    kv = m.kernel(rule, w)
-    uvals = np.asarray(m.weight(rule.nodes), dtype=float)
-    pairing = np.sum(rule.weights * uvals * fvals * np.conj(kv))
+    rule, weights = _weighted_norm_rule(m)
+    pairing = np.sum(weights * polynomial_values(coefs, rule) * np.conj(m.kernel(rule, w)))
     fw = polynomial_values(coefs, complex(w))
     return float(abs(pairing - fw))

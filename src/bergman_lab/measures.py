@@ -22,6 +22,7 @@ from .quadrature import (
     disk_integrals,
     monomial_gram,
     region_quadrature,
+    weighted_disc_rule,
 )
 from .weights import Weight, disk_masses, mass, on_moduli, weight_from_config
 
@@ -51,6 +52,11 @@ class DiscMeasure:
         """True for c (1 - |z|^2)^t dA: power densities, and u dA for a radial u."""
         return _radial_measure(self)
 
+    @property
+    def radial_power(self):
+        """(c, t) with density c (1 - |z|^2)^t, for a radial measure."""
+        return (1.0, self.params["t"]) if self.kind == "power_density" else _radial_power(self.u)
+
     def density_at(self, z):
         if self.kind == "atomic":
             raise DomainError("atomic measures have no density")
@@ -67,7 +73,11 @@ class DiscMeasure:
         Given the rule itself, f can evaluate polynomials and kernels at its
         nodes one FFT per ring (kernels.polynomial_values).  Densities are
         integrated on the full disc; Gauss nodes stay interior, so no boundary
-        evaluation occurs and no mass is truncated away.
+        evaluation occurs and no mass is truncated away.  A radial density
+        c (1 - |z|^2)^t rides in the weights of weighted_disc_rule, so it is
+        never evaluated and polynomial integrands of t-degree below
+        2 DEFAULTS.density_radial are exact; others multiply a Gauss-Legendre
+        polar rule.
         """
         if self.kind == "atomic":
             total = 0.0
@@ -77,6 +87,12 @@ class DiscMeasure:
                     raise EvaluationError(f"integrand not finite at atom {z}")
                 total += mz * v
             return total
+        if self.is_radial:
+            rule = weighted_disc_rule(
+                DEFAULTS.density_radial, DEFAULTS.density_angular, *self.radial_power
+            )
+            values = np.asarray(f(rule))
+            return rule.integrate(lambda z: values)
         rule = disc_rule(DEFAULTS.density_radial, DEFAULTS.density_angular)
         dens = self.density_at(rule.nodes)
         values = np.asarray(f(rule))
@@ -213,7 +229,7 @@ def basis_gram(m, mu: DiscMeasure):
             M += mz * np.outer(np.conj(e), e)
         return M
     if m.is_radial and mu.is_radial:
-        c, t = (1.0, mu.params["t"]) if mu.kind == "power_density" else _radial_power(mu.u)
+        c, t = mu.radial_power
         return c * beta_moments(t, m.degree) / m.diag_norms
     # M = conj(C) G^T C^T for e = C z^j and the monomial Gram G against mu
     C = m.coeffs

@@ -140,12 +140,20 @@ def spectrum(T: ToeplitzMatrix) -> Spectrum:
 
 
 def trace_identity_check(T: ToeplitzMatrix, mu: DiscMeasure, m: KernelModel):
-    """| sum_k lambda_k - int K_N(w, w) dmu |, by independent quadrature."""
+    """| sum_k lambda_k - int K_N(w, w) dmu |, by independent quadrature.
+
+    A radial density c (1 - |z|^2)^t rides in the weights of the model's
+    Gauss-Jacobi norm rule, which integrates K_N(w, w) against it exactly;
+    other densities multiply the Gauss-Legendre area rule.
+    """
     lam = float(np.sum(T.eigenvalues()))
     if mu.kind == "atomic":
         integral = float(mu.integrate_at(m.kernel_diag))
+    elif mu.is_radial:
+        rule = m.norm_rule(mu.radial_power)
+        integral = float(np.sum(rule.weights * m.kernel_diag(rule)))
     else:
-        rule = m.norm_rule()
+        rule = m.area_rule()
         dens = mu.density_at(rule.nodes)
         integral = float(np.sum(rule.weights * dens * m.kernel_diag(rule)))
     return abs(lam - integral)

@@ -29,9 +29,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bergman_lab import measures, toeplitz, verification
+from bergman_lab import kernels, measures, toeplitz, verification
 from bergman_lab.errors import DomainError
 from bergman_lab.kernels import KernelModel
+from bergman_lab.quadrature import DiscQuadrature
 from bergman_lab.geometry import boundary_ladder
 from bergman_lab.reports import classify_ring_trend
 
@@ -134,6 +135,28 @@ def test_criterion_07_trace_identity():
 
 
 # Certificates that can fail: one program mutation per check turns it red.
+
+
+def test_criterion_03_sees_a_drifted_rule_exponent(monkeypatch):
+    # the norm rule integrates against (1 - |z|^2)^(a + 1e-6) instead of u dA
+    rule = kernels.weighted_disc_rule
+    monkeypatch.setattr(kernels, "weighted_disc_rule", lambda n, k, c, a: rule(n, k, c, a + 1e-6))
+    res = verification.check_03_reproducing()
+    assert not res["passed"]
+    assert res["details"]["max_error"] > 1e-7
+
+
+def test_criterion_03_sees_a_dropped_ring(monkeypatch):
+    # one Gauss-Jacobi node in t, the innermost ring, left out of the norm rule
+    def without_first_ring(n, k, c, a):
+        full = rule(n, k, c, a)
+        return DiscQuadrature(full.nodes[k:], full.weights[k:], None, n - 1)
+
+    rule = kernels.weighted_disc_rule
+    monkeypatch.setattr(kernels, "weighted_disc_rule", without_first_ring)
+    res = verification.check_03_reproducing()
+    assert not res["passed"]
+    assert res["details"]["max_error"] > 1e-7
 
 
 def test_criterion_05_sees_drifted_measure_moments(monkeypatch):

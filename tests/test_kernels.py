@@ -16,12 +16,13 @@ from bergman_lab import (
     kernel_diag,
     kernel_eval,
     kernel_norm,
+    kernel_norms,
     normalized_kernel,
     power_one_minus_z,
     reproducing_check,
     standard,
 )
-from bergman_lab.quadrature import _polar_rule
+from bergman_lab.quadrature import _polar_rule, weighted_disc_rule
 
 
 class TestClassicalClosedForms:
@@ -84,6 +85,75 @@ class TestNorms:
     def test_invalid_exponent(self, model_u1):
         with pytest.raises(DomainError):
             kernel_norm(model_u1, 0.1, 0.0)
+
+
+_ALPHAS = [-0.5, -0.2, 0.0, 0.5, 1.0]
+
+
+def _standard(alpha):
+    return constant() if alpha == 0.0 else standard(alpha)
+
+
+class TestExactNormRule:
+    """A radial model integrates on Gauss-Jacobi in |z|^2 with its own exponent.
+
+    The reproducing pairing and ||K_w||_2^2 are polynomials in z and conj(z)
+    of degree <= N each, which floor(N/2) + 2 nodes in t integrate exactly
+    against (1 - t)^alpha; Gauss-Legendre in r left 3.4e-3 at alpha = -0.5.
+    """
+
+    @pytest.mark.parametrize("degree", [40, 200, 400])
+    @pytest.mark.parametrize("alpha", _ALPHAS)
+    def test_reproducing_and_two_norm_are_exact(self, alpha, degree):
+        m = build_kernel_model(_standard(alpha), degree)
+        rng = np.random.default_rng(degree)
+        points = (0.0, 0.5, 0.9j, -0.3 + 0.4j, 0.62 - 0.7j)
+        for w in points:
+            n = min(degree, 50)
+            coefs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            assert reproducing_check(m, coefs, w) <= 1e-13
+            assert reproducing_check(m, [1.0, 0.5j, 0.25], w) <= 1e-13
+        ratios = kernel_norms(m, points, 2.0) / np.sqrt(kernel_diag(m, np.array(points)))
+        assert np.max(np.abs(ratios - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", _ALPHAS)
+    def test_p3_norm_matches_fine_rule(self, alpha):
+        # |K_w|^3 is no polynomial: compare with an (800, 2048) rule of the same weight
+        m = build_kernel_model(_standard(alpha), 200)
+        fine = weighted_disc_rule(800, 2048, 1.0, alpha)
+        for w in (0.5, 0.9, -0.9j):
+            want = np.sum(fine.weights * np.abs(m.kernel(fine, w)) ** 3) ** (1.0 / 3.0)
+            assert abs(kernel_norm(m, w, 3.0) / want - 1.0) <= 1e-11
+
+    def test_radial_weight_is_never_evaluated(self):
+        # u rides in the rule's weights; a weight that cannot be evaluated still works
+        def refuse(z):
+            raise AssertionError("weight evaluated")
+
+        m = build_kernel_model(Weight("standard", {"alpha": 0.5}, refuse, True), 40)
+        assert reproducing_check(m, [1.0, 2.0], 0.3j) <= 1e-13
+        assert kernel_norm(m, 0.3j, 1.5) > 0.0
+
+    def test_batched_norms(self):
+        # one value per point; a radial model's norm depends on |w| alone
+        m = build_kernel_model(standard(0.5), 60)
+        points = np.array([0.6, 0.6j, -0.6, 0.1 + 0.2j])
+        got = kernel_norms(m, points, 3.0)
+        assert got.shape == (4,)
+        assert got[0] == got[1] == got[2]
+        assert got[3] == kernel_norm(m, 0.1 + 0.2j, 3.0)
+
+    def test_general_model_keeps_the_legendre_rule(self):
+        # non-radial models: Gauss-Legendre in r, u evaluated on its nodes, as before
+        m = build_kernel_model(power_one_minus_z(0.5), 30)
+        rule = m.norm_rule()
+        assert np.array_equal(rule.nodes, m.area_rule().nodes)
+        uw = rule.weights * m.weight(rule.nodes)
+        for w in (0.3 - 0.2j, 0.8):
+            want = float(np.sum(uw * np.abs(m.kernel(rule, w)) ** 3.0) ** (1.0 / 3.0))
+            assert kernel_norm(m, w, 3.0) == want
+        assert list(kernel_norms(m, [0.3 - 0.2j, 0.8], 3.0)) == [
+            kernel_norm(m, 0.3 - 0.2j, 3.0), kernel_norm(m, 0.8, 3.0)]
 
 
 class TestRadialNorms:

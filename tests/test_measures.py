@@ -27,7 +27,7 @@ from bergman_lab import (
     weighted_area,
 )
 from bergman_lab.kernels import _gram_resolution
-from bergman_lab.quadrature import _BLOCK_NODES, _polar_rule
+from bergman_lab.quadrature import _BLOCK_NODES, _polar_rule, beta_moments, weighted_disc_rule
 
 _POINT = st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * np.pi)).map(
     lambda p: complex(p[0] * np.exp(1j * p[1]))
@@ -108,6 +108,31 @@ class TestIntegration:
         mu = power_density(1.0)
         assert mu.integrate_at(f) == mu.integrate(lambda z: np.abs(z) ** 2)
         assert isinstance(seen[-1], DiscQuadrature)
+
+    @pytest.mark.parametrize(
+        "mu, c, a",
+        [(power_density(-0.3), 1.0, -0.3), (power_density(0.6), 1.0, 0.6),
+         (weighted_area(standard(-0.5)), 1.0, -0.5), (weighted_area(constant(2.5)), 2.5, 0.0)],
+    )
+    def test_radial_density_rides_in_a_gauss_jacobi_rule(self, mu, c, a):
+        # the density is never evaluated: its exponent is the rule's own
+        seen = []
+
+        def ones(at):
+            seen.append(at)
+            return np.ones(at.nodes.shape)
+
+        mu.integrate_at(ones)
+        assert seen == [weighted_disc_rule(128, 256, c, a)]
+        assert mu.total_mass() == pytest.approx(c * beta_moments(a, 0)[0], rel=1e-14)
+        # the t-Berezin numerator of a degree-200 kernel at t = 1.3 against an
+        # (800, 2048) rule; Gauss-Legendre in r times the density was 4.6e-4 off
+        # at a = -0.3, |z| = 0.3
+        m = build_kernel_model(constant(), 200)
+        fine = weighted_disc_rule(800, 2048, c, a)
+        for z in (0.3, 0.9j):
+            f = lambda w: np.abs(m.kernel(w, z)) ** 1.3  # noqa: E731
+            assert mu.integrate_at(f) == pytest.approx(np.sum(fine.weights * f(fine)), rel=1e-12)
 
     def test_weighted_area_total_mass(self):
         assert weighted_area(standard(1.0)).total_mass() == pytest.approx(np.pi / 2, rel=1e-10)

@@ -21,6 +21,7 @@ from bergman_lab.quadrature import (
     gauss_rule,
     monomial_gram,
     ring_values,
+    weighted_disc_rule,
 )
 
 
@@ -144,6 +145,16 @@ class TestCachedRules:
             disc_rule(8, 16).nodes[0] = 0.0
         assert disc_rule(8, 16).area == area
 
+    def test_weighted_disc_rule_read_only(self):
+        rule = weighted_disc_rule(12, 16, 1.5, 0.6)
+        area = rule.area
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        assert weighted_disc_rule(12, 16, 1.5, 0.6) is rule
+        assert rule.area == area
+
     def test_carleson_rule_read_only(self):
         q = region_quadrature(CarlesonSet(0.5 + 0.1j), 16)
         with pytest.raises(ValueError):
@@ -233,3 +244,40 @@ class TestRingValues:
         rule = region_quadrature(region, 8)
         with pytest.raises(DomainError, match="centered polar rule"):
             ring_values(rule, lambda rho: np.ones((rho.size, 3)))
+
+
+class TestWeightedDiscRule:
+    # n_t = 802 is measured too: the Newton-polished rule stays within 2e-13 there
+    @pytest.mark.parametrize("n_t", [1, 2, 12, 62, 102, 128, 202, 802])
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.6, 1.0, 2.0])
+    def test_t_moments_are_beta_moments(self, a, n_t):
+        # sum_t w t^n = pi B(n + 1, a + 1) up to t-degree 2 n_t - 1 (c = 1)
+        rule = weighted_disc_rule(n_t, 3, 1.0, a)
+        t = np.abs(rule.nodes[::3]) ** 2
+        ring_weights = 3 * rule.weights[::3]
+        degree = 2 * n_t - 1
+        got = (t[None, :] ** np.arange(degree + 1)[:, None]) @ ring_weights
+        assert np.max(np.abs(got / beta_moments(a, degree) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("c, a", [(1.0, -0.5), (2.5, 0.0), (0.3, 1.7)])
+    def test_monomial_gram_is_diagonal_beta(self, c, a):
+        # int z^j conj(z)^k c (1 - |z|^2)^a dA = delta_jk c pi B(j + 1, a + 1)
+        degree, rule = 30, weighted_disc_rule(16, 64, c, a)
+        powers = rule.nodes[None, :] ** np.arange(degree + 1)[:, None]
+        got = (powers * rule.weights) @ powers.conj().T
+        want = np.diag(c * beta_moments(a, degree))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_rings_are_read_by_ring_values(self):
+        # node 0 of each ring is the real ring radius, so ring_values takes the rule
+        rule = weighted_disc_rule(9, 16, 1.0, -0.5)
+        c = np.arange(1.0, 21.0) * (1.0 - 0.5j)
+        got = ring_values(rule, lambda rho: c * rho[:, None] ** np.arange(c.size))
+        want = (rule.nodes[:, None] ** np.arange(c.size)) @ c
+        assert np.all(rule.nodes[::16].imag == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a", [-1.0, -1.5])
+    def test_non_integrable_exponent_raises(self, a):
+        with pytest.raises(DomainError, match="exponent"):
+            weighted_disc_rule(8, 16, 1.0, a)

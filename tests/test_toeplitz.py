@@ -160,6 +160,20 @@ class TestTraceIdentity:
         T = assemble(mu, model_std)
         assert trace_identity_check(T, mu, model_std) < 1e-6
 
+    @pytest.mark.parametrize("degree", [40, 200])
+    @pytest.mark.parametrize("tau", [-0.5, 0.5, 1.5])
+    def test_radial_density_is_exact(self, tau, degree):
+        # K_N(w, w) has t-degree N: the Gauss-Jacobi rule with the density's
+        # exponent integrates it exactly; Gauss-Legendre in r times the density does not
+        m = build_kernel_model(standard(0.5), degree)
+        mu = power_density(tau)
+        T = assemble(mu, m)
+        total = float(np.sum(T.eigenvalues()))
+        assert trace_identity_check(T, mu, m) <= 1e-12 * total
+        legendre = m.area_rule()
+        on_legendre = np.sum(legendre.weights * mu.density_at(legendre.nodes) * m.kernel_diag(legendre))
+        assert abs(total - on_legendre) > 1e-8 * total
+
 
 class TestApply:
     @given(

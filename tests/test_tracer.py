@@ -8,6 +8,8 @@ scipy.  These tests load it by file path and pin both contracts.
 
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -173,3 +175,32 @@ def test_diagonal_operator_runs_no_eigen_solve(tracer):
     tracer.restore()
     assert diagonal_n3 == 0
     assert tracer.counts[(0, "toeplitz.eig_n3")] > 0
+
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded by a fresh interpreter that runs code."""
+    src = str(LAYERS.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # setup_s counts the bergman_lab import: scipy is loaded only where a path needs it
+    assert _scipy_modules_after("import bergman_lab") == "[]"
+
+
+def test_gauss_jacobi_rules_load_no_scipy():
+    # the radial norm and density rules are built with numpy alone; importing
+    # scipy.special would add about 0.3 s and 31 MB to a verify pass
+    code = (
+        "import bergman_lab as bl\n"
+        "m = bl.build_kernel_model(bl.standard(0.5), 40)\n"
+        "bl.reproducing_check(m, [1.0, 2.0], 0.3j)\n"
+        "mu = bl.power_density(-0.5)\n"
+        "bl.trace_identity_check(bl.assemble(mu, m), mu, m)\n"
+        "bl.t_berezin_profile(mu, m, 1.5, [0.2, 0.5j])\n"
+    )
+    assert _scipy_modules_after(code) == "[]"
