@@ -87,14 +87,12 @@ class DiscMeasure:
                     raise EvaluationError(f"integrand not finite at atom {z}")
                 total += mz * v
             return total
+        sizes = (DEFAULTS.density_radial, DEFAULTS.density_angular)
         if self.is_radial:
-            rule = weighted_disc_rule(
-                DEFAULTS.density_radial, DEFAULTS.density_angular, *self.radial_power
-            )
-            values = np.asarray(f(rule))
-            return rule.integrate(lambda z: values)
-        rule = disc_rule(DEFAULTS.density_radial, DEFAULTS.density_angular)
-        dens = self.density_at(rule.nodes)
+            rule, dens = weighted_disc_rule(*sizes, *self.radial_power), 1.0
+        else:
+            rule = disc_rule(*sizes)
+            dens = self.density_at(rule.nodes)
         values = np.asarray(f(rule))
         return rule.integrate(lambda z: values * dens)
 

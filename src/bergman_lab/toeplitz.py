@@ -149,12 +149,12 @@ def trace_identity_check(T: ToeplitzMatrix, mu: DiscMeasure, m: KernelModel):
     lam = float(np.sum(T.eigenvalues()))
     if mu.kind == "atomic":
         integral = float(mu.integrate_at(m.kernel_diag))
-    elif mu.is_radial:
-        rule = m.norm_rule(mu.radial_power)
-        integral = float(np.sum(rule.weights * m.kernel_diag(rule)))
     else:
-        rule = m.area_rule()
-        dens = mu.density_at(rule.nodes)
+        if mu.is_radial:
+            rule, dens = m.norm_rule(mu.radial_power), 1.0
+        else:
+            rule = m.area_rule()
+            dens = mu.density_at(rule.nodes)
         integral = float(np.sum(rule.weights * dens * m.kernel_diag(rule)))
     return abs(lam - integral)
 
