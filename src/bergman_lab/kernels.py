@@ -20,8 +20,8 @@ kernel_norms, reproducing_check) take KernelModel.norm_rule: for a radial u
 it is quadrature.weighted_disc_rule, Gauss-Jacobi in |z|^2 with u folded
 into its weights, which is exact for the reproducing pairing and for
 ||K_w||_2^2 and never evaluates u; a general model keeps Gauss-Legendre in r
-and evaluates u once per call.  Off a rule, kernels and polynomials
-are Horner sums; at the nodes of a centered polar rule (the norm rule, the
+and folds u, evaluated once per call, into its weights.  Off a rule, kernels
+and polynomials are Horner sums; at the nodes of a centered polar rule (the norm rule, the
 density rule of DiscMeasure.integrate_at) every polynomial, kernel and
 quadratic form e^T M conj(e) (the kernel diagonal, Berezin values) takes one
 FFT per ring (quadrature.ring_values), so no per-node Horner or power table
@@ -86,6 +86,11 @@ def _radial_power(u: Weight):
     if u.kind == "standard":
         return 1.0, u.params["alpha"]
     raise DomainError(f"radial weight kind {u.kind!r} has no closed-form monomial norms")
+
+
+def _norm_resolution(degree):
+    """(n_t, n_angular) of a Gauss-Jacobi rule exact for f conj(g), f and g of degree <= N."""
+    return degree // 2 + 2, 1 << int(np.ceil(np.log2(max(2 * degree + 32, 128))))
 
 
 def _gram_resolution(degree):
@@ -176,26 +181,23 @@ class KernelModel:
         """K_N(z, z) = sum_n |e_n(z)|^2, at points z or at a centered polar rule."""
         return self.quadratic_form(np.ones(self.degree + 1), z)
 
-    def norm_rule(self, power=None):
-        """Polar rule for integrands built from the basis, against u dA or c (1 - |z|^2)^a dA.
+    def norm_rule(self):
+        """Polar rule against u dA for integrands built from the basis.
 
-        power = (c, a) defaults to the weight's own for a radial model.  The
-        rule is then weighted_disc_rule with that density in its weights and
-        floor(N/2) + 2 nodes in t = |z|^2: it integrates f conj(g) exactly
-        for polynomials f, g of degree <= N.  A general model without power
-        gets area_rule, on which the caller multiplies by u.
+        A radial u = c (1 - |z|^2)^a rides in the weights of weighted_disc_rule
+        with floor(N/2) + 2 nodes in t = |z|^2, which integrates f conj(g)
+        exactly for polynomials f, g of degree <= N and never evaluates u.  A
+        general model takes area_rule with u evaluated on its nodes once.
         """
-        if power is None and not self.is_radial:
-            return self.area_rule()
-        c, a = power if power is not None else _radial_power(self.weight)
-        return weighted_disc_rule(self.degree // 2 + 2, self._norm_angular(), c, a)
+        if self.is_radial:
+            return weighted_disc_rule(*_norm_resolution(self.degree), *_radial_power(self.weight))
+        rule = self.area_rule()
+        uvals = np.asarray(self.weight(rule.nodes), dtype=float)
+        return DiscQuadrature(rule.nodes, rule.weights * uvals, None, rule.resolution)
 
     def area_rule(self):
         """Gauss-Legendre in r against plain dA, for basis integrands times a density."""
-        return disc_rule(max(self.degree + 16, 64), self._norm_angular(), 1.0)
-
-    def _norm_angular(self):
-        return 1 << int(np.ceil(np.log2(max(2 * self.degree + 32, 128))))
+        return disc_rule(max(self.degree + 16, 64), _norm_resolution(self.degree)[1], 1.0)
 
     def dump(self):
         out = {
@@ -258,14 +260,6 @@ def kernel_diag(m: KernelModel, z):
     return float(out[0]) if scalar else out
 
 
-def _weighted_norm_rule(m: KernelModel):
-    """m.norm_rule() and its weights against u dA: u folded in when radial, else evaluated once."""
-    rule = m.norm_rule()
-    if m.is_radial:
-        return rule, rule.weights
-    return rule, rule.weights * np.asarray(m.weight(rule.nodes), dtype=float)
-
-
 def kernel_norms(m: KernelModel, points, p):
     """|| K_w ||_{A^p(u)} = (int |K(z, w)|^p u dA)^(1/p) at every point w, by quadrature.
 
@@ -277,11 +271,11 @@ def kernel_norms(m: KernelModel, points, p):
     """
     if p <= 0:
         raise DomainError("kernel norm exponent must be positive")
-    rule, weights = _weighted_norm_rule(m)
+    rule = m.norm_rule()
 
     def norms(pts):
         return np.array(
-            [float(np.sum(weights * np.abs(m.kernel(rule, w)) ** p) ** (1.0 / p)) for w in pts]
+            [float(np.sum(rule.weights * np.abs(m.kernel(rule, w)) ** p) ** (1.0 / p)) for w in pts]
         )
 
     points = np.ravel(np.asarray(points, dtype=complex))
@@ -322,7 +316,7 @@ def reproducing_check(m: KernelModel, coefs, w):
     coefs = np.asarray(coefs, dtype=complex)
     if len(coefs) - 1 > m.degree:
         raise DomainError("polynomial degree exceeds the model truncation")
-    rule, weights = _weighted_norm_rule(m)
-    pairing = np.sum(weights * polynomial_values(coefs, rule) * np.conj(m.kernel(rule, w)))
+    rule = m.norm_rule()
+    pairing = np.sum(rule.weights * polynomial_values(coefs, rule) * np.conj(m.kernel(rule, w)))
     fw = polynomial_values(coefs, complex(w))
     return float(abs(pairing - fw))

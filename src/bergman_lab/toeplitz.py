@@ -27,9 +27,9 @@ from .config import DEFAULTS
 from .criteria import _bc_quantities, qlp_index
 from .errors import DegeneracyError, DomainError
 from .geometry import BoundaryLadder
-from .kernels import KernelModel, build_kernel_model, polynomial_values
+from .kernels import KernelModel, _norm_resolution, build_kernel_model, polynomial_values
 from .measures import DiscMeasure, basis_gram
-from .quadrature import disc_rule, gauss_rule
+from .quadrature import disc_rule, gauss_rule, weighted_disc_rule
 from .reports import CriterionReport, band, classify_ring_trend
 from .weights import Weight, disk_masses
 
@@ -142,16 +142,16 @@ def spectrum(T: ToeplitzMatrix) -> Spectrum:
 def trace_identity_check(T: ToeplitzMatrix, mu: DiscMeasure, m: KernelModel):
     """| sum_k lambda_k - int K_N(w, w) dmu |, by independent quadrature.
 
-    A radial density c (1 - |z|^2)^t rides in the weights of the model's
-    Gauss-Jacobi norm rule, which integrates K_N(w, w) against it exactly;
-    other densities multiply the Gauss-Legendre area rule.
+    A radial density c (1 - |z|^2)^t rides in the weights of a Gauss-Jacobi
+    rule of the norm rule's size, which integrates K_N(w, w) against it
+    exactly; other densities multiply the Gauss-Legendre area rule.
     """
     lam = float(np.sum(T.eigenvalues()))
     if mu.kind == "atomic":
         integral = float(mu.integrate_at(m.kernel_diag))
     else:
         if mu.is_radial:
-            rule, dens = m.norm_rule(mu.radial_power), 1.0
+            rule, dens = weighted_disc_rule(*_norm_resolution(m.degree), *mu.radial_power), 1.0
         else:
             rule = m.area_rule()
             dens = mu.density_at(rule.nodes)

@@ -22,7 +22,7 @@ from .kernels import KernelModel, kernel_norms
 from .measures import DiscMeasure, basis_gram
 from .quadrature import DiscQuadrature, disc_rule
 from .reports import CriterionReport, band
-from .weights import Weight, disk_masses, on_moduli
+from .weights import Weight, disk_masses
 
 __all__ = [
     "berezin",
@@ -54,25 +54,19 @@ def berezin(mu: DiscMeasure, m: KernelModel, z):
 def t_berezin_profile(mu: DiscMeasure, m: KernelModel, t, points):
     """t-Berezin transform over the points; t = 2 reduces to berezin_profile.
 
-    The normalisations ||K_z||_t come from one batched kernel_norms call.  For
-    a radial model and a radial mu the transform depends on |z| alone, so it
-    is taken once per distinct modulus (weights.on_moduli).
+    The normalisations ||K_z||_t come from one batched kernel_norms call.
     """
     if t <= 0:
         raise DomainError("t-Berezin exponent must be positive")
     if t == 2:
         return berezin_profile(mu, m, points)
-
-    def profile(pts):
-        norms = kernel_norms(m, pts, t)
-        out = np.empty(pts.size, dtype=float)
-        for i, z in enumerate(pts):
-            num = mu.integrate_at(lambda w: np.abs(m.kernel(w, z)) ** t)
-            out[i] = num / float(norms[i]) ** t
-        return out
-
     points = np.ravel(np.asarray(points, dtype=complex))
-    return on_moduli(profile, points) if m.is_radial and mu.is_radial else profile(points)
+    norms = kernel_norms(m, points, t)
+    out = np.empty(points.size, dtype=float)
+    for i, z in enumerate(points):
+        num = mu.integrate_at(lambda w: np.abs(m.kernel(w, z)) ** t)
+        out[i] = num / float(norms[i]) ** t
+    return out
 
 
 def t_berezin(mu: DiscMeasure, m: KernelModel, t, z):

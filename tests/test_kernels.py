@@ -144,13 +144,15 @@ class TestExactNormRule:
         assert got[3] == kernel_norm(m, 0.1 + 0.2j, 3.0)
 
     def test_general_model_keeps_the_legendre_rule(self):
-        # non-radial models: Gauss-Legendre in r, u evaluated on its nodes, as before
+        # non-radial models: Gauss-Legendre in r with u evaluated on its nodes, as before
         m = build_kernel_model(power_one_minus_z(0.5), 30)
+        area = m.area_rule()
+        uw = area.weights * m.weight(area.nodes)
         rule = m.norm_rule()
-        assert np.array_equal(rule.nodes, m.area_rule().nodes)
-        uw = rule.weights * m.weight(rule.nodes)
+        assert np.array_equal(rule.nodes, area.nodes)
+        assert np.array_equal(rule.weights, uw)
         for w in (0.3 - 0.2j, 0.8):
-            want = float(np.sum(uw * np.abs(m.kernel(rule, w)) ** 3.0) ** (1.0 / 3.0))
+            want = float(np.sum(uw * np.abs(m.kernel(area, w)) ** 3.0) ** (1.0 / 3.0))
             assert kernel_norm(m, w, 3.0) == want
         assert list(kernel_norms(m, [0.3 - 0.2j, 0.8], 3.0)) == [
             kernel_norm(m, 0.3 - 0.2j, 3.0), kernel_norm(m, 0.8, 3.0)]

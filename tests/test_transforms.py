@@ -110,9 +110,8 @@ class TestTBerezin:
         # the old path: K_N(w, z) from the basis at every node of both rules
         m = build_kernel_model(u, degree)
         pts = np.array([0.0, 0.35 - 0.2j, -0.7j, 0.85])
-        # the norm rule's weights against u dA: a radial u is folded into them
+        # the norm rule's weights are against u dA
         rule = m.norm_rule()
-        weights = rule.weights if m.is_radial else rule.weights * u(rule.nodes)
 
         def kernel_at(w, z):
             ez = np.conj(m.basis_matrix(np.array([z]))[:, 0])
@@ -121,7 +120,7 @@ class TestTBerezin:
         for mu in (power_density(1.3), weighted_area(power_one_minus_z(0.5))):
             want = [
                 mu.integrate(lambda w, z=z: np.abs(kernel_at(w, z)) ** t)
-                / np.sum(weights * np.abs(kernel_at(rule.nodes, z)) ** t)
+                / np.sum(rule.weights * np.abs(kernel_at(rule.nodes, z)) ** t)
                 for z in pts
             ]
             got = t_berezin_profile(mu, m, t, pts)
