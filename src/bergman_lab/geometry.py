@@ -172,10 +172,11 @@ def _window_half_width(rho, thr):
     """
     if rho <= 0.0 or thr >= 1.0:
         return None
-    s = thr * (1.0 - rho * rho) / (2.0 * rho * math.sqrt(1.0 - thr * thr))
-    if s >= 1.0:
+    # compared before dividing: the denominator underflows to 0 for a subnormal rho
+    num, den = thr * (1.0 - rho * rho), 2.0 * rho * math.sqrt(1.0 - thr * thr)
+    if num >= den:
         return None
-    return 2.0 * math.asin(s)
+    return 2.0 * math.asin(num / den)
 
 
 def _close_pairs(q, p, thr):

@@ -276,6 +276,8 @@ class TestWindowedLattice:
         ),
         thr=st.floats(0.01, 1.2),
     )
+    # a subnormal modulus once divided by zero in _window_half_width
+    @example(q=[5e-324 + 0j], steps=[(0.9375, 0.0)], thr=0.96875)
     @settings(max_examples=200, deadline=None)
     def test_close_pairs_hold_every_near_pair_once(self, q, steps, thr):
         # p[k] sits just inside pseudo-distance thr of q[k % len(q)]
