@@ -214,6 +214,20 @@ class KernelModel:
         return out
 
 
+def _solve_lower(L, B):
+    """X with L X = B for a lower-triangular L, by forward substitution row by row.
+
+    Row i of X takes only rows < i of X, so where B is lower-triangular (the
+    identity, say) X is exactly lower-triangular: its upper entries are sums
+    of products with exact zeros.
+    """
+    X = np.array(B, dtype=np.result_type(L, B), copy=True)
+    for i in range(X.shape[0]):
+        X[i] -= L[i, :i] @ X[:i]
+        X[i] /= L[i, i]
+    return X
+
+
 def build_kernel_model(u: Weight, degree) -> KernelModel:
     """Orthonormalize monomials up to the given degree against u dA."""
     if degree < 1:
@@ -236,9 +250,7 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"Gram factorization failed: {exc}") from exc
-    from scipy.linalg import solve_triangular
-
-    coeffs = solve_triangular(chol, np.eye(degree + 1, dtype=complex), lower=True)
+    coeffs = _solve_lower(chol, np.eye(degree + 1, dtype=complex))
     resid_same = float(np.max(np.abs(coeffs @ gram @ coeffs.conj().T - np.eye(degree + 1))))
     gram2 = monomial_gram(u, degree, n_radial + n_radial // 2, n_angular * 2, 1.0)
     resid_fine = float(np.max(np.abs(coeffs @ gram2 @ coeffs.conj().T - np.eye(degree + 1))))

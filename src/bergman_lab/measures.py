@@ -57,6 +57,10 @@ class DiscMeasure:
         """(c, t) with density c (1 - |z|^2)^t, for a radial measure."""
         return (1.0, self.params["t"]) if self.kind == "power_density" else _radial_power(self.u)
 
+    def atom_points(self):
+        """The atoms' points as one complex array, in atom order."""
+        return np.array([z for z, _ in self.atoms], dtype=complex)
+
     def density_at(self, z):
         if self.kind == "atomic":
             raise DomainError("atomic measures have no density")
@@ -68,9 +72,12 @@ class DiscMeasure:
         return self.integrate_at(lambda at: f(at.nodes if isinstance(at, DiscQuadrature) else at))
 
     def integrate_at(self, f):
-        """int f dmu, with f given each atom as a one-point array, or the density's polar rule.
+        """int f dmu, with f given one array of every atom, or the density's polar rule.
 
-        Given the rule itself, f can evaluate polynomials and kernels at its
+        An atomic measure calls f once, on its atoms in atom order, and sums
+        mass * value in that order; the first atom whose value is not finite
+        raises EvaluationError.  Given the rule itself, f can evaluate
+        polynomials and kernels at its
         nodes one FFT per ring (kernels.polynomial_values).  Densities are
         integrated on the full disc; Gauss nodes stay interior, so no boundary
         evaluation occurs and no mass is truncated away.  A radial density
@@ -80,11 +87,12 @@ class DiscMeasure:
         polar rule.
         """
         if self.kind == "atomic":
+            values = np.asarray(f(self.atom_points()))
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise EvaluationError(f"integrand not finite at atom {self.atoms[bad[0]][0]}")
             total = 0.0
-            for z, mz in self.atoms:
-                v = np.asarray(f(np.array([z])))[0]
-                if not np.isfinite(v):
-                    raise EvaluationError(f"integrand not finite at atom {z}")
+            for (_, mz), v in zip(self.atoms, values):
                 total += mz * v
             return total
         sizes = (DEFAULTS.density_radial, DEFAULTS.density_angular)
@@ -117,8 +125,7 @@ class DiscMeasure:
         disks = [pseudo_disk(z, r) for z in np.ravel(points)]
         if self.kind == "atomic":
             centers = np.array([d.center for d in disks], dtype=complex)
-            atoms = np.array([a for a, _ in self.atoms], dtype=complex)
-            inside = pseudo_distance(centers[:, None], atoms[None, :]) < float(r)
+            inside = pseudo_distance(centers[:, None], self.atom_points()[None, :]) < float(r)
             return np.array(
                 [float(sum(mz for (_, mz), hit in zip(self.atoms, row) if hit)) for row in inside]
             )
@@ -217,13 +224,14 @@ def basis_gram(m, mu: DiscMeasure):
 
     A radial model with mu = c (1 - |z|^2)^t dA gets the real 1-D diagonal
     M_nn = pi c B(n + 1, t + 1) / G_nn (1.0 exactly for u dA); other pairs get
-    the dense complex matrix (atoms exact, densities through monomial_gram).
+    the dense complex matrix (densities through monomial_gram).  Atoms are
+    exact: one basis_matrix call takes every atom, and the rank-one terms
+    mass * conj(e) e^T are added in atom order.
     """
     n = m.degree + 1
     if mu.kind == "atomic":
         M = np.zeros((n, n), dtype=complex)
-        for z, mz in mu.atoms:
-            e = m.basis_matrix(np.array([z]))[:, 0]
+        for (_, mz), e in zip(mu.atoms, m.basis_matrix(mu.atom_points()).T):
             M += mz * np.outer(np.conj(e), e)
         return M
     if m.is_radial and mu.is_radial:

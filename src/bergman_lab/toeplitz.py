@@ -27,7 +27,13 @@ from .config import DEFAULTS
 from .criteria import _bc_quantities, qlp_index
 from .errors import DegeneracyError, DomainError
 from .geometry import BoundaryLadder
-from .kernels import KernelModel, _norm_resolution, build_kernel_model, polynomial_values
+from .kernels import (
+    KernelModel,
+    _norm_resolution,
+    _solve_lower,
+    build_kernel_model,
+    polynomial_values,
+)
 from .measures import DiscMeasure, basis_gram
 from .quadrature import disc_rule, gauss_rule, weighted_disc_rule
 from .reports import CriterionReport, band, classify_ring_trend
@@ -173,15 +179,17 @@ def apply_toeplitz(mu: DiscMeasure, m: KernelModel, coefs, z):
 
 def _basis_coordinates(m: KernelModel, coefs):
     """Coordinates a with f = sum_m a_m e_m for monomial coefficients of f."""
+    coefs = np.asarray(coefs, dtype=complex)
+    if len(coefs) - 1 > m.degree:
+        raise DomainError("polynomial degree exceeds the model truncation")
     c = np.zeros(m.degree + 1, dtype=complex)
-    c[: len(coefs)] = np.asarray(coefs, dtype=complex)
+    c[: len(coefs)] = coefs
     if m.is_radial:
         return c * np.sqrt(m.diag_norms)
     # basis_matrix = C @ powers with C lower-triangular, so powers = C^-1 e
-    # and f = c . powers = (C^-T c) . e
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(m.coeffs.T, c, lower=False)
+    # and f = c . powers = (C^-T c) . e; reversing rows and columns turns the
+    # upper-triangular C^T into a lower-triangular matrix
+    return _solve_lower(m.coeffs.T[::-1, ::-1], c[::-1])[::-1]
 
 
 def matrix_apply(T: ToeplitzMatrix, coefs, z):

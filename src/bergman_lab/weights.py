@@ -93,22 +93,29 @@ def grid_weight(samples, n):
     """Bilinear interpolation of an n x n sample grid on [-1, 1]^2.
 
     samples: array of shape (n, n) of positive values indexed [iy, ix];
-    values are clamped below at 1e-12 to preserve positivity.
+    values are clamped below at 1e-12 to preserve positivity.  A point takes
+    the cell [axis[i], axis[i + 1]) that holds it; outside the grid the edge
+    cell's bilinear form extrapolates linearly.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (n, n):
         raise DomainError(f"grid weight expects shape ({n}, {n})")
-    axis = np.linspace(-1.0, 1.0, n)
-    interp = RegularGridInterpolator(
-        (axis, axis), samples, method="linear", bounds_error=False, fill_value=None
-    )
+    if n == 1:  # one sample is the constant weight: a 2 x 2 grid of it
+        samples = np.full((2, 2), samples[0, 0])
+    axis = np.linspace(-1.0, 1.0, samples.shape[0])
+
+    def cell(x):
+        i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+        return i, (x - axis[i]) / (axis[i + 1] - axis[i])
 
     def fn(z):
         z = np.asarray(z)
-        pts = np.stack([np.imag(z).ravel(), np.real(z).ravel()], axis=-1)
-        vals = interp(pts).reshape(np.shape(z))
+        iy, ty = cell(np.imag(z))
+        ix, tx = cell(np.real(z))
+        vals = (
+            (1.0 - ty) * ((1.0 - tx) * samples[iy, ix] + tx * samples[iy, ix + 1])
+            + ty * ((1.0 - tx) * samples[iy + 1, ix] + tx * samples[iy + 1, ix + 1])
+        )
         return np.maximum(vals, _GRID_FLOOR)
 
     return Weight("grid", {"n": int(n)}, fn, False)

@@ -137,6 +137,18 @@ def test_criterion_07_trace_identity():
 # Certificates that can fail: one program mutation per check turns it red.
 
 
+def test_criteria_01_and_02_see_drifted_kernel_moments(monkeypatch):
+    # every radial norm G_nn scaled by 1 + 1e-5 scales K_N by 1 / (1 + 1e-5)
+    beta_moments = kernels.beta_moments
+    monkeypatch.setattr(kernels, "beta_moments", lambda a, n: beta_moments(a, n) * (1.0 + 1e-5))
+    res = verification.check_01_classical_kernel()
+    assert not res["passed"]
+    assert res["details"]["max_rel_error"] == pytest.approx(1e-5, rel=1e-3)
+    res = verification.check_02_standard_kernel()
+    assert not res["passed"]
+    assert res["details"]["error_at_zero"] == pytest.approx(2e-5 / np.pi, rel=1e-3)
+
+
 def test_criterion_03_sees_a_drifted_rule_exponent(monkeypatch):
     # the norm rule integrates against (1 - |z|^2)^(a + 1e-6) instead of u dA
     rule = kernels.weighted_disc_rule

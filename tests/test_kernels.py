@@ -22,7 +22,9 @@ from bergman_lab import (
     reproducing_check,
     standard,
 )
-from bergman_lab.quadrature import _polar_rule, weighted_disc_rule
+from bergman_lab.kernels import _gram_resolution
+from bergman_lab.quadrature import _polar_rule, monomial_gram, weighted_disc_rule
+from bergman_lab.toeplitz import _basis_coordinates
 
 
 class TestClassicalClosedForms:
@@ -222,6 +224,44 @@ class TestGeneralWeightPath:
         vals = [kernel_diag(build_kernel_model(u1, n), 0.8) for n in (10, 20, 40)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert kernel_diag(build_kernel_model(u1, 200), 0.8) == pytest.approx(exact, rel=1e-6)
+
+
+@lru_cache(maxsize=None)
+def _general_model(gamma, degree):
+    return build_kernel_model(power_one_minus_z(gamma), degree)
+
+
+_SOLVE_CASES = [(g, n) for g in (-0.5, 0.5, 1.0, 1.5) for n in (40, 80)]
+
+
+class TestTriangularSolve:
+    """The general model's numpy triangular solves against scipy.linalg.solve_triangular."""
+
+    @pytest.mark.parametrize("gamma, degree", _SOLVE_CASES)
+    def test_coefficients_are_lower_triangular_and_match_scipy(self, gamma, degree):
+        from scipy.linalg import solve_triangular
+
+        m = _general_model(gamma, degree)
+        assert np.all(np.triu(m.coeffs, 1) == 0)
+        gram = monomial_gram(m.weight, degree, *_gram_resolution(degree), 1.0)
+        want = solve_triangular(np.linalg.cholesky(gram), np.eye(degree + 1), lower=True)
+        assert np.max(np.abs(m.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+        assert m.gram_residual < 1e-8
+
+    @pytest.mark.parametrize("gamma, degree", _SOLVE_CASES)
+    def test_basis_coordinates_round_trip(self, gamma, degree):
+        from scipy.linalg import solve_triangular
+
+        m = _general_model(gamma, degree)
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        a = _basis_coordinates(m, c)
+        want = solve_triangular(m.coeffs.T, c, lower=False)
+        assert np.max(np.abs(a - want)) <= 1e-13 * np.max(np.abs(want))
+        z = 0.9 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+        scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(c))
+        f = np.polynomial.polynomial.polyval(z, c)
+        assert np.max(np.abs(m.basis_matrix(z).T @ a - f) / scale) < 1e-13
 
 
 @lru_cache(maxsize=None)

@@ -95,7 +95,8 @@ class TestIntegration:
             assert power_density(t).total_mass() == pytest.approx(np.pi / (t + 1), rel=1e-10)
 
     def test_integrate_at_gives_densities_the_rule(self):
-        # atoms come one at a time as arrays; densities hand over their polar rule
+        # atoms come in one array of every atom, in atom order; densities hand
+        # over their polar rule
         seen = []
 
         def f(at):
@@ -104,7 +105,7 @@ class TestIntegration:
 
         mu = atomic([(0.5, 2.0), (0.25j, 1.0)])
         assert mu.integrate_at(f) == mu.integrate(lambda z: np.abs(z) ** 2)
-        assert [a.tolist() for a in seen] == [[0.5], [0.25j]]
+        assert [a.tolist() for a in seen] == [[0.5, 0.25j]]
         mu = power_density(1.0)
         assert mu.integrate_at(f) == mu.integrate(lambda z: np.abs(z) ** 2)
         assert isinstance(seen[-1], DiscQuadrature)
@@ -300,6 +301,78 @@ class TestBasisGram:
         mu = density(lambda z: np.where(np.real(z) > 0.5, np.inf, 1.0))
         with pytest.raises(EvaluationError, match="not finite at node"):
             basis_gram(model_u1_small, mu)
+
+
+def _loop_integrate_at(mu, f):
+    """The per-atom loop integrate_at replaced: f on one one-point array per atom."""
+    total = 0.0
+    for z, mz in mu.atoms:
+        v = np.asarray(f(np.array([z])))[0]
+        if not np.isfinite(v):
+            raise EvaluationError(f"integrand not finite at atom {z}")
+        total += mz * v
+    return total
+
+
+def _loop_basis_gram(m, mu):
+    """The per-atom loop basis_gram replaced: one basis_matrix call per atom."""
+    M = np.zeros((m.degree + 1, m.degree + 1), dtype=complex)
+    for z, mz in mu.atoms:
+        e = m.basis_matrix(np.array([z]))[:, 0]
+        M += mz * np.outer(np.conj(e), e)
+    return M
+
+
+_RADIAL_MODELS = [build_kernel_model(constant(2.5), 60), build_kernel_model(standard(-0.5), 113)]
+
+
+class TestAtomBatch:
+    """Atoms go to the integrand and to basis_matrix in one array, bit for bit the old loops."""
+
+    @given(
+        model=st.sampled_from(_RADIAL_MODELS),
+        atoms=st.lists(st.tuples(_POINT, st.floats(0.01, 5.0)), max_size=12),
+        w=_POINT,
+        coefs=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False), min_size=1,
+                       max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_match_the_per_atom_loops(self, model, atoms, w, coefs):
+        mu = atomic(atoms)
+        integrands = [
+            model.kernel_diag,
+            lambda z: np.polynomial.polynomial.polyval(z, coefs) * np.conj(model.kernel(z, w)),
+            lambda z: np.abs(model.kernel(z, w)) ** 1.3,
+        ]
+        for f in integrands:
+            got, want = mu.integrate_at(f), _loop_integrate_at(mu, f)
+            assert got == want and type(got) is type(want)
+        assert np.array_equal(basis_gram(model, mu), _loop_basis_gram(model, mu))
+
+    def test_one_call_for_every_atom(self):
+        calls = []
+        mu = atomic([(0.5, 2.0), (0.25j, 1.0), (-0.1 + 0.2j, 0.5)])
+        mu.integrate_at(lambda z: calls.append(z) or np.ones(z.shape))
+        assert [z.tolist() for z in calls] == [[0.5, 0.25j, -0.1 + 0.2j]]
+
+    def test_no_atoms_integrate_to_zero(self):
+        mu, m = atomic([]), _RADIAL_MODELS[0]
+        assert mu.integrate_at(m.kernel_diag) == 0.0
+        assert mu.integrate(lambda z: np.abs(z) ** 2) == 0.0
+        assert mu.total_mass() == 0.0
+        assert np.array_equal(basis_gram(m, mu), np.zeros((61, 61)))
+
+    def test_non_finite_atom_is_named(self):
+        # the second and third atoms are both bad; the first of them is named
+        mu = atomic([(0.1, 1.0), (0.5, 1.0), (0.7j, 1.0)])
+
+        def f(z):
+            return np.where(np.abs(z) > 0.3, np.where(np.real(z) > 0, np.inf, np.nan), 1.0)
+
+        with pytest.raises(EvaluationError, match=r"at atom \(0\.5\+0j\)"):
+            mu.integrate_at(f)
+        with pytest.raises(EvaluationError, match=r"at atom \(0\.5\+0j\)"):
+            _loop_integrate_at(mu, f)
 
 
 class TestClosedFormDiagonals:

@@ -201,6 +201,20 @@ class TestApply:
         with pytest.raises(DomainError):
             apply_toeplitz(power_density(1.0), model_u1_small, np.zeros(100), 0.1)
 
+    @pytest.mark.parametrize("weight", [constant(), power_one_minus_z(0.5)],
+                             ids=["radial", "general"])
+    def test_degree_cap_at_every_entry_point(self, weight):
+        # a polynomial above the truncation degree is refused by every entry point
+        m = build_kernel_model(weight, 5)
+        mu = atomic([(0.3, 1.0)])
+        T = assemble(mu, m)
+        f, g = np.ones(9), [1.0]
+        for call in (lambda: apply_toeplitz(mu, m, f, 0.1), lambda: reproducing_check(m, f, 0.1),
+                     lambda: matrix_apply(T, f, 0.1), lambda: pairing_check(mu, m, f, g),
+                     lambda: pairing_check(mu, m, g, f)):
+            with pytest.raises(DomainError, match="exceeds the model truncation"):
+                call()
+
 
 class TestEssentialNorm:
     def test_identity_measure_bounded(self, model_u1, u1):

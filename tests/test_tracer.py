@@ -204,3 +204,20 @@ def test_gauss_jacobi_rules_load_no_scipy():
         "bl.t_berezin_profile(mu, m, 1.5, [0.2, 0.5j])\n"
     )
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_general_model_atoms_and_grid_weights_load_no_scipy():
+    # the general model's triangular solves and the grid interpolant are numpy;
+    # importing scipy.linalg would add about 0.25 s and 23 MB to a spectral pass
+    code = (
+        "import numpy as np\n"
+        "import bergman_lab as bl\n"
+        "m = bl.build_kernel_model(bl.power_one_minus_z(0.5), 40)\n"
+        "mu = bl.atomic([(0.3, 1.0), (-0.2 + 0.4j, 0.5)])\n"
+        "T = bl.assemble(mu, m)\n"
+        "bl.pairing_check(mu, m, [1.0, 0.5j], [0.0, 1.0])\n"
+        "bl.matrix_apply(T, [1.0, 2.0], 0.1j)\n"
+        "bl.t_berezin_profile(mu, m, 1.5, [0.2, 0.5j])\n"
+        "bl.grid_weight(np.ones((8, 8)), 8)(np.array([0.3 + 0.1j]))\n"
+    )
+    assert _scipy_modules_after(code) == "[]"
