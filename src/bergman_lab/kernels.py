@@ -8,7 +8,8 @@ product  <f, g> = int f conj(g) u dA:
     G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr = pi c B(n + 1, a + 1) is exact
     (quadrature.beta_moments) and the model reports no refinement error;
   * general weights: the monomial Gram matrix (quadrature.monomial_gram, one
-    FFT per ring) is factored (Cholesky) into lower-triangular coefficients.
+    FFT per ring) is factored (Cholesky, then numpy forward substitution)
+    into exactly lower-triangular coefficients.
     Every Gram taken by quadrature, the model's and the Toeplitz matrices of
     basis_gram alike, uses the polar rule of _gram_resolution.
 
@@ -259,6 +260,14 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
     return KernelModel(u, degree, coeffs, None, resid_same, resid_fine)
 
 
+def _truncated(m: KernelModel, coefs):
+    """Monomial coefficients as a complex array; DomainError above the model's degree."""
+    coefs = np.asarray(coefs, dtype=complex)
+    if len(coefs) - 1 > m.degree:
+        raise DomainError("polynomial degree exceeds the model truncation")
+    return coefs
+
+
 def kernel_eval(m: KernelModel, z, w):
     """K_N(z, w); Hermitian in (z, w)."""
     scalar = np.isscalar(z) or isinstance(z, complex)
@@ -325,9 +334,7 @@ def reproducing_check(m: KernelModel, coefs, w):
     the fundamental self-test of the model plus its integration backbone.  On
     a radial model's Gauss-Jacobi norm rule it is exact up to rounding.
     """
-    coefs = np.asarray(coefs, dtype=complex)
-    if len(coefs) - 1 > m.degree:
-        raise DomainError("polynomial degree exceeds the model truncation")
+    coefs = _truncated(m, coefs)
     rule = m.norm_rule()
     pairing = np.sum(rule.weights * polynomial_values(coefs, rule) * np.conj(m.kernel(rule, w)))
     fw = polynomial_values(coefs, complex(w))

@@ -77,14 +77,13 @@ class DiscMeasure:
         An atomic measure calls f once, on its atoms in atom order, and sums
         mass * value in that order; the first atom whose value is not finite
         raises EvaluationError.  Given the rule itself, f can evaluate
-        polynomials and kernels at its
-        nodes one FFT per ring (kernels.polynomial_values).  Densities are
-        integrated on the full disc; Gauss nodes stay interior, so no boundary
-        evaluation occurs and no mass is truncated away.  A radial density
-        c (1 - |z|^2)^t rides in the weights of weighted_disc_rule, so it is
-        never evaluated and polynomial integrands of t-degree below
-        2 DEFAULTS.density_radial are exact; others multiply a Gauss-Legendre
-        polar rule.
+        polynomials and kernels at its nodes one FFT per ring
+        (kernels.polynomial_values).  Densities are integrated on the full
+        disc; Gauss nodes stay interior, so no boundary evaluation occurs and
+        no mass is truncated away.  A radial density c (1 - |z|^2)^t rides in
+        the weights of weighted_disc_rule, so it is never evaluated and
+        polynomial integrands of t-degree below 2 DEFAULTS.density_radial are
+        exact; others multiply a Gauss-Legendre polar rule.
         """
         if self.kind == "atomic":
             values = np.asarray(f(self.atom_points()))

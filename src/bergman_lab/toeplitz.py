@@ -31,6 +31,7 @@ from .kernels import (
     KernelModel,
     _norm_resolution,
     _solve_lower,
+    _truncated,
     build_kernel_model,
     polynomial_values,
 )
@@ -167,9 +168,7 @@ def trace_identity_check(T: ToeplitzMatrix, mu: DiscMeasure, m: KernelModel):
 
 def apply_toeplitz(mu: DiscMeasure, m: KernelModel, coefs, z):
     """T_mu f(z) = int f(w) K(z, w) dmu(w) for the polynomial f (monomial coefs)."""
-    coefs = np.asarray(coefs, dtype=complex)
-    if len(coefs) - 1 > m.degree:
-        raise DomainError("polynomial degree exceeds the model truncation")
+    coefs = _truncated(m, coefs)
     z = complex(z)
     # K(z, w) = conj(K(w, z)) by Hermitian symmetry of the kernel
     return complex(
@@ -179,9 +178,7 @@ def apply_toeplitz(mu: DiscMeasure, m: KernelModel, coefs, z):
 
 def _basis_coordinates(m: KernelModel, coefs):
     """Coordinates a with f = sum_m a_m e_m for monomial coefficients of f."""
-    coefs = np.asarray(coefs, dtype=complex)
-    if len(coefs) - 1 > m.degree:
-        raise DomainError("polynomial degree exceeds the model truncation")
+    coefs = _truncated(m, coefs)
     c = np.zeros(m.degree + 1, dtype=complex)
     c[: len(coefs)] = coefs
     if m.is_radial:

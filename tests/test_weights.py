@@ -78,6 +78,33 @@ class TestWeightEvaluation:
         assert np.all(vals > 0)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    def test_grid_weight_matches_scipy_interpolator(self, n):
+        # bilinear in the cell that holds the point, edge cells extrapolated
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(n)
+        samples = rng.uniform(0.1, 3.0, (n, n))
+        axis = np.linspace(-1.0, 1.0, n)
+        interp = RegularGridInterpolator(
+            (axis, axis), samples, method="linear", bounds_error=False, fill_value=None
+        )
+
+        def scipy_weight(z):
+            pts = np.stack([np.imag(z).ravel(), np.real(z).ravel()], axis=-1)
+            return np.maximum(interp(pts).reshape(np.shape(z)), 1e-12)
+
+        u = grid_weight(samples, n)
+        r = np.sqrt(rng.uniform(0.0, 1.0, 4000))
+        disc = np.concatenate([r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 4000)),
+                               axis, 1j * axis, 0.7 * (axis + 1j * axis[::-1]), [1.0, -1j]])
+        want = scipy_weight(disc)
+        assert np.max(np.abs(u(disc) - want) / want) <= 1e-14
+        assert np.array_equal(u(disc[:4000].reshape(40, 100)), u(disc[:4000]).reshape(40, 100))
+        outside = rng.uniform(-1.3, 1.3, 500) + 1j * rng.uniform(-1.3, 1.3, 500)
+        assert np.max(np.abs(u(outside) - scipy_weight(outside))) <= 1e-13 * np.max(samples)
+
+
 class TestMass:
     def test_constant_disk_exact(self):
         d = pseudo_disk(0.5, 0.4)
