@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DEGENERATE = 3
+
+# the values a RunConfig field of each annotated type takes (bools excluded)
+_FIELD_TYPES = {"dict": dict, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,10 @@ class RunConfig:
     out: str = "out"
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise DomainError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.degree < 1:
             raise DomainError("degree must be >= 1")
         if not (0.0 < self.rmax < 1.0):

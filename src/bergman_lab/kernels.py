@@ -4,9 +4,10 @@ The model carries an orthonormal polynomial basis e_0..e_N for the inner
 product  <f, g> = int f conj(g) u dA:
 
   * radial weights: monomials are already orthogonal, so e_n = z^n / sqrt(G_nn).
-    Every radial weight the package builds is u = c (1 - |z|^2)^a, so
+    Every radial weight is u = c (1 - |z|^2)^a, (c, a) = Weight.power, so
     G_nn = 2 pi int_0^1 r^(2n+1) u(r) dr = pi c B(n + 1, a + 1) is exact
-    (quadrature.beta_moments) and the model reports no refinement error;
+    (quadrature.beta_moments), the model reports no refinement error, and it
+    keeps no dense C = G^(-1/2) (see diagonal_congruence);
   * general weights: the monomial Gram matrix (quadrature.monomial_gram, one
     FFT per ring) is factored (Cholesky, then numpy forward substitution)
     into exactly lower-triangular coefficients.
@@ -17,11 +18,11 @@ The truncated kernel K_N(z, w) = sum e_n(z) conj(e_n(w)) is a polynomial, so
 kernel norms never blow up and are integrated on the full disc (Gauss nodes
 stay strictly interior).  Its monomial coefficients in z are
 KernelModel.kernel_coefficients(w).  Integrals against u dA (kernel_norm,
-kernel_norms, reproducing_check) take KernelModel.norm_rule: for a radial u
-it is quadrature.weighted_disc_rule, Gauss-Jacobi in |z|^2 with u folded
-into its weights, which is exact for the reproducing pairing and for
-||K_w||_2^2 and never evaluates u; a general model keeps Gauss-Legendre in r
-and folds u, evaluated once per call, into its weights.  Off a rule, kernels
+kernel_norms, reproducing_check) take KernelModel.norm_rule, the
+quadrature.density_rule of u: for a radial u, Gauss-Jacobi in |z|^2 with u
+folded into its weights, which is exact for the reproducing pairing and for
+||K_w||_2^2 and never evaluates u; for a general u, Gauss-Legendre in r with
+u, evaluated once per call, folded into its weights.  Off a rule, kernels
 and polynomials are Horner sums; at the nodes of a centered polar rule (the norm rule, the
 density rule of DiscMeasure.integrate_at) every polynomial, kernel and
 quadratic form e^T M conj(e) (the kernel diagonal, Berezin values) takes one
@@ -37,14 +38,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
-from .quadrature import (
-    DiscQuadrature,
-    beta_moments,
-    disc_rule,
-    monomial_gram,
-    ring_values,
-    weighted_disc_rule,
-)
+from .quadrature import DiscQuadrature, beta_moments, density_rule, monomial_gram, ring_values
 from .weights import Weight, on_moduli
 
 __all__ = [
@@ -80,18 +74,13 @@ def polynomial_values(coefs, z):
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), coefs)
 
 
-def _radial_power(u: Weight):
-    """(c, a) with u = c (1 - |z|^2)^a; DomainError for any other radial kind."""
-    if u.kind == "constant":
-        return u.params["value"], 0.0
-    if u.kind == "standard":
-        return 1.0, u.params["alpha"]
-    raise DomainError(f"radial weight kind {u.kind!r} has no closed-form monomial norms")
-
-
 def _norm_resolution(degree):
-    """(n_t, n_angular) of a Gauss-Jacobi rule exact for f conj(g), f and g of degree <= N."""
-    return degree // 2 + 2, 1 << int(np.ceil(np.log2(max(2 * degree + 32, 128))))
+    """(n_t, n_radial, n_angular) of a density_rule for f conj(g), f, g of degree <= N.
+
+    n_t Gauss-Jacobi nodes integrate it exactly against a radial density.
+    """
+    n_angular = 1 << int(np.ceil(np.log2(max(2 * degree + 32, 128))))
+    return degree // 2 + 2, max(degree + 16, 64), n_angular
 
 
 def _gram_resolution(degree):
@@ -108,7 +97,7 @@ class KernelModel:
 
     weight: Weight
     degree: int
-    coeffs: np.ndarray  # lower-triangular C with e_m = sum_j C[m, j] z^j
+    coeffs: np.ndarray | None  # lower-triangular C with e_m = sum_j C[m, j] z^j; None if radial
     diag_norms: np.ndarray | None  # G_nn for radial weights, else None
     gram_residual: float
     gram_refinement_error: float
@@ -127,6 +116,11 @@ class KernelModel:
         if self.is_radial:
             return powers / np.sqrt(self.diag_norms)[:, None]
         return self.coeffs @ powers
+
+    def diagonal_congruence(self, A):
+        """C^T A conj(C) = conj(C) A C^T for the radial C = diag(1 / sqrt(G_nn)), rows first."""
+        s = 1.0 / np.sqrt(self.diag_norms)
+        return s[:, None] * A * s
 
     def kernel_coefficients(self, w):
         """k with K_N(z, w) = sum_n k_n z^n: conj(w)^n / G_nn, or C^T conj(e(w))."""
@@ -166,7 +160,10 @@ class KernelModel:
                 e = self.basis_matrix(z[i : i + _BASIS_CHUNK])
                 out[i : i + _BASIS_CHUNK] = np.real((e * (M @ np.conj(e))).sum(axis=0))
             return out
-        Q = self.coeffs.T @ M @ np.conj(self.coeffs)
+        if self.is_radial:
+            Q = self.diagonal_congruence(M)
+        else:
+            Q = self.coeffs.T @ M @ np.conj(self.coeffs)
 
         def coefficients(rho):
             powers = rho[:, None] ** np.arange(2 * self.degree + 1)
@@ -183,22 +180,14 @@ class KernelModel:
         return self.quadratic_form(np.ones(self.degree + 1), z)
 
     def norm_rule(self):
-        """Polar rule against u dA for integrands built from the basis.
+        """Polar rule against u dA for integrands built from the basis: u's density_rule.
 
-        A radial u = c (1 - |z|^2)^a rides in the weights of weighted_disc_rule
-        with floor(N/2) + 2 nodes in t = |z|^2, which integrates f conj(g)
-        exactly for polynomials f, g of degree <= N and never evaluates u.  A
-        general model takes area_rule with u evaluated on its nodes once.
+        A radial u = c (1 - |z|^2)^a rides in floor(N/2) + 2 Gauss-Jacobi
+        nodes in t = |z|^2, which integrate f conj(g) exactly for polynomials
+        f, g of degree <= N and never evaluate u; a general u is evaluated
+        once on a Gauss-Legendre rule in r.
         """
-        if self.is_radial:
-            return weighted_disc_rule(*_norm_resolution(self.degree), *_radial_power(self.weight))
-        rule = self.area_rule()
-        uvals = np.asarray(self.weight(rule.nodes), dtype=float)
-        return DiscQuadrature(rule.nodes, rule.weights * uvals, None, rule.resolution)
-
-    def area_rule(self):
-        """Gauss-Legendre in r against plain dA, for basis integrands times a density."""
-        return disc_rule(max(self.degree + 16, 64), _norm_resolution(self.degree)[1], 1.0)
+        return density_rule(self.weight, *_norm_resolution(self.degree))
 
     def dump(self):
         out = {
@@ -235,10 +224,8 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
         raise DomainError("degree must be >= 1")
     degree = int(degree)
     if u.is_radial:
-        c, a = _radial_power(u)
-        norms = c * beta_moments(a, degree)
-        coeffs = np.diag(1.0 / np.sqrt(norms)).astype(complex)
-        return KernelModel(u, degree, coeffs, norms, 0.0, 0.0)
+        c, a = u.power
+        return KernelModel(u, degree, None, c * beta_moments(a, degree), 0.0, 0.0)
 
     n_radial, n_angular = _gram_resolution(degree)
     gram = monomial_gram(u, degree, n_radial, n_angular, 1.0)

@@ -13,18 +13,18 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
-from .geometry import PseudoDisk, check_disc_point, pseudo_disk, pseudo_distance
-from .kernels import _gram_resolution, _radial_power
-from .quadrature import (
-    DiscQuadrature,
-    beta_moments,
-    disc_rule,
-    disk_integrals,
-    monomial_gram,
-    region_quadrature,
-    weighted_disc_rule,
+from .geometry import check_disc_point, pseudo_disk, pseudo_distance
+from .kernels import _gram_resolution
+from .quadrature import DiscQuadrature, beta_moments, density_rule, monomial_gram
+from .weights import (
+    Weight,
+    config_errors,
+    disk_masses,
+    grid_weight,
+    mass,
+    standard,
+    weight_from_config,
 )
-from .weights import Weight, disk_masses, mass, on_moduli, weight_from_config
 
 __all__ = [
     "DiscMeasure",
@@ -39,12 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DiscMeasure:
-    """Positive measure: atoms, a density g against dA, or u dA itself."""
+    """Positive measure: atoms, or a density Weight against dA (u itself for u dA)."""
 
     kind: str
     atoms: tuple = ()  # ((point, mass), ...)
-    g: object = None  # density callable
-    u: Weight = None  # weighted_area only
+    density: Weight = None  # None for atomic measures
     params: dict = field(default_factory=dict)
 
     @property
@@ -53,9 +52,9 @@ class DiscMeasure:
         return _radial_measure(self)
 
     @property
-    def radial_power(self):
-        """(c, t) with density c (1 - |z|^2)^t, for a radial measure."""
-        return (1.0, self.params["t"]) if self.kind == "power_density" else _radial_power(self.u)
+    def _resolution(self):
+        """Region-rule resolution of the density's masses: 48 for u dA, 32 otherwise."""
+        return 48 if self.kind == "weighted_area" else 32
 
     def atom_points(self):
         """The atoms' points as one complex array, in atom order."""
@@ -64,8 +63,7 @@ class DiscMeasure:
     def density_at(self, z):
         if self.kind == "atomic":
             raise DomainError("atomic measures have no density")
-        g = self.g if self.g is not None else self.u
-        return np.asarray(g(z), dtype=float)
+        return np.asarray(self.density(z), dtype=float)
 
     def integrate(self, f):
         """int f dmu for f on complex arrays: exact atom sum, or quadrature of f * density."""
@@ -79,11 +77,11 @@ class DiscMeasure:
         raises EvaluationError.  Given the rule itself, f can evaluate
         polynomials and kernels at its nodes one FFT per ring
         (kernels.polynomial_values).  Densities are integrated on the full
-        disc; Gauss nodes stay interior, so no boundary evaluation occurs and
-        no mass is truncated away.  A radial density c (1 - |z|^2)^t rides in
-        the weights of weighted_disc_rule, so it is never evaluated and
-        polynomial integrands of t-degree below 2 DEFAULTS.density_radial are
-        exact; others multiply a Gauss-Legendre polar rule.
+        disc against quadrature.density_rule, whose weights hold the density;
+        Gauss nodes stay interior, so no boundary evaluation occurs and no
+        mass is truncated away.  A radial density c (1 - |z|^2)^t is never
+        evaluated and polynomial integrands of t-degree below
+        2 DEFAULTS.density_radial are exact.
         """
         if self.kind == "atomic":
             values = np.asarray(f(self.atom_points()))
@@ -94,14 +92,10 @@ class DiscMeasure:
             for (_, mz), v in zip(self.atoms, values):
                 total += mz * v
             return total
-        sizes = (DEFAULTS.density_radial, DEFAULTS.density_angular)
-        if self.is_radial:
-            rule, dens = weighted_disc_rule(*sizes, *self.radial_power), 1.0
-        else:
-            rule = disc_rule(*sizes)
-            dens = self.density_at(rule.nodes)
+        n = DEFAULTS.density_radial
+        rule = density_rule(self.density, n, n, DEFAULTS.density_angular)
         values = np.asarray(f(rule))
-        return rule.integrate(lambda z: values * dens)
+        return rule.integrate(lambda z: values)
 
     def disk_mass(self, z, r):
         """mu(Delta(z, r)); atoms use strict pseudo-disk membership."""
@@ -110,36 +104,22 @@ class DiscMeasure:
     def disk_masses(self, points, r):
         """mu(Delta(z, r)) for every z; atoms count when d(z, atom) < r strictly.
 
-        A radial density takes one disk per distinct |z|, centred at the real
-        point |z| (weights.on_moduli); u dA is weights.disk_masses.
+        A density's masses are weights.disk_masses: one disk per distinct |z|
+        for a radial density, centred at the real point |z|.
         """
-        if self.kind == "weighted_area":
-            return disk_masses(self.u, r, points, 48)
-        if self.is_radial:
-            return on_moduli(lambda pts: self._disk_masses(pts, r), points)
-        return self._disk_masses(points, r)
-
-    def _disk_masses(self, points, r):
-        """mu(Delta(z, r)) with one disk per point."""
-        disks = [pseudo_disk(z, r) for z in np.ravel(points)]
-        if self.kind == "atomic":
-            centers = np.array([d.center for d in disks], dtype=complex)
-            inside = pseudo_distance(centers[:, None], self.atom_points()[None, :]) < float(r)
-            return np.array(
-                [float(sum(mz for (_, mz), hit in zip(self.atoms, row) if hit)) for row in inside]
-            )
-        return disk_integrals(self.density_at, disks, 32)
+        if self.kind != "atomic":
+            return disk_masses(self.density, r, points, self._resolution)
+        centers = np.array([pseudo_disk(z, r).center for z in np.ravel(points)], dtype=complex)
+        inside = pseudo_distance(centers[:, None], self.atom_points()[None, :]) < float(r)
+        return np.array(
+            [float(sum(mz for (_, mz), hit in zip(self.atoms, row) if hit)) for row in inside]
+        )
 
     def region_mass(self, region):
-        """mu(region) for a geometry region (PseudoDisk, CarlesonSet, ...); a pseudo-disk is disk_mass."""
+        """mu(region) for a PseudoDisk or a CarlesonSet; a density's is weights.mass."""
         if self.kind == "atomic":
             return float(sum(mz for a, mz in self.atoms if region.contains(a)))
-        if isinstance(region, PseudoDisk):
-            return self.disk_mass(region.center, region.radius)
-        if self.kind == "weighted_area":
-            return mass(self.u, region, resolution=48)
-        q = region_quadrature(region, 32)
-        return float(q.integrate(self.density_at))
+        return mass(self.density, region, self._resolution)
 
     def total_mass(self):
         if self.kind == "atomic":
@@ -152,10 +132,8 @@ class DiscMeasure:
             raise DomainError("scaling factor must be positive")
         if self.kind == "atomic":
             return DiscMeasure("atomic", tuple((z, c * m) for z, m in self.atoms))
-        g = self.g if self.g is not None else self.u
-        return DiscMeasure(
-            "density",
-            g=lambda z, _g=g: c * np.asarray(_g(z), dtype=float),
+        return density(
+            lambda z: c * self.density_at(z),
             params={"scaled_from": self.kind, "factor": c, **self.params},
         )
 
@@ -180,8 +158,8 @@ def atomic(atoms):
 
 
 def density(g, params=None):
-    """Measure g dA for a positive continuous density g."""
-    return DiscMeasure("density", g=g, params=params or {})
+    """Measure g dA for a positive continuous density g, never taken as radial."""
+    return DiscMeasure("density", density=Weight("density", {}, g, None), params=params or {})
 
 
 def power_density(t):
@@ -189,32 +167,32 @@ def power_density(t):
     t = float(t)
     if not t > -1.0:
         raise DomainError(f"power density needs t > -1 for finite mass, got {t}")
-    return DiscMeasure("power_density", g=lambda z: (1.0 - np.abs(z) ** 2) ** t, params={"t": t})
+    return DiscMeasure("power_density", density=standard(t), params={"t": t})
 
 
 def weighted_area(u: Weight):
     """The canonical measure u dA."""
-    return DiscMeasure("weighted_area", u=u, params={"weight": u.config()})
+    return DiscMeasure("weighted_area", density=u, params={"weight": u.config()})
 
 
 def measure_from_config(cfg, u: Weight = None):
-    kind = cfg.get("kind")
-    if kind == "atomic":
-        return atomic([(complex(re, im), m) for re, im, m in cfg["atoms"]])
-    if kind == "power_density":
-        return power_density(cfg["t"])
-    if kind == "weighted_area":
-        w = weight_from_config(cfg["weight"]) if "weight" in cfg else u
-        if w is None:
-            raise DomainError("weighted_area config needs a weight")
-        return weighted_area(w)
-    if kind == "density_grid":
-        from .weights import grid_weight
-
-        n = int(cfg["n"])
-        samples = np.loadtxt(cfg["file"], delimiter=",", usecols=2)
-        gw = grid_weight(samples.reshape(n, n), n)
-        return density(gw, params={"file": cfg["file"], "n": n})
+    """Build a measure from its JSON config dict; DomainError if it is malformed."""
+    with config_errors("measure", cfg):
+        kind = cfg.get("kind")
+        if kind == "atomic":
+            return atomic([(complex(re, im), m) for re, im, m in cfg["atoms"]])
+        if kind == "power_density":
+            return power_density(cfg["t"])
+        if kind == "weighted_area":
+            w = weight_from_config(cfg["weight"]) if "weight" in cfg else u
+            if w is None:
+                raise DomainError("weighted_area config needs a weight")
+            return weighted_area(w)
+        if kind == "density_grid":
+            n = int(cfg["n"])
+            samples = np.loadtxt(cfg["file"], delimiter=",", usecols=2)
+            gw = grid_weight(samples.reshape(n, n), n)
+            return density(gw, params={"file": cfg["file"], "n": n})
     raise DomainError(f"unknown measure kind {kind!r}")
 
 
@@ -234,15 +212,14 @@ def basis_gram(m, mu: DiscMeasure):
             M += mz * np.outer(np.conj(e), e)
         return M
     if m.is_radial and mu.is_radial:
-        c, t = mu.radial_power
+        c, t = mu.density.power
         return c * beta_moments(t, m.degree) / m.diag_norms
     # M = conj(C) G^T C^T for e = C z^j and the monomial Gram G against mu
-    C = m.coeffs
     gram = monomial_gram(mu.density_at, m.degree, *_gram_resolution(m.degree), 1.0)
-    return np.conj(C) @ gram.T @ C.T
+    if m.is_radial:
+        return m.diagonal_congruence(gram.T)
+    return np.conj(m.coeffs) @ gram.T @ m.coeffs.T
 
 
 def _radial_measure(mu):
-    return mu.kind == "power_density" or (
-        mu.kind == "weighted_area" and mu.u.is_radial
-    )
+    return mu.density is not None and mu.density.is_radial

@@ -9,6 +9,9 @@ the two regions of geometry on which the paper states its conditions:
                                 the centered polar rule against dA;
   * weighted_disc_rule(n_t, n_angular, c, a) -- the centered polar rule
                                 against c (1 - |z|^2)^a dA (see below);
+  * density_rule(v, n_t, n_radial, n_angular) -- against v dA: the
+                                weighted_disc_rule of a radial v, else
+                                disc_rule with v folded into the weights;
   * PseudoDisk Delta(z, r)   -- the same polar rule moved onto the disk's
                                 Euclidean realization;
   * CarlesonSet S(a)         -- the half-disc preimage of S(a) under the
@@ -68,6 +71,7 @@ __all__ = [
     "region_quadrature",
     "disc_rule",
     "weighted_disc_rule",
+    "density_rule",
     "monomial_gram",
     "ring_values",
     "disk_integrals",
@@ -257,6 +261,20 @@ def weighted_disc_rule(n_t, n_angular, c, a):
     nodes = (np.sqrt(0.5 * (1.0 + x))[:, None] * np.exp(1j * theta)[None, :]).ravel()
     weights = np.repeat(wt * (np.pi * float(c) / n_angular), n_angular)
     return DiscQuadrature(*_read_only(nodes, weights), None, n_t)
+
+
+def density_rule(v, n_t, n_radial, n_angular):
+    """Centered polar rule for int f v dA, the Weight v folded into the weights.
+
+    A radial v (v.power = (c, a)) gives weighted_disc_rule(n_t, n_angular, c, a)
+    and is never evaluated; any other v is evaluated once on disc_rule(n_radial,
+    n_angular), and a value that is not finite raises EvaluationError.
+    """
+    if v.power is not None:
+        return weighted_disc_rule(n_t, n_angular, *v.power)
+    rule = disc_rule(n_radial, n_angular)
+    values = np.asarray(_finite_values(v, rule.nodes), dtype=float)
+    return DiscQuadrature(rule.nodes, rule.weights * values, None, rule.resolution)
 
 
 def monomial_gram(g, degree, n_radial, n_angular, r_max):

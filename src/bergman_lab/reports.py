@@ -96,27 +96,20 @@ class CriterionReport:
         )
 
     def to_dict(self):
-        def _num(x):
-            if isinstance(x, complex):
-                return [x.real, x.imag]
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            return x
-
-        return {
-            "name": self.name,
-            "parameters": {k: _num(v) for k, v in self.parameters.items()},
-            "index_value": _num(self.index_value)
-            if np.isfinite(self.index_value)
-            else "inf",
-            "per_point": [
-                [float(np.real(z)), float(np.imag(z)), _num(float(v))]
-                for z, v in self.per_point
-            ],
-            "ring_trend": [[r, v] for r, v in self.ring_trend],
-            "verdict": self.verdict,
-            "extras": {k: _jsonable(v) for k, v in self.extras.items()},
-        }
+        """JSON-ready fields; non-finite numbers become "inf", "-inf" or "nan"."""
+        return _jsonable(
+            {
+                "name": self.name,
+                "parameters": self.parameters,
+                "index_value": self.index_value,
+                "per_point": [
+                    [float(np.real(z)), float(np.imag(z)), float(v)] for z, v in self.per_point
+                ],
+                "ring_trend": self.ring_trend,
+                "verdict": self.verdict,
+                "extras": self.extras,
+            }
+        )
 
     def to_json(self, **kwargs):
         kwargs.setdefault("sort_keys", True)
@@ -137,7 +130,7 @@ def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()
     if isinstance(v, np.ndarray):
-        return v.tolist()
+        return _jsonable(v.tolist())
     if isinstance(v, (tuple, list)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):

@@ -36,7 +36,7 @@ from .kernels import (
     polynomial_values,
 )
 from .measures import DiscMeasure, basis_gram
-from .quadrature import disc_rule, gauss_rule, weighted_disc_rule
+from .quadrature import density_rule, disc_rule, gauss_rule
 from .reports import CriterionReport, band, classify_ring_trend
 from .weights import Weight, disk_masses
 
@@ -149,20 +149,16 @@ def spectrum(T: ToeplitzMatrix) -> Spectrum:
 def trace_identity_check(T: ToeplitzMatrix, mu: DiscMeasure, m: KernelModel):
     """| sum_k lambda_k - int K_N(w, w) dmu |, by independent quadrature.
 
-    A radial density c (1 - |z|^2)^t rides in the weights of a Gauss-Jacobi
-    rule of the norm rule's size, which integrates K_N(w, w) against it
-    exactly; other densities multiply the Gauss-Legendre area rule.
+    A density takes its density_rule at the norm rule's size: a radial one,
+    c (1 - |z|^2)^t, rides in Gauss-Jacobi weights that integrate K_N(w, w)
+    against it exactly; others are evaluated on a Gauss-Legendre rule.
     """
     lam = float(np.sum(T.eigenvalues()))
     if mu.kind == "atomic":
         integral = float(mu.integrate_at(m.kernel_diag))
     else:
-        if mu.is_radial:
-            rule, dens = weighted_disc_rule(*_norm_resolution(m.degree), *mu.radial_power), 1.0
-        else:
-            rule = m.area_rule()
-            dens = mu.density_at(rule.nodes)
-        integral = float(np.sum(rule.weights * dens * m.kernel_diag(rule)))
+        rule = density_rule(mu.density, *_norm_resolution(m.degree))
+        integral = float(np.sum(rule.weights * m.kernel_diag(rule)))
     return abs(lam - integral)
 
 

@@ -21,6 +21,7 @@ per distinct modulus, at the real point |z| (on_moduli).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,22 @@ _GRID_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Positive weight u on the disc; call it on complex arrays."""
+    """Positive weight u on the disc; call it on complex arrays.
+
+    power is (c, a) when u = c (1 - |z|^2)^a (constant, standard), else None.
+    """
 
     kind: str
     params: dict
     fn: object
-    is_radial: bool
+    power: tuple | None
 
     def __call__(self, z):
         return self.fn(np.asarray(z))
+
+    @property
+    def is_radial(self):
+        return self.power is not None
 
     def config(self):
         return {"kind": self.kind, **self.params}
@@ -68,7 +76,7 @@ def constant(value=1.0):
     if value <= 0:
         raise DomainError("constant weight must be positive")
     v = float(value)
-    return Weight("constant", {"value": v}, lambda z: np.full(np.shape(z), v), True)
+    return Weight("constant", {"value": v}, lambda z: np.full(np.shape(z), v), (v, 0.0))
 
 
 def standard(alpha):
@@ -77,7 +85,7 @@ def standard(alpha):
         raise DomainError("standard weight needs alpha > -1")
     a = float(alpha)
     return Weight(
-        "standard", {"alpha": a}, lambda z: (1.0 - np.abs(z) ** 2) ** a, True
+        "standard", {"alpha": a}, lambda z: (1.0 - np.abs(z) ** 2) ** a, (1.0, a)
     )
 
 
@@ -85,7 +93,7 @@ def power_one_minus_z(gamma):
     """u(z) = |1 - z|^gamma, a non-radial weight pinched (or spiked) at z = 1."""
     g = float(gamma)
     return Weight(
-        "power_one_minus_z", {"gamma": g}, lambda z: np.abs(1.0 - np.asarray(z)) ** g, False
+        "power_one_minus_z", {"gamma": g}, lambda z: np.abs(1.0 - np.asarray(z)) ** g, None
     )
 
 
@@ -118,22 +126,34 @@ def grid_weight(samples, n):
         )
         return np.maximum(vals, _GRID_FLOOR)
 
-    return Weight("grid", {"n": int(n)}, fn, False)
+    return Weight("grid", {"n": int(n)}, fn, None)
+
+
+@contextmanager
+def config_errors(what, cfg):
+    """Turn a config that is no JSON object, or misses or mistypes a field, into DomainError."""
+    if not isinstance(cfg, dict):
+        raise DomainError(f"{what} config must be a JSON object, got {cfg!r}")
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise DomainError(f"malformed {what} config {cfg!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def weight_from_config(cfg):
-    """Build a weight from its JSON config dict."""
-    kind = cfg.get("kind")
-    if kind == "constant":
-        return constant(cfg.get("value", 1.0))
-    if kind == "standard":
-        return standard(cfg["alpha"])
-    if kind == "power_one_minus_z":
-        return power_one_minus_z(cfg["gamma"])
-    if kind == "grid":
-        samples = np.loadtxt(cfg["file"], delimiter=",", usecols=2)
-        n = int(cfg["n"])
-        return grid_weight(samples.reshape(n, n), n)
+    """Build a weight from its JSON config dict; DomainError if it is malformed."""
+    with config_errors("weight", cfg):
+        kind = cfg.get("kind")
+        if kind == "constant":
+            return constant(cfg.get("value", 1.0))
+        if kind == "standard":
+            return standard(cfg["alpha"])
+        if kind == "power_one_minus_z":
+            return power_one_minus_z(cfg["gamma"])
+        if kind == "grid":
+            samples = np.loadtxt(cfg["file"], delimiter=",", usecols=2)
+            n = int(cfg["n"])
+            return grid_weight(samples.reshape(n, n), n)
     raise DomainError(f"unknown weight kind {kind!r}")
 
 

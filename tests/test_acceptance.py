@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bergman_lab import kernels, measures, toeplitz, verification
+from bergman_lab import kernels, measures, quadrature, toeplitz, verification
 from bergman_lab.errors import DomainError
 from bergman_lab.kernels import KernelModel
 from bergman_lab.quadrature import DiscQuadrature
@@ -122,6 +122,15 @@ def test_criterion_04_berezin_normalization():
     _run(verification.check_04_berezin_normalization)
 
 
+def test_criterion_04_sees_drifted_measure_moments(monkeypatch):
+    # the Toeplitz diagonal of u dA scaled by 1 + 1e-5 scales the Berezin transform with it
+    beta_moments = measures.beta_moments
+    monkeypatch.setattr(measures, "beta_moments", lambda a, n: beta_moments(a, n) * (1.0 + 1e-5))
+    res = verification.check_04_berezin_normalization()
+    assert not res["passed"]
+    assert res["details"]["max_deviation_from_one"] == pytest.approx(1e-5, rel=1e-3)
+
+
 def test_criterion_05_toeplitz_identity():
     _run(verification.check_05_toeplitz_identity)
 
@@ -151,8 +160,8 @@ def test_criteria_01_and_02_see_drifted_kernel_moments(monkeypatch):
 
 def test_criterion_03_sees_a_drifted_rule_exponent(monkeypatch):
     # the norm rule integrates against (1 - |z|^2)^(a + 1e-6) instead of u dA
-    rule = kernels.weighted_disc_rule
-    monkeypatch.setattr(kernels, "weighted_disc_rule", lambda n, k, c, a: rule(n, k, c, a + 1e-6))
+    rule = quadrature.weighted_disc_rule
+    monkeypatch.setattr(quadrature, "weighted_disc_rule", lambda n, k, c, a: rule(n, k, c, a + 1e-6))
     res = verification.check_03_reproducing()
     assert not res["passed"]
     assert res["details"]["max_error"] > 1e-7
@@ -164,8 +173,8 @@ def test_criterion_03_sees_a_dropped_ring(monkeypatch):
         full = rule(n, k, c, a)
         return DiscQuadrature(full.nodes[k:], full.weights[k:], None, n - 1)
 
-    rule = kernels.weighted_disc_rule
-    monkeypatch.setattr(kernels, "weighted_disc_rule", without_first_ring)
+    rule = quadrature.weighted_disc_rule
+    monkeypatch.setattr(quadrature, "weighted_disc_rule", without_first_ring)
     res = verification.check_03_reproducing()
     assert not res["passed"]
     assert res["details"]["max_error"] > 1e-7
@@ -206,6 +215,16 @@ def test_criterion_09_ba1_band():
 
 def test_criterion_10_diagonal_estimate():
     _run(verification.check_10_diagonal_estimate)
+
+
+def test_criterion_10_sees_shrunk_disk_masses(monkeypatch):
+    # u(Delta(z, 0.5)) scaled by 0.99 takes the product at z = 0, r^2 = 0.25, to 0.2475,
+    # below the band floor 0.25 (1 - 1e-3)
+    disk_masses = verification.disk_masses
+    monkeypatch.setattr(verification, "disk_masses", lambda *a: disk_masses(*a) * 0.99)
+    res = verification.check_10_diagonal_estimate()
+    assert not res["passed"] and not res["details"]["in_band"]
+    assert res["details"]["observed"][0] == pytest.approx(0.2475, rel=1e-6)
 
 
 def test_criterion_11_boundedness_threshold():

@@ -146,6 +146,17 @@ class TestCommands:
         unknown = tmp_path / "unknown.json"
         unknown.write_text(json.dumps({"nonsense": 1}))
         assert main(["toeplitz", "--config", str(unknown)]) == EXIT_BAD_CONFIG
+        # malformed fields: each raised a bare AttributeError, KeyError or TypeError (exit 1)
+        for fields in ({"weight": "standard:1"}, {"measure": {"kind": "power_density"}},
+                       {"degree": "40"}):
+            malformed = tmp_path / "malformed.json"
+            malformed.write_text(json.dumps(fields))
+            out = str(tmp_path / "out")
+            assert main(["toeplitz", "--config", str(malformed), "--out", out]) == EXIT_BAD_CONFIG
+        # atoms that are not [re, im, mass] triples raised a bare ValueError (exit 1)
+        for spec in ('atomic:[[0.1,0.2]]', 'atomic:{"a":1}'):
+            args = ["toeplitz", "--measure", spec, "--degree", "10", "--out", out]
+            assert main(args) == EXIT_BAD_CONFIG
 
     def test_verify_selected(self, tmp_path):
         out = tmp_path / "out"

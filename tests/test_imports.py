@@ -1,4 +1,8 @@
-"""Every name a library module imports is used in that module, and none is scipy."""
+"""Every name a library module imports is used in that module, and none is scipy.
+
+And one choice of rule is made in one place: only quadrature.density_rule
+reads weighted_disc_rule.
+"""
 
 import ast
 from pathlib import Path
@@ -55,3 +59,40 @@ def test_finds_a_scipy_import():
 def test_finds_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert _unused_imports(tree) == [(1, "math"), (2, "path")]
+
+
+def _readers(tree, name):
+    """Functions whose bodies read name, bare or as an attribute; "<module>" at top level."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_density_rule_reads_weighted_disc_rule():
+    # radial or not, a density's polar rule is chosen in density_rule alone
+    readers = set()
+    for module in _MODULES + ["__init__.py"]:
+        tree = ast.parse((_SRC / module).read_text(), filename=module)
+        readers.update((module, f) for f in _readers(tree, "weighted_disc_rule"))
+    assert readers == {("quadrature.py", "density_rule")}
+
+
+def test_finds_a_second_reader():
+    tree = ast.parse(
+        "def density_rule(v):\n    return weighted_disc_rule(1, 2, *v.power)\n"
+        "class M:\n    def norm_rule(self):\n        return q.weighted_disc_rule(3, 4, 1.0, 0.0)\n"
+        "rule = weighted_disc_rule\n"
+    )
+    assert _readers(tree, "weighted_disc_rule") == {"density_rule", "norm_rule", "<module>"}

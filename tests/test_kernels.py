@@ -1,5 +1,7 @@
 """Kernel models: closed forms, reproducing property, norms, general weights."""
 
+import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 from bergman_lab import (
     DomainError,
     Weight,
+    basis_gram,
     build_kernel_model,
     constant,
+    density,
     disc_rule,
     kernel_diag,
     kernel_eval,
@@ -22,7 +26,7 @@ from bergman_lab import (
     reproducing_check,
     standard,
 )
-from bergman_lab.kernels import _gram_resolution
+from bergman_lab.kernels import _gram_resolution, _norm_resolution
 from bergman_lab.quadrature import _polar_rule, monomial_gram, weighted_disc_rule
 from bergman_lab.toeplitz import _basis_coordinates
 
@@ -132,7 +136,7 @@ class TestExactNormRule:
         def refuse(z):
             raise AssertionError("weight evaluated")
 
-        m = build_kernel_model(Weight("standard", {"alpha": 0.5}, refuse, True), 40)
+        m = build_kernel_model(Weight("standard", {"alpha": 0.5}, refuse, (1.0, 0.5)), 40)
         assert reproducing_check(m, [1.0, 2.0], 0.3j) <= 1e-13
         assert kernel_norm(m, 0.3j, 1.5) > 0.0
 
@@ -148,7 +152,7 @@ class TestExactNormRule:
     def test_general_model_keeps_the_legendre_rule(self):
         # non-radial models: Gauss-Legendre in r with u evaluated on its nodes, as before
         m = build_kernel_model(power_one_minus_z(0.5), 30)
-        area = m.area_rule()
+        area = disc_rule(*_norm_resolution(m.degree)[1:])
         uw = area.weights * m.weight(area.nodes)
         rule = m.norm_rule()
         assert np.array_equal(rule.nodes, area.nodes)
@@ -174,10 +178,52 @@ class TestRadialNorms:
         assert np.max(np.abs(m.diag_norms / exact - 1.0)) < 1e-13
         assert m.gram_refinement_error == 0.0
 
-    def test_other_radial_kind_raises(self):
-        u = Weight("custom", {}, lambda z: np.ones(np.shape(z)), True)
-        with pytest.raises(DomainError, match="closed-form"):
-            build_kernel_model(u, 10)
+    def test_model_keeps_no_dense_diagonal(self):
+        # a dense (N + 1)^2 complex C = G^(-1/2) at N = 1600 took 41 MB (61 MB at peak)
+        tracemalloc.start()
+        try:
+            m = build_kernel_model(constant(), 1600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.coeffs is None
+        assert peak < 1e6
+
+
+def _dense_diagonal(m):
+    """The radial model's C = diag(1 / sqrt(G_nn)) as the dense complex matrix it once kept."""
+    return np.diag(1.0 / np.sqrt(m.diag_norms)).astype(complex)
+
+
+class TestRadialDiagonalProducts:
+    """Products with C = G^(-1/2) against the dense C, bit for bit."""
+
+    @pytest.mark.parametrize("u", [constant(2.5), standard(-0.5), standard(1.5)])
+    def test_quadratic_form(self, u, disc_points):
+        m = build_kernel_model(u, 30)
+        rng = np.random.default_rng(30)
+        # complex Hermitian, as every 2-D M the library passes (a basis_gram) is
+        A = rng.standard_normal((31, 31)) + 1j * rng.standard_normal((31, 31))
+        M = A + A.conj().T
+        # at points: the basis z^n / sqrt(G_nn) on every point, z^n = z^(n-1) z
+        powers = np.ones((31, len(disc_points)), dtype=complex)
+        for n in range(1, 31):
+            powers[n] = powers[n - 1] * disc_points
+        e = powers / np.sqrt(m.diag_norms)[:, None]
+        want = np.real((e * (M @ np.conj(e))).sum(axis=0))
+        assert np.array_equal(m.quadratic_form(M, disc_points), want)
+        # on a polar rule: Q = C^T M conj(C) with the dense C, on the general path
+        dense = replace(m, coeffs=_dense_diagonal(m), diag_norms=None)
+        for rule in (disc_rule(12, 40), m.norm_rule()):
+            assert np.array_equal(m.quadratic_form(M, rule), dense.quadratic_form(M, rule))
+
+    @pytest.mark.parametrize("u", [constant(2.5), standard(0.5)])
+    def test_basis_gram_of_a_density(self, u):
+        m = build_kernel_model(u, 24)
+        mu = density(lambda z: np.abs(1.0 + 0.5 * z) ** 2)
+        C = _dense_diagonal(m)
+        gram = monomial_gram(mu.density_at, m.degree, *_gram_resolution(m.degree), 1.0)
+        assert np.array_equal(basis_gram(m, mu), np.conj(C) @ gram.T @ C.T)
 
 
 class TestGeneralWeightPath:
@@ -201,7 +247,7 @@ class TestGeneralWeightPath:
         from bergman_lab.weights import Weight
 
         wrapped = Weight(
-            kind="custom", params={}, fn=lambda z: np.ones(np.shape(z)), is_radial=False
+            kind="custom", params={}, fn=lambda z: np.ones(np.shape(z)), power=None
         )
         mg = build_kernel_model(wrapped, 24)
         mr = build_kernel_model(u1, 24)
@@ -273,7 +319,7 @@ def _model(key):
         return build_kernel_model(standard(0.5), 60)
     if key == "turned":
         # off the real axis the coefficients are complex
-        u = Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, False)
+        u = Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, None)
         return build_kernel_model(u, 40)
     return build_kernel_model(power_one_minus_z(float(key)), 40)
 

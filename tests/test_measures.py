@@ -50,9 +50,9 @@ def _reference_disk_mass(mu, z, r, refine=1):
     d = pseudo_disk(z, r)
     if mu.kind == "atomic":
         return float(sum(mz for a, mz in mu.atoms if d.contains(a)))
-    if mu.kind == "weighted_area" and mu.u.kind == "constant":
-        return float(mu.u.params["value"]) * np.pi * float(d.euclid_radius) ** 2
-    resolution, f = (48, mu.u) if mu.kind == "weighted_area" else (32, mu.density_at)
+    if mu.kind == "weighted_area" and mu.density.kind == "constant":
+        return float(mu.density.params["value"]) * np.pi * float(d.euclid_radius) ** 2
+    resolution, f = (48, mu.density) if mu.kind == "weighted_area" else (32, mu.density_at)
     resolution *= refine
     x, w = _polar_rule(resolution, 4 * resolution, 1.0)
     rho = d.euclid_radius
@@ -206,7 +206,7 @@ class TestDiskMass:
         else:
             want = rotated
         assert np.array_equal(got, want)
-        if mu.kind == "weighted_area" and mu.u.kind == "constant":
+        if mu.kind == "weighted_area" and mu.density.kind == "constant":
             assert np.array_equal(got, rotated)
         assert mu.disk_mass(points[-1], r) == want[-1]
 
@@ -257,7 +257,9 @@ class TestBasisGram:
 
         mu_fast = power_density(1.0)
         mu_slow = DiscMeasure(
-            "density", g=lambda z: (1.0 - np.abs(z) ** 2) ** 1.0, params={"t": 1.0}
+            "density",
+            density=Weight("density", {}, lambda z: (1.0 - np.abs(z) ** 2) ** 1.0, None),
+            params={"t": 1.0},
         )
         Mf = basis_gram(model_u1_small, mu_fast)
         Ms = basis_gram(model_u1_small, mu_slow)
@@ -286,7 +288,7 @@ class TestBasisGram:
             ((standard(1.0), 30), weighted_area(power_one_minus_z(1.0))),
             ((power_one_minus_z(0.5), 20), power_density(1.5)),
             # off the real axis the coefficients and the Gram are complex
-            ((Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, False), 20),
+            ((Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, None), 20),
              density(lambda z: np.abs(1.0 + 0.5 * z) ** 2)),
         ],
         ids=["radial-model", "general-model", "complex-coefficients"],

@@ -10,14 +10,19 @@ from bergman_lab import (
     DomainError,
     EvaluationError,
     constant,
+    density,
     disc_rule,
+    grid_weight,
     mass,
+    power_density,
     power_one_minus_z,
     pseudo_disk,
     region_quadrature,
+    standard,
 )
 from bergman_lab.quadrature import (
     beta_moments,
+    density_rule,
     gauss_rule,
     monomial_gram,
     ring_values,
@@ -281,3 +286,48 @@ class TestWeightedDiscRule:
     def test_non_integrable_exponent_raises(self, a):
         with pytest.raises(DomainError, match="exponent"):
             weighted_disc_rule(8, 16, 1.0, a)
+
+
+_DENSITIES = {
+    "constant": constant(2.5),
+    "standard": standard(0.5),
+    "power_density": power_density(-0.3).density,
+    "power_one_minus_z": power_one_minus_z(0.5),
+    "grid_weight": grid_weight(np.arange(1.0, 10.0).reshape(3, 3), 3),
+    "density": density(lambda z: np.abs(1.0 + 0.5 * z) ** 2).density,
+}
+
+
+def _old_rule(v, n_t, n_radial, n_angular):
+    """The rule, with the density folded in, that the norm rule, the trace check
+    and integrate_at each built before density_rule: Gauss-Jacobi with (c, a)
+    read off the kind for a radial v, else Gauss-Legendre times v at the nodes."""
+    power = {"constant": lambda: (v.params.get("value"), 0.0),
+             "standard": lambda: (1.0, v.params.get("alpha"))}.get(v.kind)
+    if power is not None:
+        return weighted_disc_rule(n_t, n_angular, *power())
+    rule = disc_rule(n_radial, n_angular, 1.0)
+    return rule.nodes, rule.weights * np.asarray(v(rule.nodes), dtype=float)
+
+
+class TestDensityRule:
+    @pytest.mark.parametrize("kind", list(_DENSITIES))
+    @pytest.mark.parametrize(
+        "sizes",
+        # the norm rule and the trace check at degrees 30 and 200, and integrate_at
+        [(17, 64, 128), (102, 216, 512), (128, 128, 256)],
+        ids=["norm-30", "norm-200", "integrate_at"],
+    )
+    def test_matches_the_old_call_sites(self, kind, sizes):
+        v = _DENSITIES[kind]
+        rule, old = density_rule(v, *sizes), _old_rule(v, *sizes)
+        if v.is_radial:
+            assert rule is old
+        else:
+            assert np.array_equal(rule.nodes, old[0]) and np.array_equal(rule.weights, old[1])
+            assert (rule.region, rule.resolution) == (None, sizes[1])
+
+    def test_nonfinite_density_raises(self):
+        v = density(lambda z: np.where(np.abs(z) > 0.9, np.inf, 1.0)).density
+        with pytest.raises(EvaluationError, match="not finite at node"):
+            density_rule(v, 8, 16, 32)

@@ -86,3 +86,45 @@ class TestCriterionReport:
 
     def test_json_deterministic(self):
         assert self._rep().to_json() == self._rep().to_json()
+
+    def test_finite_report_bytes(self):
+        # numpy scalars, complex values, tuples and nested containers, as before
+        rep = CriterionReport(
+            name="demo",
+            parameters={"p": np.float64(2.0), "n": np.int64(3), "w": 0.5 + 0.25j},
+            index_value=np.float64(1.5),
+            per_point=[(0.3 + 0.1j, np.float64(0.7)), (np.complex128(-0.2j), 2)],
+            ring_trend=[(0.5, 1.0), (0.75, 0.5)],
+            verdict="finite",
+            extras={
+                "band": (0.1, 0.9), "arr": np.array([1.0, 2.0]), "nested": {"k": [np.float32(0.5)]}
+            },
+        )
+        assert rep.to_json() == (
+            '{"extras": {"arr": [1.0, 2.0], "band": [0.1, 0.9], "nested": {"k": [0.5]}}, '
+            '"index_value": 1.5, "name": "demo", '
+            '"parameters": {"n": 3, "p": 2.0, "w": [0.5, 0.25]}, '
+            '"per_point": [[0.3, 0.1, 0.7], [-0.0, -0.2, 2.0]], '
+            '"ring_trend": [[0.5, 1.0], [0.75, 0.5]], "verdict": "finite"}'
+        )
+
+    def test_nonfinite_values_are_valid_json(self):
+        # an atom outside every Delta(z, 0.1): the averages are 0, so the
+        # ratios are inf and the index nan (written "inf" and bare Infinity before)
+        from bergman_lab import atomic, build_kernel_model, comparability_report, constant
+
+        m = build_kernel_model(constant(), 40)
+        rep = comparability_report(atomic([(0.9, 1.0)]), m, 2.0, 0.1, [0, 0.1j, -0.2])
+
+        def refuse(name):
+            raise ValueError(f"bare {name} in the JSON")
+
+        d = json.loads(rep.to_json(), parse_constant=refuse)
+        assert d["index_value"] == "nan" == d["extras"]["sup_ratio"]
+        assert [v for _, _, v in d["per_point"]] == ["inf"] * 3
+        rep = CriterionReport("demo", {"p": -np.inf}, np.inf, [(0.1, np.nan)],
+                              [(0.5, np.inf)], "divergent", {"arr": np.array([np.nan])})
+        d = json.loads(rep.to_json(), parse_constant=refuse)
+        assert (d["parameters"]["p"], d["index_value"]) == ("-inf", "inf")
+        assert (d["per_point"], d["ring_trend"]) == ([[0.1, 0.0, "nan"]], [[0.5, "inf"]])
+        assert d["extras"]["arr"] == ["nan"]

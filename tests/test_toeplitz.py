@@ -19,6 +19,7 @@ from bergman_lab import (
     build_kernel_model,
     compactness_index,
     constant,
+    disc_rule,
     essential_norm_estimate,
     h_function,
     kernel_diag,
@@ -37,6 +38,7 @@ from bergman_lab import (
     trace_identity_check,
     weighted_area,
 )
+from bergman_lab.kernels import _norm_resolution
 
 
 class TestMatrix:
@@ -170,7 +172,7 @@ class TestTraceIdentity:
         T = assemble(mu, m)
         total = float(np.sum(T.eigenvalues()))
         assert trace_identity_check(T, mu, m) <= 1e-12 * total
-        legendre = m.area_rule()
+        legendre = disc_rule(*_norm_resolution(m.degree)[1:])
         on_legendre = np.sum(legendre.weights * mu.density_at(legendre.nodes) * m.kernel_diag(legendre))
         assert abs(total - on_legendre) > 1e-8 * total
 

@@ -67,7 +67,7 @@ class TestBerezin:
             (standard(1.0), 40, power_density(0.5)),
             (power_one_minus_z(0.5), 30, power_density(1.5)),
             # off the real axis the coefficients and the Gram are complex
-            (Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, False), 20,
+            (Weight("turned", {}, lambda z: np.abs(1.0 - 1j * z) ** 0.5, None), 20,
              density(lambda z: np.abs(1.0 + 0.5 * z) ** 2)),
         ],
         ids=["radial-model", "radial-pair", "general-model", "complex-coefficients"],
