@@ -3,8 +3,8 @@
 A Weight is an evaluable positive function on the unit disc.  Four families
 are provided:
 
-  * constant()                u == c
-  * standard(alpha)           u(z) = (1 - |z|^2)^alpha, alpha > -1
+  * constant()                u == c                           (power (c, 0))
+  * standard(alpha)           u(z) = (1 - |z|^2)^alpha, alpha > -1  (power (1, alpha))
   * power_one_minus_z(gamma)  u(z) = |1 - z|^gamma   (non-radial probe family)
   * grid(...)                 bilinear interpolation of tabulated samples
 
@@ -13,8 +13,8 @@ constant takes the same averages over pseudohyperbolic disks Delta(z, r).
 Suprema over the disc are replaced by maxima over a supplied anchor set plus
 a boundary ladder, whose per-ring maxima expose divergence as a trend.
 
-A radial weight integrated over Delta(z, r) or S(z) gives a number of |z|
-alone: both regions turn with their centre.  Such quantities are taken once
+A radial weight, one with a Weight.power, integrated over Delta(z, r) or S(z)
+gives a number of |z| alone: both regions turn with their centre.  Such quantities are taken once
 per distinct modulus, at the real point |z| (on_moduli).
 """
 
