@@ -179,6 +179,12 @@ def _window_half_width(rho, thr):
     return 2.0 * math.asin(num / den)
 
 
+def _segments(starts, counts):
+    """The concatenated index ranges [starts[n], starts[n] + counts[n])."""
+    total = int(np.sum(counts))
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+
+
 def _close_pairs(q, p, thr):
     """Blocks (i, j) of flat index arrays that hold, once each, every pair
     with pseudo_distance(q[i], p[j]) < thr.
@@ -234,18 +240,14 @@ def _close_pairs(q, p, thr):
                 c = counts[k : k + step]
                 total = int(np.sum(c))
                 if total:
-                    offset = np.repeat(lo[k : k + step] - (np.cumsum(c) - c), c)
-                    yield np.repeat(sub[k : k + step], c), cand[offset + np.arange(total)]
+                    yield np.repeat(sub[k : k + step], c), cand[_segments(lo[k : k + step], c)]
 
 
-def _near_counts(q, p, thr, dist):
-    """For each point z of q, how many points w of p have dist(z, w) < thr.
-
-    dist evaluates pseudo_distance in the orientation the caller needs.
-    """
+def _near_counts(q, p, thr):
+    """For each point z of q, how many points w of p have pseudo_distance(z, w) < thr."""
     counts = np.zeros(len(q), dtype=int)
     for i, j in _close_pairs(q, p, thr):
-        counts += np.bincount(i[dist(q[i], p[j]) < thr], minlength=len(q))
+        counts += np.bincount(i[pseudo_distance(q[i], p[j]) < thr], minlength=len(q))
     return counts
 
 
@@ -269,6 +271,11 @@ class Lattice:
       * every point of |z| <= r_max lies in some Delta(a_k, r);
       * no point lies in more than multiplicity_bound of the doubled disks
         Delta(a_k, pseudo_add(r, r)).
+
+    build_lattice finds the points ring by ring on its candidate spiral,
+    where every point has a candidate index and meets only the candidates in
+    its index window on the next rings (_index_window).  The audits take any
+    point set, a loaded one too, so they do not rely on that structure.
 
     The audits evaluate pseudo_distance only on the pairs that can fall below
     their threshold thr (r for the separation and the covering, the doubled
@@ -303,12 +310,12 @@ class Lattice:
 
     def covering_fraction(self, grid):
         """Fraction of grid points lying in some Delta(a_k, radius)."""
-        covered = _near_counts(np.asarray(grid), self.points, self.radius, pseudo_distance) > 0
+        covered = _near_counts(np.asarray(grid), self.points, self.radius) > 0
         return float(np.mean(covered))
 
     def multiplicity(self, grid):
         """Max over grid points of the number of Delta(a_k, pseudo_add(r, r)) hits."""
-        counts = _near_counts(np.asarray(grid), self.points, _doubled(self.radius), pseudo_distance)
+        counts = _near_counts(np.asarray(grid), self.points, _doubled(self.radius))
         return int(np.max(counts))
 
     def to_json(self):
@@ -353,57 +360,111 @@ def _candidate_rings(r, r_max):
     return rings
 
 
-def _greedy_ring(cands, sep):
-    """The candidates of one ring, in order, that the greedy accepts: each one
-    at pseudo-distance >= sep from every earlier accepted one."""
-    earlier = [[] for _ in range(len(cands))]
-    for i, j in _close_pairs(cands, cands, sep):
-        later = i < j
-        i, j = i[later], j[later]
-        near = pseudo_distance(cands[i], cands[j]) < sep
-        for a, b in zip(i[near].tolist(), j[near].tolist()):
-            earlier[b].append(a)
-    accepted = []
-    for prev in earlier:
-        accepted.append(not any(accepted[a] for a in prev))
-    return cands[np.array(accepted, dtype=bool)]
+def _index_window(k, m_src, m, half):
+    """First index and count of the candidates of a ring of m that can lie
+    within angular gap half of candidate k of a ring of m_src.
+
+    Candidate k of m sits at angle 2 pi k / m, so the window is the index
+    interval k m / m_src -+ half m / (2 pi), padded by one index on each side
+    for the rounding of rho e^{i theta} against its generating angle.  The
+    count is capped at m; half None (no window) meets all m.
+    """
+    k = np.asarray(k)
+    if half is None:
+        return np.zeros(k.shape, dtype=int), np.full(k.shape, m)
+    center, width = k * (m / m_src), half * m / (2.0 * math.pi)
+    lo = np.floor(center - width).astype(int) - 1
+    hi = np.ceil(center + width).astype(int) + 1
+    return lo, np.minimum(hi - lo + 1, m)
+
+
+def _earlier_pairs(keep, m, half):
+    """Pairs (i, j), i < j, of positions in the sorted candidate indices keep
+    of a ring of m where keep[i] lies in the _index_window of keep[j] within
+    the ring, grouped by j.
+
+    Where the window spans fewer than m indices, its reach g is below m / 2,
+    and an earlier i lies either at most g indices below j or, across
+    index 0, at least m - g above it: the wrap-around term.  Otherwise every
+    earlier i is taken.
+    """
+    n = keep.size
+    pos = np.arange(n)
+    lo, count = _index_window(0, m, m, half)
+    if count >= m:
+        below, wrapped = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    else:
+        reach = -int(lo)
+        below = np.searchsorted(keep, keep - reach, "left")
+        wrapped = np.searchsorted(keep, keep + reach - m, "right")
+    # the earlier positions of j: [below, j), then [0, wrapped)
+    starts = np.stack([below, np.zeros(n, dtype=int)], axis=1).ravel()
+    counts = np.stack([pos - below, wrapped], axis=1).ravel()
+    return _segments(starts, counts), np.repeat(pos, pos - below + wrapped)
+
+
+def _ring_greedy(cands, keep, half, sep):
+    """The positions in keep (sorted candidate indices of one ring) that the
+    greedy accepts: each at pseudo-distance >= sep from every earlier
+    accepted one."""
+    i, j = _earlier_pairs(keep, cands.size, half)
+    near = pseudo_distance(cands[keep[i]], cands[keep[j]]) < sep
+    # grouped by j with i < j, so every accepted[i] is final when a pair is read
+    accepted = [True] * keep.size
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        if accepted[a]:
+            accepted[b] = False
+    return np.flatnonzero(accepted)
 
 
 def build_lattice(r, r_max=0.995):
     """Greedy maximal (r/2)-separated lattice inside |z| <= r_max.
 
-    Candidates stream outward along a fixed spiral of rings; a candidate is
-    accepted when it is at pseudo-distance >= r/2 from every previously
-    accepted point.  Consecutive rings are only ~r/8 apart, so conflicts can
-    involve at most the last few rings, and the test looks back five rings.
+    Candidates stream outward along a fixed spiral of rings, candidate k of
+    a ring of m at rho e^{2 pi i k / m}; a candidate is accepted when it is
+    at pseudo-distance >= r/2 from every previously accepted point.
+    Consecutive rings are only ~r/8 apart, so conflicts can involve at most
+    the last few rings, and the test looks back five rings.
 
-    Each candidate is tested only against the recent points inside its
-    angular window, not against all of them.  The window comes from two
-    proven lower bounds on d (see Lattice): the radial bound
-    ||z| - |w|| / (1 - |z| |w|), and the angular bound at the smallest
-    modulus involved, which holds because for fixed moduli d increases with
-    the angular gap on [0, pi].  Near the origin, where no window exists,
-    a ring is tested against every recent point.  One array pass per ring
-    marks the candidates that clash with earlier rings; the survivors then
-    run through the greedy in angle order against the accepted points of
-    their own ring that lie in their window.  Every pair that can decide
-    goes through pseudo_distance in the orientation (accepted, candidate),
-    so the points are those of the plain greedy, bit for bit.
+    Each accepted point keeps its candidate index, and meets only the
+    candidates of a later ring whose indices lie in its window
+    (_index_window).  Two proven lower bounds on d (see Lattice), both
+    taken at r/2 (1 + _PRUNE_MARGIN), give the windows: a ring whose radial
+    bound |rho - b| / (1 - rho b) reaches the threshold is skipped, and
+    otherwise the angular bound at the smaller modulus gives the half-width.
+    Near the origin, where no window exists, a point meets the whole ring.
+    One array pass per earlier ring marks the candidates that clash with
+    its points, so the pairs in memory at once are those of two rings.  The
+    survivors then meet the earlier survivors of their own ring
+    within the same index reach, wrapping around index 0, and one scan in
+    index order accepts those with no accepted near neighbour.  Every pair
+    that can decide goes through pseudo_distance in the orientation
+    (accepted, candidate), so the points are those of the plain greedy, bit
+    for bit.
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"lattice radius {r} outside (0, 1)")
-    if not (r_max < 1.0):
-        raise DomainError(f"r_max {r_max} must be < 1")
+    if not (0.0 < r_max < 1.0):
+        raise DomainError(f"r_max {r_max} outside (0, 1)")
     sep = r / 2.0
+    thr = sep * (1.0 + _PRUNE_MARGIN)
     # accepted points from rings within radial pseudo-gap < sep of the current
     # ring can conflict; with ring gap r/8 that is at most 5 rings back.
     window = 5
-    accepted_per_ring = []
-    for _, cands in _candidate_rings(r, r_max):
-        recent = np.concatenate(accepted_per_ring[-window:] or [np.empty(0, dtype=complex)])
-        clash = _near_counts(cands, recent, sep, lambda c, a: pseudo_distance(a, c))
-        accepted_per_ring.append(_greedy_ring(cands[clash == 0], sep))
-    points = np.concatenate(accepted_per_ring)
+    rings = []  # (rho, m, accepted indices, accepted points) per ring
+    for rho, cands in _candidate_rings(r, r_max):
+        m = cands.size
+        clash = np.zeros(m, dtype=bool)
+        for b, m_src, k, pts in rings[-window:]:
+            if abs(rho - b) / (1.0 - rho * b) >= thr:
+                continue
+            lo, counts = _index_window(k, m_src, m, _window_half_width(min(rho, b), thr))
+            j = _segments(lo, counts) % m
+            clash[j[pseudo_distance(np.repeat(pts, counts), cands[j]) < sep]] = True
+        keep = np.flatnonzero(~clash)
+        keep = keep[_ring_greedy(cands, keep, _window_half_width(rho, thr), sep)]
+        rings.append((rho, m, keep, cands[keep]))
+    points = np.concatenate([pts for *_, pts in rings])
 
     # packing bound: the centers hitting z lie in Delta(z, D), D = _doubled(r), and their
     # disjoint Delta(a_k, q) in Delta(z, D (+) q); the ratio of the cells rho^2 / (1 - rho^2)

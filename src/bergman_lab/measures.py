@@ -175,9 +175,18 @@ def weighted_area(u: Weight):
     return DiscMeasure("weighted_area", density=u, params={"weight": u.config()})
 
 
+# the fields each measure kind reads from its config, besides "kind"
+_MEASURE_FIELDS = {
+    "atomic": {"atoms"},
+    "power_density": {"t"},
+    "weighted_area": {"weight"},
+    "density_grid": {"file", "n"},
+}
+
+
 def measure_from_config(cfg, u: Weight = None):
     """Build a measure from its JSON config dict; DomainError if it is malformed."""
-    with config_errors("measure", cfg):
+    with config_errors("measure", cfg, _MEASURE_FIELDS):
         kind = cfg.get("kind")
         if kind == "atomic":
             return atomic([(complex(re, im), m) for re, im, m in cfg["atoms"]])

@@ -129,12 +129,28 @@ def grid_weight(samples, n):
     return Weight("grid", {"n": int(n)}, fn, None)
 
 
+# the fields each weight kind reads from its config, besides "kind"
+_WEIGHT_FIELDS = {
+    "constant": {"value"},
+    "standard": {"alpha"},
+    "power_one_minus_z": {"gamma"},
+    "grid": {"file", "n"},
+}
+
+
 @contextmanager
-def config_errors(what, cfg):
-    """Turn a config that is no JSON object, or misses or mistypes a field, into DomainError."""
+def config_errors(what, cfg, kind_fields):
+    """Turn a config that is no JSON object, names a field its kind does not
+    read (kind_fields: kind -> field names), or misses or mistypes a field,
+    into DomainError."""
     if not isinstance(cfg, dict):
         raise DomainError(f"{what} config must be a JSON object, got {cfg!r}")
     try:
+        # an unhashable kind raises TypeError here; an unknown one is the caller's to name
+        known = kind_fields.get(cfg.get("kind"), set(cfg))
+        unknown = [key for key in cfg if key != "kind" and key not in known]
+        if unknown:
+            raise DomainError(f"{what} kind {cfg['kind']!r} takes no field {unknown} in {cfg!r}")
         yield
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise DomainError(f"malformed {what} config {cfg!r}: {type(exc).__name__}: {exc}") from exc
@@ -142,7 +158,7 @@ def config_errors(what, cfg):
 
 def weight_from_config(cfg):
     """Build a weight from its JSON config dict; DomainError if it is malformed."""
-    with config_errors("weight", cfg):
+    with config_errors("weight", cfg, _WEIGHT_FIELDS):
         kind = cfg.get("kind")
         if kind == "constant":
             return constant(cfg.get("value", 1.0))

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bergman_lab import kernels, measures, quadrature, toeplitz, verification
+from bergman_lab import geometry, kernels, measures, quadrature, toeplitz, verification
 from bergman_lab.errors import DomainError
 from bergman_lab.kernels import KernelModel
 from bergman_lab.quadrature import DiscQuadrature
@@ -207,6 +207,26 @@ def test_criterion_07_sees_a_dropped_eigenvalue(monkeypatch):
 
 def test_criterion_08_lattice_certificates():
     _run(verification.check_08_lattice_certificates)
+
+
+def test_criterion_08_sees_a_dropped_wraparound(monkeypatch):
+    # the within-ring search of build_lattice without its wrap-around term:
+    # the last candidates of a ring no longer meet the first accepted ones,
+    # so pairs closer than r/2 pile up across index 0
+    def without_wraparound(keep, m, half):
+        i, j = earlier_pairs(keep, m, half)
+        linear = keep[j] - keep[i] < m / 2
+        return i[linear], j[linear]
+
+    earlier_pairs = geometry._earlier_pairs
+    monkeypatch.setattr(geometry, "_earlier_pairs", without_wraparound)
+    res = verification.check_08_lattice_certificates()
+    assert not res["passed"]
+    for r, minsep in ((0.2, 0.02493), (0.5, 0.2344)):
+        details = res["details"][f"r={r}"]
+        assert not details["ok"]
+        assert details["min_separation"] == pytest.approx(minsep, rel=1e-3)
+        assert details["min_separation"] < geometry.pseudo_add(r / 4.0, r / 4.0)
 
 
 def test_criterion_09_ba1_band():

@@ -153,6 +153,12 @@ class TestCommands:
             malformed.write_text(json.dumps(fields))
             out = str(tmp_path / "out")
             assert main(["toeplitz", "--config", str(malformed), "--out", out]) == EXIT_BAD_CONFIG
+        # fields a kind does not read were dropped: constant(1.0) was built, and tt ignored
+        for fields in ({"weight": {"kind": "constant", "valeu": 2.0}},
+                       {"measure": {"kind": "power_density", "t": 0.5, "tt": 1}}):
+            misspelt = tmp_path / "misspelt.json"
+            misspelt.write_text(json.dumps(fields))
+            assert main(["toeplitz", "--config", str(misspelt), "--out", out]) == EXIT_BAD_CONFIG
         # atoms that are not [re, im, mass] triples raised a bare ValueError (exit 1)
         for spec in ('atomic:[[0.1,0.2]]', 'atomic:{"a":1}'):
             args = ["toeplitz", "--measure", spec, "--degree", "10", "--out", out]

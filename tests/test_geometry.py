@@ -1,5 +1,6 @@
 """Pseudohyperbolic geometry: metric laws, disks, Carleson sets, lattices."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -144,6 +145,13 @@ class TestLattice:
             build_lattice(1.0)
         with pytest.raises(DomainError):
             build_lattice(0.3, 1.0)
+
+    @pytest.mark.parametrize("r_max", [-0.5, 0.0, -2.0])
+    def test_r_max_must_lie_in_the_open_unit_interval(self, r_max):
+        # -0.5 built 9 points at |z| = 0.5, 0.0 the single point 0, and -2.0
+        # failed later in the audit
+        with pytest.raises(DomainError, match="r_max"):
+            build_lattice(0.3, r_max)
 
     @pytest.mark.parametrize("r, cells", [(0.2, 88), (0.3, 99), (0.5, 152), (0.6, 213)])
     def test_multiplicity_bound_is_the_packing_bound(self, r, cells):
@@ -300,6 +308,65 @@ class TestWindowedLattice:
             lat.min_separation()
         with pytest.raises(DomainError):
             build_lattice(0.3, 0.9).covering_fraction(np.array([1.5 + 0.0j]))
+
+
+class TestRingWindows:
+    """The index windows on the candidate spiral that build_lattice searches."""
+
+    # point count and sha256 of points.tobytes() for every (r, r_max) that
+    # verify and the sweep build, taken from the band-and-window build
+    @pytest.mark.parametrize("r, r_max, count, digest", [
+        (0.2, 0.99, 13412, "8eaf23775f5be9fc0094cf1c3f0660f97fa22b4eda09484404273a67879599cd"),
+        (0.5, 0.99, 2188, "ea13053c4bb0832adda2205e14595a4504334e8c573ec81bbcc9b77d3e622ea2"),
+        (0.3, 0.95, 1130, "93cb75190a718a54569d96e124d5a4dbb055bbd7509ac2cf6995236626b614eb"),
+        (0.15, 0.95, 4449, "485d693e8d4a6b09bf2513fd1cdde29de3c820f96803d904490ae9212f145523"),
+        (0.3, 0.9, 530, "a7297ae2e52513934b42abc9aeff76139c94f27cbe7b1f5b834f9e12cb5fd4cb"),
+        (0.4, 0.95, 642, "6549dd524ccf2df6e8be5d423b2ec74b0b55616d9a5d1744ac9fb78f264afc42"),
+        (0.5, 0.95, 409, "2a6b632c9693a6fe610728e6901908355482c8d62a537b9d5746a93e8afb366c"),
+        (0.6, 0.995, 3041, "681ecaaac82e763bf707bc3c7327ae79182b301a62950cce95f639c50e374087"),
+        (0.8, 0.9, 76, "3a9a9ae40410e7e63241cd45dca695b4b2da3853dcb3433d88489ad95372dcb5"),
+    ])
+    def test_pinned_points(self, r, r_max, count, digest):
+        pts = build_lattice(r, r_max).points
+        assert len(pts) == count
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+    @given(r=st.floats(0.1, 0.9), r_max=st.floats(0.05, 0.9), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_index_window_is_sound(self, r, r_max, data):
+        # model: test_window_half_width_is_sound.  Of two rings at most five
+        # apart, every candidate of the later one (or the same one) within sep
+        # of a candidate k of the earlier lies in the window of k, unless the
+        # radial bound already rules the two rings out
+        rings = geometry._candidate_rings(r, r_max)
+        a = data.draw(st.integers(0, len(rings) - 1))
+        b = data.draw(st.integers(max(0, a - 5), a))
+        (rho, cands), (rho_b, src) = rings[a], rings[b]
+        sep = r / 2.0
+        thr = sep * (1.0 + geometry._PRUNE_MARGIN)
+        m, m_src = cands.size, src.size
+        # at most 64 candidates k, from a drawn start
+        k = (data.draw(st.integers(0, m_src - 1)) + np.arange(min(m_src, 64))) % m_src
+        near = pseudo_distance(src[k][:, None], cands[None, :]) < sep
+        if abs(rho - rho_b) / (1.0 - rho * rho_b) >= thr:
+            assert not np.any(near)
+            return
+        half = geometry._window_half_width(min(rho, rho_b), thr)
+        lo, count = geometry._index_window(k, m_src, m, half)
+        inside = (np.arange(m)[None, :] - lo[:, None]) % m < count[:, None]
+        assert np.all(inside[near])
+
+    @given(m=st.integers(1, 200), half=st.one_of(st.none(), st.floats(1e-3, np.pi)), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_earlier_pairs_are_the_window_pairs(self, m, half, data):
+        keep = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))), dtype=int)
+        i, j = geometry._earlier_pairs(keep, m, half)
+        assert np.all(np.diff(j) >= 0)
+        lo, count = geometry._index_window(keep, m, m, half)
+        want = {(a, b) for b in range(keep.size) for a in range(b)
+                if (keep[a] - lo[b]) % m < count[b]}
+        got = list(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(set(got)) and set(got) == want
 
 
 class TestBoundaryLadder:
