@@ -27,7 +27,9 @@ and polynomials are Horner sums; at the nodes of a centered polar rule (the norm
 density rule of DiscMeasure.integrate_at) every polynomial, kernel and
 quadratic form e^T M conj(e) (the kernel diagonal, Berezin values) takes one
 FFT per ring (quadrature.ring_values), so no per-node Horner or power table
-runs there.
+runs there.  A radial model's reproducing pairing <f, K_w> needs no node
+values at all: its norm rule has one weight per ring, so the node sum is
+taken ring by ring from the coefficients of f and K_w (quadrature.ring_pairing).
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
-from .quadrature import DiscQuadrature, beta_moments, density_rule, monomial_gram, ring_values
+from .quadrature import (
+    DiscQuadrature,
+    beta_moments,
+    density_rule,
+    monomial_gram,
+    ring_pairing,
+    ring_values,
+)
 from .weights import Weight, on_moduli
 
 __all__ = [
@@ -317,12 +326,19 @@ def normalized_kernel(m: KernelModel, w, t=2.0) -> NormalizedKernel:
 def reproducing_check(m: KernelModel, coefs, w):
     """| <f, K_w> - f(w) | for the polynomial f with the given coefficients.
 
-    The pairing is computed by quadrature (not via basis algebra), making this
-    the fundamental self-test of the model plus its integration backbone.  On
-    a radial model's Gauss-Jacobi norm rule it is exact up to rounding.
+    The pairing is computed by quadrature on the norm rule (not via basis
+    algebra), making this the fundamental self-test of the model plus its
+    integration backbone.  A radial model's Gauss-Jacobi norm rule has one
+    weight per ring, so the node sum is taken ring by ring from the monomial
+    coefficients of f and K_w (quadrature.ring_pairing, discrete Parseval),
+    with no node values; it is exact up to rounding.  A general model's rule
+    carries u, which varies around each ring, and takes the node sum.
     """
     coefs = _truncated(m, coefs)
     rule = m.norm_rule()
-    pairing = np.sum(rule.weights * polynomial_values(coefs, rule) * np.conj(m.kernel(rule, w)))
+    if m.is_radial:
+        pairing = ring_pairing(rule, coefs, m.kernel_coefficients(w))
+    else:
+        pairing = np.sum(rule.weights * polynomial_values(coefs, rule) * np.conj(m.kernel(rule, w)))
     fw = polynomial_values(coefs, complex(w))
     return float(abs(pairing - fw))

@@ -20,7 +20,6 @@ from .weights import (
     Weight,
     config_errors,
     disk_masses,
-    grid_weight,
     mass,
     standard,
     weight_from_config,
@@ -198,10 +197,8 @@ def measure_from_config(cfg, u: Weight = None):
                 raise DomainError("weighted_area config needs a weight")
             return weighted_area(w)
         if kind == "density_grid":
-            n = int(cfg["n"])
-            samples = np.loadtxt(cfg["file"], delimiter=",", usecols=2)
-            gw = grid_weight(samples.reshape(n, n), n)
-            return density(gw, params={"file": cfg["file"], "n": n})
+            gw = weight_from_config({"kind": "grid", "file": cfg["file"], "n": cfg["n"]})
+            return DiscMeasure("density_grid", density=gw, params=dict(gw.params))
     raise DomainError(f"unknown measure kind {kind!r}")
 
 

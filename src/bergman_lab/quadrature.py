@@ -42,7 +42,10 @@ values of beta_moments.
 On a centered polar rule a polynomial in z and conj(z) is, ring by ring, a
 discrete Fourier sum in the angle: monomial_gram takes Grams and ring_values
 takes values at the nodes with one FFT per ring (exact at the nodes, aliased
-frequencies included).
+frequencies included).  Where the weights are constant on each ring,
+ring_pairing takes the node sum of w f conj(g) for polynomials f and g from
+their folded ring coefficients by discrete Parseval: the same sum, with no
+FFT and no node values.
 
 Only Carleson sets take a refinement test.  The polar rule (Gauss-Legendre
 in r dr, trapezoid in angle) integrates constants exactly on every disk, so
@@ -74,6 +77,7 @@ __all__ = [
     "density_rule",
     "monomial_gram",
     "ring_values",
+    "ring_pairing",
     "disk_integrals",
 ]
 
@@ -304,6 +308,23 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
     return gram
 
 
+def _ring_layout(rule, what):
+    """(n_radial, n_angular, ring radii) of a centered polar rule; DomainError otherwise."""
+    if rule.region is not None:
+        raise DomainError(f"{what} needs a centered polar rule, not {rule.region}")
+    n_angular = rule.nodes.size // rule.resolution
+    # node 0 of ring i is rho_i e^(0i), exactly rho_i
+    return rule.resolution, n_angular, rule.nodes[::n_angular].real
+
+
+def _fold(coeffs, n_angular):
+    """Ring coefficients a(d), one row per ring, each d >= n_angular added onto d mod n_angular."""
+    if coeffs.shape[1] <= n_angular:
+        return coeffs
+    pad = -coeffs.shape[1] % n_angular
+    return np.pad(coeffs, ((0, 0), (0, pad))).reshape(len(coeffs), -1, n_angular).sum(axis=1)
+
+
 def ring_values(rule, coefficients):
     """sum_d a_rho(d) e^(i d theta) at every node of a centered polar rule, in node order.
 
@@ -314,17 +335,37 @@ def ring_values(rule, coefficients):
     exact at the nodes.  A rule that is not a centered polar rule (disc_rule,
     weighted_disc_rule) raises DomainError.
     """
-    if rule.region is not None:
-        raise DomainError(f"ring evaluation needs a centered polar rule, not {rule.region}")
-    n_radial = rule.resolution
-    n_angular = rule.nodes.size // n_radial
-    # node 0 of ring i is rho_i e^(0i), exactly rho_i
-    coeffs = np.asarray(coefficients(rule.nodes[::n_angular].real))
-    if coeffs.shape[1] > n_angular:
-        pad = -coeffs.shape[1] % n_angular
-        coeffs = np.pad(coeffs, ((0, 0), (0, pad))).reshape(n_radial, -1, n_angular).sum(axis=1)
+    _, n_angular, rho = _ring_layout(rule, "ring evaluation")
+    coeffs = _fold(np.asarray(coefficients(rho)), n_angular)
     # the unscaled inverse DFT: sum_d a(d) e^(2 pi i d k / n), and theta_k = 2 pi k / n
     return np.fft.ifft(coeffs, n=n_angular, axis=1, norm="forward").ravel()
+
+
+def ring_pairing(rule, f, g):
+    """sum_nodes w f conj(g) for f = sum_j f_j z^j, g = sum_j g_j z^j, without node values.
+
+    rule is a centered polar rule whose weights are constant on each ring
+    (disc_rule, weighted_disc_rule); f and g are monomial coefficients.  On a
+    ring of radius rho the values are discrete Fourier sums with coefficients
+    a(d) = sum_(j = d mod n) f_j rho^j, folded as ring_values folds them, so
+    by discrete Parseval the ring's node sum of f conj(g) is
+    n_angular sum_d a(d) conj(b(d)); the pairing is the ring weights times
+    these sums, equal to the node sum for every rule size, aliased or not.
+    Other rules, and weights that vary around a ring, raise DomainError.
+    """
+    n_radial, n_angular, rho = _ring_layout(rule, "ring pairing")
+    ring_weights = rule.weights[::n_angular]
+    if np.any(rule.weights.reshape(n_radial, n_angular) != ring_weights[:, None]):
+        raise DomainError("ring pairing needs weights that are constant on each ring")
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    if max(f.size, g.size) <= n_angular:
+        # no folding: only the frequencies both polynomials have meet
+        f, g = f[: g.size], g[: f.size]
+    a = _fold(f * rho[:, None] ** np.arange(f.size), n_angular)
+    b = _fold(g * rho[:, None] ** np.arange(g.size), n_angular)
+    k = min(a.shape[1], b.shape[1])
+    ring_sums = n_angular * np.sum(a[:, :k] * np.conj(b[:, :k]), axis=1)
+    return complex(ring_weights @ ring_sums)
 
 
 def _disk_map(disks, resolution):

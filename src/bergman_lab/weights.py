@@ -97,13 +97,15 @@ def power_one_minus_z(gamma):
     )
 
 
-def grid_weight(samples, n):
+def grid_weight(samples, n, file=None):
     """Bilinear interpolation of an n x n sample grid on [-1, 1]^2.
 
     samples: array of shape (n, n) of positive values indexed [iy, ix];
     values are clamped below at 1e-12 to preserve positivity.  A point takes
     the cell [axis[i], axis[i + 1]) that holds it; outside the grid the edge
-    cell's bilinear form extrapolates linearly.
+    cell's bilinear form extrapolates linearly.  file names the CSV the
+    samples were read from (weight_from_config); it is kept in the config,
+    which then loads back.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (n, n):
@@ -126,7 +128,8 @@ def grid_weight(samples, n):
         )
         return np.maximum(vals, _GRID_FLOOR)
 
-    return Weight("grid", {"n": int(n)}, fn, None)
+    params = {"n": int(n)} if file is None else {"file": file, "n": int(n)}
+    return Weight("grid", params, fn, None)
 
 
 # the fields each weight kind reads from its config, besides "kind"
@@ -169,7 +172,7 @@ def weight_from_config(cfg):
         if kind == "grid":
             samples = np.loadtxt(cfg["file"], delimiter=",", usecols=2)
             n = int(cfg["n"])
-            return grid_weight(samples.reshape(n, n), n)
+            return grid_weight(samples.reshape(n, n), n, file=cfg["file"])
     raise DomainError(f"unknown weight kind {kind!r}")
 
 

@@ -24,12 +24,13 @@ stays the same.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bergman_lab import geometry, kernels, measures, quadrature, toeplitz, verification
+from bergman_lab import criteria, geometry, kernels, measures, quadrature, toeplitz, verification
 from bergman_lab.errors import DomainError
 from bergman_lab.kernels import KernelModel
 from bergman_lab.quadrature import DiscQuadrature
@@ -178,6 +179,17 @@ def test_criterion_03_sees_a_dropped_ring(monkeypatch):
     res = verification.check_03_reproducing()
     assert not res["passed"]
     assert res["details"]["max_error"] > 1e-7
+
+
+def test_criterion_03_sees_an_aliased_norm_rule(monkeypatch):
+    # 128 angles at degree 200: K_w's frequencies above 128 fold onto those of f,
+    # which the rule's own node sum keeps; a pairing of diagonal moments alone
+    # would drop them and stay green
+    norm_resolution = kernels._norm_resolution
+    monkeypatch.setattr(kernels, "_norm_resolution", lambda n: (*norm_resolution(n)[:2], 128))
+    res = verification.check_03_reproducing()
+    assert not res["passed"]
+    assert res["details"]["max_error"] == pytest.approx(2.5323e-05, rel=1e-4)
 
 
 def test_criterion_05_sees_drifted_measure_moments(monkeypatch):
@@ -329,5 +341,36 @@ def test_criterion_14_consistency_matrix():
     _run(verification.check_14_consistency_matrix)
 
 
+def test_criterion_14_sees_a_tilted_carleson_ratio(monkeypatch):
+    # mu(S(a)) / u(S(a))^expo times (1 - |a|^2)^(-0.5) grows at the boundary,
+    # so the Carleson condition parts from the Berezin and averaging ones
+    ratios = criteria._carleson_ratios
+    monkeypatch.setattr(
+        criteria,
+        "_carleson_ratios",
+        lambda mu, u, expo, points: ratios(mu, u, expo, points)
+        * (1.0 - np.abs(np.asarray(points)) ** 2) ** -0.5,
+    )
+    res = verification.check_14_consistency_matrix()
+    assert not res["passed"]
+    for name in ("identity p=q", "power 0.6 p2q4"):
+        assert res["details"][name]["agreement"] is False
+
+
 def test_criterion_15_determinism():
     _run(verification.check_15_determinism)
+
+
+def test_criterion_15_sees_a_reordered_lattice(monkeypatch):
+    # every second lattice build hands out its points reversed
+    def reversed_every_second(*args):
+        lat = build_lattice(*args)
+        calls.append(lat)
+        return replace(lat, points=lat.points[::-1]) if len(calls) % 2 == 0 else lat
+
+    calls = []
+    build_lattice = verification.build_lattice
+    monkeypatch.setattr(verification, "build_lattice", reversed_every_second)
+    res = verification.check_15_determinism()
+    assert not res["passed"]
+    assert res["details"]["mismatched"] == ["lattice.json"]

@@ -26,7 +26,7 @@ from bergman_lab import (
     reproducing_check,
     standard,
 )
-from bergman_lab.kernels import _gram_resolution, _norm_resolution
+from bergman_lab.kernels import _gram_resolution, _norm_resolution, polynomial_values
 from bergman_lab.quadrature import _polar_rule, monomial_gram, weighted_disc_rule
 from bergman_lab.toeplitz import _basis_coordinates
 
@@ -275,6 +275,36 @@ class TestGeneralWeightPath:
 @lru_cache(maxsize=None)
 def _general_model(gamma, degree):
     return build_kernel_model(power_one_minus_z(gamma), degree)
+
+
+def _node_sum_residual(m, coefs, w):
+    """|<f, K_w> - f(w)| as the node sum sum w f conj(K_w) over the norm rule."""
+    rule = m.norm_rule()
+    pairing = np.sum(rule.weights * polynomial_values(coefs, rule) * np.conj(m.kernel(rule, w)))
+    return float(abs(pairing - polynomial_values(coefs, complex(w))))
+
+
+class TestRingPairedReproducing:
+    """A radial model pairs f with K_w ring by ring (quadrature.ring_pairing)."""
+
+    @pytest.mark.parametrize("alpha", _ALPHAS)
+    @pytest.mark.parametrize("degree", [40, 200])
+    def test_radial_matches_the_node_sum(self, alpha, degree):
+        m = build_kernel_model(_standard(alpha), degree)
+        rng = np.random.default_rng(7)
+        for w in (0.0, 0.5, 0.9j, -0.62 + 0.7j):
+            n = int(rng.integers(0, degree + 1))
+            coefs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            assert abs(reproducing_check(m, coefs, w) - _node_sum_residual(m, coefs, w)) <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [-0.5, 1.0])
+    def test_general_keeps_the_node_sum_bit_for_bit(self, gamma):
+        # u varies around each ring of the general norm rule: no per-ring Parseval
+        m = _general_model(gamma, 40)
+        rng = np.random.default_rng(11)
+        for w in (0.3 - 0.2j, 0.8, -0.5j):
+            coefs = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+            assert reproducing_check(m, coefs, w) == _node_sum_residual(m, coefs, w)
 
 
 _SOLVE_CASES = [(g, n) for g in (-0.5, 0.5, 1.0, 1.5) for n in (40, 80)]

@@ -24,6 +24,7 @@ from bergman_lab import (
     pseudo_disk,
     pseudo_distance,
     standard,
+    weight_from_config,
     weighted_area,
 )
 from bergman_lab.kernels import _gram_resolution
@@ -81,6 +82,72 @@ class TestConstruction:
             power_density(t)
         with pytest.raises(DomainError, match="t > -1"):
             measure_from_config({"kind": "power_density", "t": t})
+
+
+_GRID = "GRID_CSV"  # stands for the temporary sample file of a test
+
+
+def _grid_csv(directory, n=4):
+    """An n x n grid of positive samples as x, y, value rows, in the loader's [iy, ix] order."""
+    axis = np.linspace(-1.0, 1.0, n)
+    y, x = np.meshgrid(axis, axis, indexing="ij")
+    path = directory / "samples.csv"
+    np.savetxt(path, np.column_stack([x.ravel(), y.ravel(), 1.0 + x.ravel() ** 2 + 0.5 * y.ravel()]),
+               delimiter=",")
+    return str(path)
+
+
+_WEIGHT_CONFIGS = [
+    {"kind": "constant", "value": 2.5},
+    {"kind": "standard", "alpha": -0.5},
+    {"kind": "power_one_minus_z", "gamma": 1.5},
+    {"kind": "grid", "file": _GRID, "n": 4},
+]
+_MEASURE_CONFIGS = [
+    {"kind": "atomic", "atoms": [[0.3, 0.1, 2.0], [0.0, -0.5, 0.5]]},
+    {"kind": "power_density", "t": 0.7},
+    *({"kind": "weighted_area", "weight": w} for w in _WEIGHT_CONFIGS),
+    {"kind": "density_grid", "file": _GRID, "n": 4},
+]
+
+
+def _with_file(cfg, path):
+    """cfg with the _GRID placeholder, at any depth, replaced by path."""
+    if isinstance(cfg, dict):
+        return {k: _with_file(v, path) for k, v in cfg.items()}
+    return path if cfg == _GRID else cfg
+
+
+class TestConfigRoundTrip:
+    """Every config the library writes for a kind built from a config loads back."""
+
+    _Z = np.array([0.0, 0.3 + 0.4j, -0.7j, 0.9])
+
+    @pytest.mark.parametrize("cfg", _WEIGHT_CONFIGS, ids=lambda c: c["kind"])
+    def test_weights(self, cfg, tmp_path):
+        cfg = _with_file(cfg, _grid_csv(tmp_path))
+        u = weight_from_config(cfg)
+        back = weight_from_config(u.config())
+        assert u.config() == back.config() == cfg
+        assert np.array_equal(back(self._Z), u(self._Z))
+        assert back.power == u.power
+
+    @pytest.mark.parametrize("cfg", _MEASURE_CONFIGS, ids=lambda c: "-".join([c["kind"], *c.get("weight", {}).values()][:2]))
+    def test_measures(self, cfg, tmp_path):
+        cfg = _with_file(cfg, _grid_csv(tmp_path))
+        mu = measure_from_config(cfg)
+        back = measure_from_config(mu.config())
+        assert mu.config() == back.config() == cfg
+        assert (back.kind, back.is_radial) == (mu.kind, mu.is_radial)
+        if mu.kind == "atomic":
+            assert back.atoms == mu.atoms
+        else:
+            assert np.array_equal(back.density_at(self._Z), mu.density_at(self._Z))
+
+    def test_weighted_area_of_a_supplied_weight(self, tmp_path):
+        u = weight_from_config({"kind": "grid", "file": _grid_csv(tmp_path), "n": 4})
+        mu = measure_from_config({"kind": "weighted_area"}, u=u)
+        assert measure_from_config(mu.config()).config() == mu.config()
 
 
 class TestIntegration:

@@ -25,6 +25,7 @@ from bergman_lab.quadrature import (
     density_rule,
     gauss_rule,
     monomial_gram,
+    ring_pairing,
     ring_values,
     weighted_disc_rule,
 )
@@ -249,6 +250,54 @@ class TestRingValues:
         rule = region_quadrature(region, 8)
         with pytest.raises(DomainError, match="centered polar rule"):
             ring_values(rule, lambda rho: np.ones((rho.size, 3)))
+
+
+class TestRingPairing:
+    @given(
+        deg_f=st.integers(0, 199),
+        deg_g=st.integers(0, 199),
+        n_angular=st.sampled_from([3, 16, 64, 200, 512]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    # degrees at and above n_angular: frequencies fold mod n_angular
+    @example(deg_f=199, deg_g=150, n_angular=64, weighted=True, seed=0)
+    @example(deg_f=10, deg_g=199, n_angular=64, weighted=False, seed=1)
+    @example(deg_f=63, deg_g=64, n_angular=64, weighted=True, seed=2)
+    @example(deg_f=0, deg_g=0, n_angular=3, weighted=False, seed=3)
+    def test_equals_the_node_sum(self, deg_f, deg_g, n_angular, weighted, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(deg_f + 1) + 1j * rng.standard_normal(deg_f + 1)
+        g = rng.standard_normal(deg_g + 1) + 1j * rng.standard_normal(deg_g + 1)
+        if weighted:
+            rule = weighted_disc_rule(40, n_angular, 1.5, rng.uniform(-0.9, 2.0))
+        else:
+            rule = disc_rule(30, n_angular, 0.95)
+        fz = np.polynomial.polynomial.polyval(rule.nodes, f)
+        gz = np.polynomial.polynomial.polyval(rule.nodes, g)
+        want = np.sum(rule.weights * fz * np.conj(gz))
+        scale = np.sum(rule.weights * np.abs(fz) * np.abs(gz))
+        assert abs(ring_pairing(rule, f, g) - want) <= 1e-14 * scale
+
+    def test_aliased_frequencies_meet(self):
+        # on 8 angles z^9 and z^1 agree at every node of a ring: <z^9, z> = sum w rho^10
+        rule = disc_rule(5, 8)
+        want = np.sum(rule.weights * np.abs(rule.nodes) ** 10)
+        got = ring_pairing(rule, np.eye(10)[9], [0.0, 1.0])
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("region", [pseudo_disk(0.2j, 0.3), CarlesonSet(0.5)])
+    def test_region_rules_raise(self, region):
+        rule = region_quadrature(region, 8)
+        with pytest.raises(DomainError, match="centered polar rule"):
+            ring_pairing(rule, [1.0, 2.0], [1.0])
+
+    def test_weights_varying_around_a_ring_raise(self):
+        # a non-radial density folded into the weights: Parseval per ring does not apply
+        rule = density_rule(power_one_minus_z(0.5), 8, 8, 16)
+        with pytest.raises(DomainError, match="constant on each ring"):
+            ring_pairing(rule, [1.0, 2.0], [1.0])
 
 
 class TestWeightedDiscRule:
