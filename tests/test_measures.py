@@ -132,7 +132,9 @@ class TestConfigRoundTrip:
         assert np.array_equal(back(self._Z), u(self._Z))
         assert back.power == u.power
 
-    @pytest.mark.parametrize("cfg", _MEASURE_CONFIGS, ids=lambda c: "-".join([c["kind"], *c.get("weight", {}).values()][:2]))
+    @pytest.mark.parametrize(
+        "cfg", _MEASURE_CONFIGS, ids=lambda c: "-".join([c["kind"], *c.get("weight", {}).values()][:2])
+    )
     def test_measures(self, cfg, tmp_path):
         cfg = _with_file(cfg, _grid_csv(tmp_path))
         mu = measure_from_config(cfg)
@@ -143,11 +145,6 @@ class TestConfigRoundTrip:
             assert back.atoms == mu.atoms
         else:
             assert np.array_equal(back.density_at(self._Z), mu.density_at(self._Z))
-
-    def test_weighted_area_of_a_supplied_weight(self, tmp_path):
-        u = weight_from_config({"kind": "grid", "file": _grid_csv(tmp_path), "n": 4})
-        mu = measure_from_config({"kind": "weighted_area"}, u=u)
-        assert measure_from_config(mu.config()).config() == mu.config()
 
 
 class TestIntegration:

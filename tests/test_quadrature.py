@@ -280,13 +280,6 @@ class TestRingPairing:
         scale = np.sum(rule.weights * np.abs(fz) * np.abs(gz))
         assert abs(ring_pairing(rule, f, g) - want) <= 1e-14 * scale
 
-    def test_aliased_frequencies_meet(self):
-        # on 8 angles z^9 and z^1 agree at every node of a ring: <z^9, z> = sum w rho^10
-        rule = disc_rule(5, 8)
-        want = np.sum(rule.weights * np.abs(rule.nodes) ** 10)
-        got = ring_pairing(rule, np.eye(10)[9], [0.0, 1.0])
-        assert got == pytest.approx(want, rel=1e-14)
-
     @pytest.mark.parametrize("region", [pseudo_disk(0.2j, 0.3), CarlesonSet(0.5)])
     def test_region_rules_raise(self, region):
         rule = region_quadrature(region, 8)
