@@ -17,6 +17,7 @@ configuration; 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -34,6 +35,7 @@ from .errors import BergmanLabError, DegeneracyError, DomainError, PrecisionErro
 from .geometry import audit_grid, boundary_ladder, build_lattice
 from .kernels import build_kernel_model, reproducing_check
 from .measures import measure_from_config
+from .reports import profile_csv
 from .weights import weight_from_config
 
 EXIT_OK = 0
@@ -159,17 +161,6 @@ def _write_artifacts(cfg: RunConfig, subcommand, report, csv_files=None, summary
     return outdir
 
 
-def _profile_csv(points, columns):
-    """CSV with re,im plus named value columns."""
-    names = ",".join(columns)
-    lines = [f"re,im,{names}"]
-    cols = list(columns.values())
-    for i, z in enumerate(points):
-        vals = ",".join(repr(float(c[i])) for c in cols)
-        lines.append(f"{float(np.real(z))!r},{float(np.imag(z))!r},{vals}")
-    return "\n".join(lines) + "\n"
-
-
 def run_lattice(cfg: RunConfig):
     lat = build_lattice(cfg.lattice_r, cfg.rmax)
     grid = audit_grid(4096, cfg.rmax)
@@ -220,7 +211,7 @@ def run_weights(cfg: RunConfig):
         "cp": {"value": cp.value, "trend": [[r, v] for r, v in cp.trend], "verdict": cp.verdict},
     }
     anchors = np.array([a for a, _ in bp.per_anchor])
-    csv = _profile_csv(anchors, {"bp_joint_average": np.array([v for _, v in bp.per_anchor])})
+    csv = profile_csv(anchors, {"bp_joint_average": np.array([v for _, v in bp.per_anchor])})
     summary = (
         f"[u]_Bp(p={cfg.p}) = {bp.value:.6g} (trend {bp.verdict}); "
         f"[u]_Cp(r={cfg.r}) = {cp.value:.6g} (trend {cp.verdict})"
@@ -235,7 +226,7 @@ def run_berezin(cfg: RunConfig):
     bz = transforms.berezin_profile(mu, m, lat.points)
     tb = transforms.t_berezin_profile(mu, m, cfg.t, lat.points)
     av = transforms.average_profile(mu, u, cfg.r, lat.points)
-    csv = _profile_csv(lat.points, {"berezin": bz, "t_berezin": tb, "average": av})
+    csv = profile_csv(lat.points, {"berezin": bz, "t_berezin": tb, "average": av})
     report = {
         "berezin_band": [float(bz.min()), float(bz.max())],
         "t_berezin_band": [float(tb.min()), float(tb.max())],
@@ -324,30 +315,34 @@ RUNNERS = {
 SWEEP_FLAGS = ("p", "q", "t", "r", "s")
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process: parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="bergman-lab",
         description="Numerical laboratory for weighted Bergman-space operator theory.",
     )
     parser.add_argument("--version", action="version", version=f"bergman-lab {__version__}")
+    # the flags every subcommand takes, listed once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", type=str, help="JSON config file")
+    shared.add_argument("--weight", type=str, help="weight spec, e.g. constant, standard:1")
+    shared.add_argument("--measure", type=str, help="measure spec, e.g. power_density:0.4")
+    for flag in SWEEP_FLAGS:
+        shared.add_argument(f"--{flag}", type=str, help=f"{flag} value or comma-separated sweep")
+    shared.add_argument("--degree", type=int, help="kernel truncation degree N")
+    shared.add_argument("--rmax", type=float, help="outer truncation radius")
+    shared.add_argument("--lattice-r", type=float, dest="lattice_r", help="lattice radius")
+    shared.add_argument("--C", type=float, help="Schatten constant C")
+    shared.add_argument("--h", type=str, help="Schatten h spec, e.g. power:2")
+    shared.add_argument("--index", type=str, help="criteria index (bound, compact, qlp, carleson, vanishing, consistency)")
+    shared.add_argument("--reference", type=str, help="qlp reference measure (u_dA or dA)")
+    shared.add_argument("--out", type=str, help="artifact output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in (*RUNNERS, "verify"):
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
-        sp.add_argument("--config", type=str, help="JSON config file")
-        sp.add_argument("--weight", type=str, help="weight spec, e.g. constant, standard:1")
-        sp.add_argument("--measure", type=str, help="measure spec, e.g. power_density:0.4")
-        for flag in SWEEP_FLAGS:
-            sp.add_argument(f"--{flag}", type=str, help=f"{flag} value or comma-separated sweep")
-        sp.add_argument("--degree", type=int, help="kernel truncation degree N")
-        sp.add_argument("--rmax", type=float, help="outer truncation radius")
-        sp.add_argument("--lattice-r", type=float, dest="lattice_r", help="lattice radius")
-        sp.add_argument("--C", type=float, help="Schatten constant C")
-        sp.add_argument("--h", type=str, help="Schatten h spec, e.g. power:2")
-        sp.add_argument("--index", type=str, help="criteria index (bound, compact, qlp, carleson, vanishing, consistency)")
-        sp.add_argument("--reference", type=str, help="qlp reference measure (u_dA or dA)")
-        sp.add_argument("--out", type=str, help="artifact output directory")
-        if name == "verify":
-            sp.add_argument("--only", type=str, help="comma-separated criterion numbers")
+    for name in RUNNERS:
+        sub.add_parser(name, parents=[shared], help=f"run the {name} experiment")
+    verify = sub.add_parser("verify", parents=[shared], help="run the verify experiment")
+    verify.add_argument("--only", type=str, help="comma-separated criterion numbers")
     return parser
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError, EvaluationError
-from .geometry import check_disc_point, pseudo_disk, pseudo_distance
+from .geometry import check_disc_point, pseudo_distance
 from .kernels import _gram_resolution
 from .quadrature import DiscQuadrature, beta_moments, density_rule, monomial_gram
 from .weights import (
@@ -108,11 +108,20 @@ class DiscMeasure:
         """
         if self.kind != "atomic":
             return disk_masses(self.density, r, points, self._resolution)
-        centers = np.array([pseudo_disk(z, r).center for z in np.ravel(points)], dtype=complex)
-        inside = pseudo_distance(centers[:, None], self.atom_points()[None, :]) < float(r)
-        return np.array(
-            [float(sum(mz for (_, mz), hit in zip(self.atoms, row) if hit)) for row in inside]
-        )
+        z = np.ravel(np.asarray(points, dtype=complex))
+        # hypot is Python's abs(complex), which check_disc_point takes
+        outside = np.flatnonzero(~(np.hypot(z.real, z.imag) < 1.0))
+        if outside.size:
+            check_disc_point(z[outside[0]], "center")
+        r = float(r)
+        if not (0.0 < r < 1.0):
+            raise DomainError(f"pseudohyperbolic radius {r} outside (0, 1)")
+        inside = pseudo_distance(z[:, None], self.atom_points()[None, :]) < r
+        # left to right over the atoms, as sum() adds them
+        total = np.zeros(z.size)
+        for (_, mz), hit in zip(self.atoms, inside.T):
+            total += np.where(hit, mz, 0.0)
+        return total
 
     def region_mass(self, region):
         """mu(region) for a PseudoDisk or a CarlesonSet; a density's is weights.mass."""

@@ -12,14 +12,12 @@ ring (-0.1) is measured cleanly after a handful of rings.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
 import numpy as np
 
-__all__ = ["CriterionReport", "band", "classify_ring_trend", "ring_slope"]
+__all__ = ["CriterionReport", "band", "classify_ring_trend", "profile_csv", "ring_slope"]
 
 
 def band(values):
@@ -97,31 +95,49 @@ class CriterionReport:
 
     def to_dict(self):
         """JSON-ready fields; non-finite numbers become "inf", "-inf" or "nan"."""
-        return _jsonable(
+        z, values = self._columns()
+        rows = [list(row) for row in zip(z.real.tolist(), z.imag.tolist(), values.tolist())]
+        if not (np.isfinite(z).all() and np.isfinite(values).all()):
+            rows = _jsonable(rows)
+        out = _jsonable(
             {
                 "name": self.name,
                 "parameters": self.parameters,
                 "index_value": self.index_value,
-                "per_point": [
-                    [float(np.real(z)), float(np.imag(z)), float(v)] for z, v in self.per_point
-                ],
+                "per_point": None,
                 "ring_trend": self.ring_trend,
                 "verdict": self.verdict,
                 "extras": self.extras,
             }
         )
+        out["per_point"] = rows
+        return out
 
     def to_json(self, **kwargs):
         kwargs.setdefault("sort_keys", True)
         return json.dumps(self.to_dict(), **kwargs)
 
     def per_point_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["re", "im", "value"])
-        for z, v in self.per_point:
-            writer.writerow([float(np.real(z)), float(np.imag(z)), float(v)])
-        return buf.getvalue()
+        z, values = self._columns()
+        return profile_csv(z, {"value": values})
+
+    def _columns(self):
+        """The per-point samples as a complex point array and a float value array."""
+        table = np.array(self.per_point, dtype=complex).reshape(-1, 2)
+        return table[:, 0], table[:, 1].real
+
+
+def profile_csv(points, columns):
+    """CSV with re,im plus named value columns, each value written as repr(float).
+
+    Every column is converted whole, by one tolist().
+    """
+    z = np.asarray(points, dtype=complex)
+    cols = [z.real.tolist(), z.imag.tolist()]
+    cols += [np.asarray(c, dtype=float).tolist() for c in columns.values()]
+    lines = ["re,im," + ",".join(columns)]
+    lines += [",".join(map(repr, row)) for row in zip(*cols)]
+    return "\n".join(lines) + "\n"
 
 
 def _jsonable(v):

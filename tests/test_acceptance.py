@@ -30,7 +30,16 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bergman_lab import criteria, geometry, kernels, measures, quadrature, toeplitz, verification
+from bergman_lab import (
+    criteria,
+    geometry,
+    kernels,
+    measures,
+    quadrature,
+    reports,
+    toeplitz,
+    verification,
+)
 from bergman_lab.errors import DomainError
 from bergman_lab.kernels import KernelModel
 from bergman_lab.quadrature import DiscQuadrature
@@ -261,6 +270,16 @@ def test_criterion_10_sees_shrunk_disk_masses(monkeypatch):
 
 def test_criterion_11_boundedness_threshold():
     _run(verification.check_11_boundedness_threshold)
+
+
+def test_criterion_11_sees_a_classifier_blind_to_slope(monkeypatch):
+    # a ring slope read as 0.0: the t = 0.4 rings still grow by 2^0.1 per ring,
+    # but the classifier calls them finite
+    monkeypatch.setattr(reports, "ring_slope", lambda values, tail=5: 0.0)
+    res = verification.check_11_boundedness_threshold()
+    assert not res["passed"]
+    assert res["details"]["verdict_t0.4"] == "finite"
+    assert res["details"]["total_growth_t0.4"] >= 2.0
 
 
 def test_criterion_12_compactness():

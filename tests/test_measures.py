@@ -241,6 +241,19 @@ class TestDiskMass:
         assert mu.disk_mass(points[0], r) == want[0]
         assert not pseudo_disk(points[0], r).contains(atoms[0][0])
 
+    @pytest.mark.parametrize(
+        "points, r, message",
+        [
+            ([0.2, 1.0, 0.3], 0.3, "center = \\(1\\+0j\\) is not in the open unit disc"),
+            ([0.2, complex(np.nan, 0.0)], 0.3, "not in the open unit disc"),
+            ([0.2], 1.0, "pseudohyperbolic radius 1.0 outside"),
+            ([0.2], 0.0, "pseudohyperbolic radius 0.0 outside"),
+        ],
+    )
+    def test_atomic_masses_validate_points_and_radius(self, points, r, message):
+        with pytest.raises(DomainError, match=message):
+            atomic([(0.1, 1.0)]).disk_masses(points, r)
+
     @given(
         mu=st.sampled_from([
             power_density(-0.5),

@@ -9,6 +9,7 @@ from bergman_lab import (
     CarlesonSet,
     DomainError,
     EvaluationError,
+    PrecisionError,
     constant,
     density,
     disc_rule,
@@ -88,8 +89,65 @@ class TestRegionQuadrature:
         region_quadrature(pseudo_disk(0.5, 0.4), 16)
         assert built == [16, 16]
         built.clear()
+        # accepted on its exact area: no rule of twice the resolution is built
         region_quadrature(CarlesonSet(0.5), 16)
-        assert built[:2] == [16, 32]
+        assert built == [16]
+
+    @pytest.mark.parametrize("modulus", [0.3, 0.9, 0.99, 1.0 - 2.0**-12])
+    def test_carleson_area_matches_mpmath(self, modulus):
+        # int |phi_a'|^2 dA over the preimage half-disc {|w| <= R, Re(conj(a) w) <= 0};
+        # for a = modulus > 0, |1 - a w|^2 = 1 - 2 a r cos(theta) + a^2 r^2
+        from bergman_lab.quadrature import _CARLESON_R_INNER, _carleson_area
+
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            a = mpmath.mpf(modulus)
+            jac = lambda r, th: r / (1 - 2 * a * r * mpmath.cos(th) + a * a * r * r) ** 2
+            half_disc = [0, mpmath.mpf(_CARLESON_R_INNER)], [mpmath.pi / 2, 3 * mpmath.pi / 2]
+            exact = float(((1 - a) * (1 + a)) ** 2 * mpmath.quad(jac, *half_disc))
+        assert _carleson_area(modulus) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_carleson_area_of_the_whole_disc(self):
+        from bergman_lab.quadrature import _CARLESON_R_INNER, _carleson_area
+
+        # S(0) is the whole disc: its rule is the polar rule of radius R
+        assert _carleson_area(0.0) == pytest.approx(np.pi * _CARLESON_R_INNER**2, rel=1e-15)
+        assert region_quadrature(CarlesonSet(0.0), 16).area == pytest.approx(
+            _carleson_area(0.0), rel=1e-15
+        )
+
+    @pytest.mark.parametrize("anchor", [0.3, -0.5j, 0.9 * np.exp(2j), 1.0 - 2.0**-12])
+    @pytest.mark.parametrize("resolution", [8, 16, 32, 48])
+    def test_carleson_rules_kept_at_the_requested_resolution(self, anchor, resolution):
+        # rules from resolution 8 up are within 1.2e-10 of the exact area, far
+        # inside _CARLESON_TOL, so every sweep and verify rule is kept as requested
+        from bergman_lab.quadrature import _carleson_area
+
+        rule = region_quadrature(CarlesonSet(anchor), resolution)
+        assert rule.resolution == resolution
+        exact = _carleson_area(abs(anchor))
+        assert abs(rule.area - exact) <= 1.2e-10 * exact
+
+    def test_carleson_rule_escalates_on_a_wrong_area(self, monkeypatch):
+        # an exact area off by 1e-5 relative no rule meets: every resolution up
+        # to the maximum is tried once, and then PrecisionError is raised
+        from bergman_lab import quadrature
+
+        built = []
+        build, area = quadrature._build, quadrature._carleson_area
+        monkeypatch.setattr(quadrature, "_carleson_area", lambda m: area(m) * (1.0 + 1e-5))
+        monkeypatch.setattr(quadrature, "_build", lambda g, n: built.append(n) or build(g, n))
+        try:
+            with pytest.raises(PrecisionError, match="not resolved at resolution 1024"):
+                region_quadrature(CarlesonSet(0.5 + 0.1j), 128)
+        finally:
+            # the rules of resolution 256 and up hold 12-48 MB each
+            quadrature._carleson_rule.cache_clear()
+        assert built == [128, 256, 512, 1024]
+
+    def test_resolution_4_still_escalates_near_the_boundary(self):
+        # resolution 4 is 4e-5 off the exact area at |a| = 0.9; resolution 8 is kept
+        assert region_quadrature(CarlesonSet(0.9), 4).resolution == 8
 
     def test_carleson_area_grows_as_anchor_shrinks(self):
         # S(a) swallows more of the disc as the anchor moves inward
@@ -266,6 +324,8 @@ class TestRingPairing:
     @example(deg_f=10, deg_g=199, n_angular=64, weighted=False, seed=1)
     @example(deg_f=63, deg_g=64, n_angular=64, weighted=True, seed=2)
     @example(deg_f=0, deg_g=0, n_angular=3, weighted=False, seed=3)
+    # polyval at the rounded nodes was 1.3e-14 of the scale off here
+    @example(deg_f=0, deg_g=150, n_angular=3, weighted=True, seed=5046)
     def test_equals_the_node_sum(self, deg_f, deg_g, n_angular, weighted, seed):
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(deg_f + 1) + 1j * rng.standard_normal(deg_f + 1)
@@ -274,8 +334,13 @@ class TestRingPairing:
             rule = weighted_disc_rule(40, n_angular, 1.5, rng.uniform(-0.9, 2.0))
         else:
             rule = disc_rule(30, n_angular, 0.95)
-        fz = np.polynomial.polynomial.polyval(rule.nodes, f)
-        gz = np.polynomial.polynomial.polyval(rule.nodes, g)
+        # the values at the nodes rho e^(2 pi i k / n), each z^j = rho^j e^(2 pi i (j k mod n) / n)
+        # summed directly: polyval at the rounded nodes carries their rounding
+        # times the degree, up to 2e-14 of the scale at degrees near 200
+        rho, j = rule.nodes[::n_angular].real, np.arange(200)
+        phases = np.exp(2j * np.pi * (np.outer(j, np.arange(n_angular)) % n_angular) / n_angular)
+        fz = ((f * rho[:, None] ** j[: f.size]) @ phases[: f.size]).ravel()
+        gz = ((g * rho[:, None] ** j[: g.size]) @ phases[: g.size]).ravel()
         want = np.sum(rule.weights * fz * np.conj(gz))
         scale = np.sum(rule.weights * np.abs(fz) * np.abs(gz))
         assert abs(ring_pairing(rule, f, g) - want) <= 1e-14 * scale

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bergman_lab import CriterionReport, band, classify_ring_trend, ring_slope
+from bergman_lab.reports import profile_csv
 
 
 class TestBand:
@@ -106,6 +107,32 @@ class TestCriterionReport:
             '"parameters": {"n": 3, "p": 2.0, "w": [0.5, 0.25]}, '
             '"per_point": [[0.3, 0.1, 0.7], [-0.0, -0.2, 2.0]], '
             '"ring_trend": [[0.5, 1.0], [0.75, 0.5]], "verdict": "finite"}'
+        )
+
+    def test_per_point_bytes_with_nonfinite_values(self):
+        # each column is converted whole; every value is written as repr(float)
+        # and, in JSON, a non-finite one as a string, as one value at a time did
+        rep = CriterionReport(
+            "demo", {"p": 2.0}, 1.5,
+            [(0.3 + 0.1j, np.float64(0.7)), (np.complex128(-0.2j), 2), (0.5, np.inf),
+             (1e-300 + 0j, np.nan), (0.25j, -np.inf)],
+            [(0.5, 1.0)], "finite",
+        )
+        assert rep.per_point_csv() == (
+            "re,im,value\n0.3,0.1,0.7\n-0.0,-0.2,2.0\n0.5,0.0,inf\n1e-300,0.0,nan\n0.0,0.25,-inf\n"
+        )
+        assert rep.to_json() == (
+            '{"extras": {}, "index_value": 1.5, "name": "demo", "parameters": {"p": 2.0}, '
+            '"per_point": [[0.3, 0.1, 0.7], [-0.0, -0.2, 2.0], [0.5, 0.0, "inf"], '
+            '[1e-300, 0.0, "nan"], [0.0, 0.25, "-inf"]], "ring_trend": [[0.5, 1.0]], '
+            '"verdict": "finite"}'
+        )
+        assert CriterionReport("e", {}, 0.0, [], [], "finite").per_point_csv() == "re,im,value\n"
+
+    def test_profile_csv_bytes(self):
+        columns = {"a": np.array([1 / 3, np.inf]), "b": [2, np.float64(np.nan)]}
+        assert profile_csv(np.array([0.1 + 0.2j, 1e-17j]), columns) == (
+            "re,im,a,b\n0.1,0.2,0.3333333333333333,2.0\n0.0,1e-17,inf,nan\n"
         )
 
     def test_nonfinite_values_are_valid_json(self):
