@@ -141,7 +141,7 @@ class TestRegionQuadrature:
             with pytest.raises(PrecisionError, match="not resolved at resolution 1024"):
                 region_quadrature(CarlesonSet(0.5 + 0.1j), 128)
         finally:
-            # the rules of resolution 256 and up hold 12-48 MB each
+            # the rules of resolution 512 and 1024 hold 12 and 50 MB
             quadrature._carleson_rule.cache_clear()
         assert built == [128, 256, 512, 1024]
 
