@@ -317,7 +317,7 @@ SWEEP_FLAGS = ("p", "q", "t", "r", "s")
 
 @functools.cache
 def build_parser():
-    """The CLI parser, built once per process: parsing does not mutate it."""
+    """The CLI parser; its one cache entry is the parser, which parsing does not mutate."""
     parser = argparse.ArgumentParser(
         prog="bergman-lab",
         description="Numerical laboratory for weighted Bergman-space operator theory.",

@@ -28,11 +28,11 @@ fast where naive indicator filtering of a disc rule would stall at the circline
 boundary of S(a).
 
 Gauss rules come from two cached sources.  gauss_rule is Gauss-Legendre on
-[-1, 1]; the polar and Carleson rules map it.  weighted_disc_rule is the
-polar rule for c (1 - |z|^2)^a dA, the form of every radial weight and
-measure in the package: Gauss-Jacobi in t = |z|^2 with the weight's own
-exponent, ring radii sqrt(t), trapezoid in angle, and c (1 - t)^a folded
-into the weights.  On a ring z^j conj(z)^k = rho^(j+k) e^(i (j-k) theta),
+[-1, 1]; the polar and Carleson rules map it.  _jacobi_rings is Gauss-Jacobi
+in t = |z|^2, from which weighted_disc_rule builds the polar rule for
+c (1 - |z|^2)^a dA, the form of every radial weight and measure in the
+package: the weight's own exponent, ring radii sqrt(t), trapezoid in angle,
+and c (1 - t)^a folded into the weights.  On a ring z^j conj(z)^k = rho^(j+k) e^(i (j-k) theta),
 and the trapezoid keeps only j = k mod n_angular, where rho^(j+k) is a
 polynomial in t.  So n_t nodes integrate such monomials against the weight
 exactly up to t-degree 2 n_t - 1; Gauss-Legendre in r does not resolve the
@@ -59,8 +59,13 @@ diameter), where phi_a(w) - a = -w (1 - |a|^2) / (1 - conj(a) w) carries no
 cancellation however close |a| is to 1; a Gauss rule on each piece takes it
 to rounding (the integrand is smooth on both pieces).
 
-Rules are immutable and cached by region parameters; summation uses numpy's
-pairwise reduction in a fixed node order, so repeated runs are bit-identical.
+Rules are immutable and built per call; the caches keep O(rings) Gauss data:
+  * gauss_rule     -- one Gauss-Legendre rule on [-1, 1];
+  * _jacobi_rings  -- the ring radii and t-weights of one Gauss-Jacobi rule;
+  * _polar_rule    -- one small polar rule, grid included (disk_integrals, disc_rule);
+  * _carleson_area -- the exact area of one Carleson region, by |a|.
+Summation uses numpy's pairwise reduction in a fixed node order, so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ __all__ = [
 ]
 
 # nodes per block of disk_integrals: bounds its memory (2^18 raised the peak RSS
-# of a seeded CLI sweep from 148 to 160 MB; 2^16 keeps it at 148 MB)
+# of a seeded CLI sweep from 47.8 to 56.7 MB; 2^15 leaves it at 47.7 MB)
 _BLOCK_NODES = 1 << 16
 _CARLESON_TOL = 1e-6
 _CARLESON_MAX_RESOLUTION = 1024
@@ -101,13 +106,24 @@ class DiscQuadrature:
     """An accepted quadrature rule: complex nodes, positive weights, region.
 
     region is the PseudoDisk or CarlesonSet the rule covers, or None for a
-    centered polar rule (disc_rule, weighted_disc_rule).
+    centered polar rule (disc_rule, weighted_disc_rule, density_rule).  Such
+    a rule knows its rings = (radii, ring weights or None if the weights vary
+    around a ring); given nodes None, it builds them from its rings on their
+    first read and holds them itself.  One built from arrays has no rings.
     """
 
-    nodes: np.ndarray
+    _nodes: np.ndarray | None
     weights: np.ndarray
     region: object
     resolution: int
+    rings: tuple | None = None
+
+    @property
+    def nodes(self):
+        if self._nodes is None:
+            n_angular = self.weights.size // self.resolution
+            object.__setattr__(self, "_nodes", *_read_only(_ring_grid(self.rings[0], n_angular)))
+        return self._nodes
 
     def integrate(self, f):
         """Sum weights * f(nodes); f must accept a complex numpy array."""
@@ -138,14 +154,14 @@ def gauss_rule(n):
     """Read-only n-point Gauss-Legendre rule (nodes, weights) on [-1, 1].
 
     leggauss is looked up when the rule is built, so a caller that rebinds it
-    on numpy sees every build.
+    on numpy sees every build.  One cache entry holds the 2 n floats of one n.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     return _read_only(x, w)
 
 
 def _read_only(*arrays):
-    """Freeze arrays handed out by an lru_cache, which every caller shares."""
+    """Freeze arrays that a cache shares with every caller or that a rule holds."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -178,22 +194,24 @@ def _polar_grid(n_radial, n_angular, r_max):
     accurate for the periodic direction); node k of ring i is k + i n_angular.
     """
     r, wr = _gauss_legendre(n_radial, 0.0, r_max)
+    return r, wr * r * (2.0 * np.pi / n_angular), _ring_grid(r, n_angular)
+
+
+def _ring_grid(rho, n_angular):
+    """Flat nodes rho_i e^(2 pi i k / n_angular), node k of ring i at k + i n_angular."""
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    return r, wr * r * (2.0 * np.pi / n_angular), nodes
+    return (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
 
 
 @lru_cache(maxsize=256)
 def _polar_rule(n_radial, n_angular, r_max):
-    """Polar rule on the centered disk of radius r_max, cached read-only."""
+    """Polar rule on the centered disk of radius r_max; one entry holds its nodes and weights."""
     _, ring_weights, nodes = _polar_grid(n_radial, n_angular, r_max)
     return _read_only(nodes, np.repeat(ring_weights, n_angular))
 
 
-@lru_cache(maxsize=256)
-def _carleson_rule(re_a, im_a, resolution):
+def _carleson_rule(a, resolution):
     """Quadrature for S(a) built in the phi_a preimage half-disc, 2 resolution angles."""
-    a = complex(re_a, im_a)
     if a == 0:
         return _polar_rule(resolution, 2 * resolution, _CARLESON_R_INNER)
     phase = np.angle(a)
@@ -210,7 +228,8 @@ def _carleson_rule(re_a, im_a, resolution):
 def disc_rule(n_radial, n_angular, r_max=1.0):
     """Centered full-disc rule with explicit resolution (nodes stay interior)."""
     nodes, weights = _polar_rule(int(n_radial), int(n_angular), float(r_max))
-    return DiscQuadrature(nodes, weights, None, int(n_radial))
+    rings = nodes[:: int(n_angular)].real, weights[:: int(n_angular)]  # node 0 of a ring: rho
+    return DiscQuadrature(nodes, weights, None, int(n_radial), rings)
 
 
 def _jacobi_recurrence(n, a, x):
@@ -242,49 +261,55 @@ def _jacobi_nodes(n, a):
 
 
 @lru_cache(maxsize=256)
-def weighted_disc_rule(n_t, n_angular, c, a):
-    """Centered polar rule for int f c (1 - |z|^2)^a dA, the weight folded in; cached read-only.
+def _jacobi_rings(n_t, a):
+    """Ring radii sqrt(t) and t-weights of n_t-point Gauss-Jacobi for (1 - t)^a on [0, 1].
 
-    Gauss-Jacobi in t = |z|^2 on [0, 1] for the weight (1 - t)^a, rings at
-    rho = sqrt(t) (node 0 of each ring is rho itself, as ring_values reads
-    it), trapezoid in angle; dA = dt dtheta / 2.  Exact for z^j conj(z)^k
-    up to t-degree 2 n_t - 1 (see the module docstring).  The nodes are the
-    eigenvalues of the Jacobi matrix in x = 2t - 1 (Golub-Welsch), polished
-    by one Newton step on the recurrence; the weights are taken afresh as
-    1 / ((1 - x^2) P_n'(x)^2) (Hale-Townsend).  The t-moments agree with
-    beta_moments within 2e-13 relative for a in [-0.5, 2.5] up to n_t = 802
-    (scipy.special.roots_jacobi's weights are 9.2e-10 off there); they lose
-    accuracy as a nears -1 (7e-11 at a = -0.9, n_t = 802).  numpy alone
-    builds it: importing scipy.special would cost 0.3 s and 31 MB.
+    One read-only entry holds the 2 n_t floats of one (n_t, a); weighted_disc_rule
+    builds its rule from them.  The nodes are the eigenvalues of the Jacobi
+    matrix in x = 2t - 1 (Golub-Welsch), polished by one Newton step on the
+    recurrence; the weights are taken afresh as 1 / ((1 - x^2) P_n'(x)^2)
+    (Hale-Townsend).  The t-moments agree with beta_moments within 2e-13
+    relative for a in [-0.5, 2.5] up to n_t = 802 (scipy.special.roots_jacobi's
+    weights are 9.2e-10 off there); they lose accuracy as a nears -1 (7e-11 at
+    a = -0.9, n_t = 802).  numpy alone builds it: importing scipy.special
+    would cost 0.3 s and 31 MB.
     """
-    a = float(a)
     if not a > -1.0:
         raise DomainError(f"Gauss-Jacobi rule needs exponent > -1, got {a}")
-    n_t, n_angular = int(n_t), int(n_angular)
     x = _jacobi_nodes(n_t, a)
     p, dp, _ = _jacobi_recurrence(n_t, a, x)
     x = x - p / dp
     _, dp, one_minus_x2 = _jacobi_recurrence(n_t, a, x)
     # the t-weights of (1 - t)^a: the x-weights 2^(a+1) / ((1 - x^2) P_n'^2) over 2^(a+1)
-    wt = 1.0 / (one_minus_x2 * dp * dp)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    nodes = (np.sqrt(0.5 * (1.0 + x))[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = np.repeat(wt * (np.pi * float(c) / n_angular), n_angular)
-    return DiscQuadrature(*_read_only(nodes, weights), None, n_t)
+    return _read_only(np.sqrt(0.5 * (1.0 + x)), 1.0 / (one_minus_x2 * dp * dp))
+
+
+def weighted_disc_rule(n_t, n_angular, c, a):
+    """Centered polar rule for int f c (1 - |z|^2)^a dA, the weight folded in.
+
+    Rings at rho = sqrt(t) from _jacobi_rings, trapezoid in angle; dA = dt dtheta / 2.
+    Exact for z^j conj(z)^k up to t-degree 2 n_t - 1 (see the module docstring).
+    """
+    n_t, n_angular = int(n_t), int(n_angular)
+    rho, wt = _jacobi_rings(n_t, float(a))
+    ring_weights = wt * (np.pi * float(c) / n_angular)
+    weights = np.repeat(ring_weights, n_angular)
+    return DiscQuadrature(None, *_read_only(weights), None, n_t, (rho, *_read_only(ring_weights)))
 
 
 def density_rule(v, n_t, n_radial, n_angular):
     """Centered polar rule for int f v dA, the Weight v folded into the weights.
 
     A radial v (v.power = (c, a)) gives weighted_disc_rule(n_t, n_angular, c, a)
-    and is never evaluated; any other v is evaluated once on disc_rule(n_radial,
-    n_angular), and a value that is not finite raises EvaluationError.
+    and is never evaluated; any other v is evaluated once on the nodes of
+    disc_rule(n_radial, n_angular), built for this call only, and a value
+    that is not finite raises EvaluationError.
     """
     if v.power is not None:
         return weighted_disc_rule(n_t, n_angular, *v.power)
-    rule = disc_rule(n_radial, n_angular)
-    values = np.asarray(_finite_values(v, rule.nodes), dtype=float)
-    return DiscQuadrature(rule.nodes, rule.weights * values, None, rule.resolution)
+    r, ring_weights, nodes = _polar_grid(n_radial, n_angular, 1.0)
+    weights = np.repeat(ring_weights, n_angular) * np.asarray(_finite_values(v, nodes), dtype=float)
+    return DiscQuadrature(*_read_only(nodes, weights), None, int(n_radial), (r, None))
 
 
 def monomial_gram(g, degree, n_radial, n_angular, r_max):
@@ -315,12 +340,16 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
 
 
 def _ring_layout(rule, what):
-    """(n_radial, n_angular, ring radii) of a centered polar rule; DomainError otherwise."""
+    """(radii, ring weights, n_angular) of a centered polar rule, read off its arrays if need be."""
     if rule.region is not None:
         raise DomainError(f"{what} needs a centered polar rule, not {rule.region}")
-    n_angular = rule.nodes.size // rule.resolution
+    n_angular = rule.weights.size // rule.resolution
+    if rule.rings is not None:
+        return (*rule.rings, n_angular)
+    weights = rule.weights.reshape(rule.resolution, n_angular)
+    ring_weights = weights[:, 0] if np.all(weights == weights[:, :1]) else None
     # node 0 of ring i is rho_i e^(0i), exactly rho_i
-    return rule.resolution, n_angular, rule.nodes[::n_angular].real
+    return rule.nodes[::n_angular].real, ring_weights, n_angular
 
 
 def _fold(coeffs, n_angular):
@@ -341,7 +370,7 @@ def ring_values(rule, coefficients):
     exact at the nodes.  A rule that is not a centered polar rule (disc_rule,
     weighted_disc_rule) raises DomainError.
     """
-    _, n_angular, rho = _ring_layout(rule, "ring evaluation")
+    rho, _, n_angular = _ring_layout(rule, "ring evaluation")
     coeffs = _fold(np.asarray(coefficients(rho)), n_angular)
     # the unscaled inverse DFT: sum_d a(d) e^(2 pi i d k / n), and theta_k = 2 pi k / n
     return np.fft.ifft(coeffs, n=n_angular, axis=1, norm="forward").ravel()
@@ -359,9 +388,8 @@ def ring_pairing(rule, f, g):
     these sums, equal to the node sum for every rule size, aliased or not.
     Other rules, and weights that vary around a ring, raise DomainError.
     """
-    n_radial, n_angular, rho = _ring_layout(rule, "ring pairing")
-    ring_weights = rule.weights[::n_angular]
-    if np.any(rule.weights.reshape(n_radial, n_angular) != ring_weights[:, None]):
+    rho, ring_weights, n_angular = _ring_layout(rule, "ring pairing")
+    if ring_weights is None:
         raise DomainError("ring pairing needs weights that are constant on each ring")
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
     if max(f.size, g.size) <= n_angular:
@@ -414,7 +442,8 @@ def _carleson_area(modulus):
     w = i y, y in [-R, R], where conj(w) dw = y dy; on both pieces
     conj(phi_a(w) - a) phi_a'(w) = conj(w) (1 - a^2)^2 / ((1 - a conj(w)) (1 - a w)^2),
     smooth, and taken on 128 Gauss nodes per piece.  Within 1e-14 (relative)
-    of resolution-400 rules for |a| up to 1 - 2^-20.
+    of resolution-400 rules for |a| up to 1 - 2^-20.  One cache entry holds
+    the one float of one |a|.
     """
     R = _CARLESON_R_INNER
     if modulus == 0:
@@ -433,8 +462,7 @@ def _build(region, resolution):
     if isinstance(region, PseudoDisk):
         nodes, weights = _disk_map([region], resolution)
         return DiscQuadrature(nodes[0], weights[0], region, resolution)
-    a = region.anchor
-    return DiscQuadrature(*_carleson_rule(a.real, a.imag, resolution), region, resolution)
+    return DiscQuadrature(*_carleson_rule(region.anchor, resolution), region, resolution)
 
 
 def region_quadrature(region, resolution=48):

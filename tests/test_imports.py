@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, and none is scipy.
 
 And one choice of rule is made in one place: only quadrature.density_rule
-reads weighted_disc_rule.
+reads weighted_disc_rule.  Only the functions of _CACHED hold a
+process-wide cache, and each docstring says what one entry holds.
 """
 
 import ast
@@ -96,3 +97,73 @@ def test_finds_a_second_reader():
         "rule = weighted_disc_rule\n"
     )
     assert _readers(tree, "weighted_disc_rule") == {"density_rule", "norm_rule", "<module>"}
+
+
+# (module, function) of every lru_cache and functools.cache in the library:
+# Gauss data, small reference rules, one float per |a|, and the CLI parser
+_CACHED = {
+    ("quadrature.py", "gauss_rule"),
+    ("quadrature.py", "_jacobi_rings"),
+    ("quadrature.py", "_polar_rule"),
+    ("quadrature.py", "_carleson_area"),
+    ("cli.py", "build_parser"),
+}
+
+
+def _cached_functions(tree):
+    """Functions an lru_cache or functools.cache decorates; "<call>" for one applied by a call."""
+    names = {"lru_cache"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in ("cache", "lru_cache")
+    }
+
+    def is_cache(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("cache", "lru_cache")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+
+    found, decorating = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in filter(is_cache, node.decorator_list):
+                found.add(node.name)
+                decorating.update(map(id, ast.walk(decorator)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and is_cache(node):
+            if id(node) not in decorating:
+                found.add("<call>")
+    return found
+
+
+def test_only_allowlisted_functions_hold_a_cache():
+    # a process-wide cache outlives every caller: each is named here, and its
+    # docstring says what one entry holds
+    cached, docstrings = set(), {}
+    for module in _MODULES + ["__init__.py"]:
+        tree = ast.parse((_SRC / module).read_text(), filename=module)
+        cached.update((module, f) for f in _cached_functions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (module, node.name) in _CACHED:
+                docstrings[module, node.name] = ast.get_docstring(node)
+    assert cached == _CACHED
+    assert all("entry" in doc for doc in docstrings.values())
+
+
+def test_finds_every_cache():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache, cache as memo\n"
+        "@lru_cache(maxsize=4)\ndef a():\n    pass\n"
+        "@functools.cache\ndef b():\n    pass\n"
+        "class C:\n    @memo\n    def c(self):\n        pass\n"
+        "@property\ndef not_cached():\n    cache = {}\n    return cache\n"
+        "d = functools.lru_cache(maxsize=None)(len)\n"
+    )
+    assert _cached_functions(tree) == {"a", "b", "c", "<call>"}
+    assert _cached_functions(ast.parse("cache = {}\ndef f():\n    return cache\n")) == set()

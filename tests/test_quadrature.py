@@ -22,6 +22,8 @@ from bergman_lab import (
     standard,
 )
 from bergman_lab.quadrature import (
+    DiscQuadrature,
+    _jacobi_rings,
     beta_moments,
     density_rule,
     gauss_rule,
@@ -30,6 +32,15 @@ from bergman_lab.quadrature import (
     ring_values,
     weighted_disc_rule,
 )
+
+
+def _same_rule(rule, other):
+    """Bit-equal nodes and weights, and the same region and resolution."""
+    return (
+        np.array_equal(rule.nodes, other.nodes)
+        and np.array_equal(rule.weights, other.weights)
+        and (rule.region, rule.resolution) == (other.region, other.resolution)
+    )
 
 
 class TestDiscRule:
@@ -137,12 +148,8 @@ class TestRegionQuadrature:
         build, area = quadrature._build, quadrature._carleson_area
         monkeypatch.setattr(quadrature, "_carleson_area", lambda m: area(m) * (1.0 + 1e-5))
         monkeypatch.setattr(quadrature, "_build", lambda g, n: built.append(n) or build(g, n))
-        try:
-            with pytest.raises(PrecisionError, match="not resolved at resolution 1024"):
-                region_quadrature(CarlesonSet(0.5 + 0.1j), 128)
-        finally:
-            # the rules of resolution 512 and 1024 hold 12 and 50 MB
-            quadrature._carleson_rule.cache_clear()
+        with pytest.raises(PrecisionError, match="not resolved at resolution 1024"):
+            region_quadrature(CarlesonSet(0.5 + 0.1j), 128)
         assert built == [128, 256, 512, 1024]
 
     def test_resolution_4_still_escalates_near_the_boundary(self):
@@ -210,13 +217,17 @@ class TestCachedRules:
         assert disc_rule(8, 16).area == area
 
     def test_weighted_disc_rule_read_only(self):
+        # the cache holds the Gauss-Jacobi rings, which every call shares
+        for array in _jacobi_rings(12, 0.6):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # each call builds its own rule, whose arrays cannot be written either
         rule = weighted_disc_rule(12, 16, 1.5, 0.6)
         area = rule.area
-        with pytest.raises(ValueError):
-            rule.weights[0] = 0.0
-        with pytest.raises(ValueError):
-            rule.nodes[0] = 0.0
-        assert weighted_disc_rule(12, 16, 1.5, 0.6) is rule
+        for array in (rule.weights, rule.nodes, *rule.rings):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert _same_rule(weighted_disc_rule(12, 16, 1.5, 0.6), rule)
         assert rule.area == area
 
     def test_carleson_rule_read_only(self):
@@ -394,6 +405,27 @@ class TestWeightedDiscRule:
         with pytest.raises(DomainError, match="exponent"):
             weighted_disc_rule(8, 16, 1.0, a)
 
+    @pytest.mark.parametrize("n_t", [1, 2, 17, 102])
+    @pytest.mark.parametrize("n_angular", [3, 16, 512])
+    @pytest.mark.parametrize("c, a", [(1.0, -0.5), (2.5, 0.0), (0.3, 1.7), (1.0, -0.9)])
+    def test_equals_the_eager_construction(self, n_t, n_angular, c, a):
+        # the rule as it was built whole, grid and weights at once, before only
+        # its Gauss-Jacobi rings were cached
+        from bergman_lab.quadrature import _jacobi_nodes, _jacobi_recurrence
+
+        x = _jacobi_nodes(n_t, a)
+        p, dp, _ = _jacobi_recurrence(n_t, a, x)
+        x = x - p / dp
+        _, dp, one_minus_x2 = _jacobi_recurrence(n_t, a, x)
+        wt = 1.0 / (one_minus_x2 * dp * dp)
+        theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+        nodes = (np.sqrt(0.5 * (1.0 + x))[:, None] * np.exp(1j * theta)[None, :]).ravel()
+        weights = np.repeat(wt * (np.pi * c / n_angular), n_angular)
+        rule = weighted_disc_rule(n_t, n_angular, c, a)
+        assert np.array_equal(rule.weights, weights)
+        assert np.array_equal(rule.nodes, nodes)
+        assert (rule.region, rule.resolution) == (None, n_t)
+
 
 _DENSITIES = {
     "constant": constant(2.5),
@@ -429,7 +461,7 @@ class TestDensityRule:
         v = _DENSITIES[kind]
         rule, old = density_rule(v, *sizes), _old_rule(v, *sizes)
         if v.is_radial:
-            assert rule is old
+            assert _same_rule(rule, old)
         else:
             assert np.array_equal(rule.nodes, old[0]) and np.array_equal(rule.weights, old[1])
             assert (rule.region, rule.resolution) == (None, sizes[1])
@@ -438,3 +470,70 @@ class TestDensityRule:
         v = density(lambda z: np.where(np.abs(z) > 0.9, np.inf, 1.0)).density
         with pytest.raises(EvaluationError, match="not finite at node"):
             density_rule(v, 8, 16, 32)
+
+
+def _from_arrays(rule):
+    """The same rule built from its node and weight arrays alone, rings unknown."""
+    return DiscQuadrature(rule.nodes, rule.weights, rule.region, rule.resolution)
+
+
+class TestRings:
+    @pytest.mark.parametrize(
+        "rule",
+        [weighted_disc_rule(30, 64, 1.5, 0.6), weighted_disc_rule(9, 7, 2.0, -0.5),
+         disc_rule(20, 48, 0.9), disc_rule(6, 5)],
+        ids=["jacobi", "jacobi-aliased", "legendre", "legendre-aliased"],
+    )
+    def test_ring_readers_agree_on_rings_and_arrays(self, rule):
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        g = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        coefficients = lambda rho: f * rho[:, None] ** np.arange(f.size)  # noqa: E731
+        arrays = _from_arrays(rule)
+        assert arrays.rings is None and rule.rings is not None
+        assert np.array_equal(ring_values(rule, coefficients), ring_values(arrays, coefficients))
+        assert ring_pairing(rule, f, g) == ring_pairing(arrays, f, g)
+
+    def test_weights_varying_around_a_ring_raise_from_arrays(self):
+        rule = _from_arrays(density_rule(power_one_minus_z(0.5), 8, 8, 16))
+        with pytest.raises(DomainError, match="constant on each ring"):
+            ring_pairing(rule, [1.0, 2.0], [1.0])
+
+    def test_ring_readers_build_no_grid(self):
+        rule = weighted_disc_rule(20, 64, 1.0, 0.5)
+        ring_values(rule, lambda rho: rho[:, None] ** np.arange(5))
+        ring_pairing(rule, [1.0, 2.0], [3.0])
+        assert rule._nodes is None
+        assert rule.nodes is rule.nodes
+
+
+class TestRuleMemory:
+    def test_dropped_rules_leave_under_1_mb(self):
+        # norm rules of 40 degrees and 250 Carleson rules, each grid read,
+        # then dropped: the caches keep Gauss data, which is O(rings); rules
+        # cached whole held more than 24 MB here
+        import gc
+        import tracemalloc
+
+        from bergman_lab.kernels import _norm_resolution
+
+        degrees = np.linspace(40, 213, 40).astype(int)
+        rng = np.random.default_rng(19)
+        anchors = 0.95 * np.sqrt(rng.random(250)) * np.exp(2j * np.pi * rng.random(250))
+        # the numpy modules these builds import lazily are imported before the count
+        density_rule(standard(0.5), 3, 8, 8).nodes
+        region_quadrature(CarlesonSet(0.5), 8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in degrees:
+                density_rule(standard(1.0 + d / 100.0), *_norm_resolution(d)).nodes
+            for k, a in enumerate(anchors):
+                region_quadrature(CarlesonSet(a), (16, 32, 64, 128)[k % 4]).nodes
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(set(degrees)) == 40
+        assert held < 1 << 20
