@@ -93,8 +93,7 @@ class DiscMeasure:
             return total
         n = DEFAULTS.density_radial
         rule = density_rule(self.density, n, n, DEFAULTS.density_angular)
-        values = np.asarray(f(rule))
-        return rule.integrate(lambda z: values)
+        return rule.weighted_sum(f(rule))
 
     def disk_mass(self, z, r):
         """mu(Delta(z, r)); atoms use strict pseudo-disk membership."""

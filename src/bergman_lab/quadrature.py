@@ -127,7 +127,11 @@ class DiscQuadrature:
 
     def integrate(self, f):
         """Sum weights * f(nodes); f must accept a complex numpy array."""
-        values = _finite_values(f, self.nodes)
+        return self.weighted_sum(f(self.nodes))
+
+    def weighted_sum(self, values):
+        """Sum weights * values given at the nodes, which are read only to name a non-finite one."""
+        values = _finite(values, self.weights.shape, lambda: self.nodes)
         total = np.sum(self.weights * values)
         if np.isrealobj(values):
             return float(np.real(total))
@@ -140,12 +144,16 @@ class DiscQuadrature:
 
 def _finite_values(f, nodes):
     """f(nodes) broadcast to the nodes' shape; EvaluationError if not finite."""
-    values = np.asarray(f(nodes))
-    if values.shape != nodes.shape:
-        values = np.broadcast_to(values, nodes.shape)
+    return _finite(f(nodes), nodes.shape, lambda: nodes)
+
+
+def _finite(values, shape, nodes):
+    """values broadcast to shape; EvaluationError naming the first node of nodes() where not finite."""
+    values = np.asarray(values)
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape)
     if not np.all(np.isfinite(values)):
-        bad = nodes[~np.isfinite(values)][0]
-        raise EvaluationError(f"integrand not finite at node {bad}")
+        raise EvaluationError(f"integrand not finite at node {nodes()[~np.isfinite(values)][0]}")
     return values
 
 
@@ -309,7 +317,7 @@ def density_rule(v, n_t, n_radial, n_angular):
         return weighted_disc_rule(n_t, n_angular, *v.power)
     r, ring_weights, nodes = _polar_grid(n_radial, n_angular, 1.0)
     weights = np.repeat(ring_weights, n_angular) * np.asarray(_finite_values(v, nodes), dtype=float)
-    return DiscQuadrature(*_read_only(nodes, weights), None, int(n_radial), (r, None))
+    return DiscQuadrature(*_read_only(nodes, weights), None, int(n_radial), (*_read_only(r), None))
 
 
 def monomial_gram(g, degree, n_radial, n_angular, r_max):

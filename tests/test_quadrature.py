@@ -230,6 +230,13 @@ class TestCachedRules:
         assert _same_rule(weighted_disc_rule(12, 16, 1.5, 0.6), rule)
         assert rule.area == area
 
+    def test_density_rule_read_only(self):
+        # a non-radial density's rule is built per call, its arrays frozen all the same
+        rule = density_rule(power_one_minus_z(0.5), 8, 8, 16)
+        for array in (rule.weights, rule.nodes, rule.rings[0]):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_carleson_rule_read_only(self):
         q = region_quadrature(CarlesonSet(0.5 + 0.1j), 16)
         with pytest.raises(ValueError):
