@@ -32,12 +32,13 @@ Gauss rules come from two cached sources.  gauss_rule is Gauss-Legendre on
 in t = |z|^2, from which weighted_disc_rule builds the polar rule for
 c (1 - |z|^2)^a dA, the form of every radial weight and measure in the
 package: the weight's own exponent, ring radii sqrt(t), trapezoid in angle,
-and c (1 - t)^a folded into the weights.  On a ring z^j conj(z)^k = rho^(j+k) e^(i (j-k) theta),
-and the trapezoid keeps only j = k mod n_angular, where rho^(j+k) is a
-polynomial in t.  So n_t nodes integrate such monomials against the weight
-exactly up to t-degree 2 n_t - 1; Gauss-Legendre in r does not resolve the
-(1 - t)^a factor.  Radial moments need no rule at all: they are the Beta
-values of beta_moments.
+and c (1 - t)^a folded into the weights.  On a ring
+z^j conj(z)^k = rho^(j+k) e^(i (j-k) theta), and the trapezoid keeps only
+j = k mod n_angular, where rho^(j+k) is a polynomial in t.  So n_t nodes
+integrate such monomials against the weight exactly up to t-degree
+2 n_t - 1; Gauss-Legendre in r does not resolve the (1 - t)^a factor.
+Radial moments need no rule at all: they are the Beta values of
+beta_moments.
 
 On a centered polar rule a polynomial in z and conj(z) is, ring by ring, a
 discrete Fourier sum in the angle: monomial_gram takes Grams and ring_values
@@ -148,7 +149,7 @@ def _finite_values(f, nodes):
 
 
 def _finite(values, shape, nodes):
-    """values broadcast to shape; EvaluationError naming the first node of nodes() where not finite."""
+    """values broadcast to shape; EvaluationError naming the first node (of nodes()) not finite."""
     values = np.asarray(values)
     if values.shape != shape:
         values = np.broadcast_to(values, shape)
