@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BoundaryLadder, CarlesonSet
+from .geometry import BoundaryLadder, CarlesonSet, boundary_ladder
 from .reports import CriterionReport, band, classify_ring_trend, ring_slope
 from .transforms import _grid_points, profile_lp_norm, t_berezin_profile
 from .weights import disk_masses, mass, on_moduli
@@ -43,6 +43,15 @@ def _bc_quantities(mu, u, m, p, q, t, r, points):
     scale = ud ** (1.0 / p - 1.0 / q)
     av = mu.disk_masses(points, r) / ud
     return av / scale, t_berezin_profile(mu, m, t, points) / scale
+
+
+def _bc_pass(mu, u, m, p, q, t, r, grid):
+    """Points of grid, both _bc_quantities there, and their ring maxima (None off a ladder)."""
+    points = _grid_points(grid)
+    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
+    if not isinstance(grid, BoundaryLadder):
+        return points, av, tb, None, None
+    return points, av, tb, grid.ring_max(av), grid.ring_max(tb)
 
 
 def _carleson_ratios(mu, u, expo, points):
@@ -75,11 +84,10 @@ def boundedness_index(mu, u, m, p, q, t, r, grid) -> CriterionReport:
     """
     if not (0 < p <= q):
         raise DomainError("boundedness_index requires 0 < p <= q")
-    points = _grid_points(grid)
-    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
-    if isinstance(grid, BoundaryLadder):
-        trend = list(zip(grid.radii, grid.ring_max(av)))
-        verdict = classify_ring_trend([v for _, v in trend])
+    points, av, tb, rings_av, _ = _bc_pass(mu, u, m, p, q, t, r, grid)
+    if rings_av is not None:
+        trend = list(zip(grid.radii, rings_av))
+        verdict = classify_ring_trend(rings_av)
         if verdict == "vanishing":
             verdict = "finite"
     else:
@@ -104,17 +112,14 @@ def compactness_index(mu, u, m, p, q, t, r, ladder: BoundaryLadder) -> Criterion
     """Compactness trend: the boundedness quantity along a boundary ladder."""
     if not (0 < p <= q):
         raise DomainError("compactness_index requires 0 < p <= q")
-    points = ladder.points()
-    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
-    rings_av, rings_tb = ladder.ring_max(av), ladder.ring_max(tb)
-    verdict = classify_ring_trend(rings_av)
+    points, av, _, rings_av, rings_tb = _bc_pass(mu, u, m, p, q, t, r, ladder)
     return CriterionReport(
         name="compactness_index",
         parameters={"p": p, "q": q, "t": t, "r": r},
         index_value=rings_av[-1],
         per_point=list(zip(points, av)),
         ring_trend=list(zip(ladder.radii, rings_av)),
-        verdict=verdict,
+        verdict=classify_ring_trend(rings_av),
         extras={
             "ring_max_average": rings_av,
             "ring_max_berezin": rings_tb,
@@ -220,22 +225,46 @@ def vanishing_carleson_test(mu, u, p, q, ladder: BoundaryLadder) -> CriterionRep
     )
 
 
+def _condition(rings, verdict, **extra):
+    """One ring-trend condition of the consistency table."""
+    return {"trend": rings, "verdict": verdict, "last": rings[-1], **extra}
+
+
+def _overall(verdicts, q_below_p):
+    """(agreement, verdict) of the condition verdicts, "not applicable" ones left out.
+
+    All must read bounded ({finite, vanishing}) or all unbounded; for p <= q
+    bounded ones must also all vanish or none (for q < p compact is bounded).
+    """
+    active = [v for v in verdicts if v != "not applicable"]
+    bounded = {v in ("finite", "vanishing") for v in active}
+    vanishing = {v == "vanishing" and not q_below_p for v in active}
+    if bounded == {False}:
+        return True, "divergent"
+    if bounded == {True} and len(vanishing) == 1:
+        return True, "vanishing" if vanishing == {True} else "finite"
+    return False, "inconclusive"
+
+
 def theorem_consistency_report(mu, u, m, p, q, t, r, s, ladder=None) -> CriterionReport:
     """Run every equivalent condition of the applicable theorem and compare.
 
-    For 0 < p <= q the conditions are the t-Berezin quantity (ii), the
-    averaging quantity (iii), and the s-Carleson condition (iv) at the
-    s-independent exponent 1 + 1/p - 1/q ("not applicable" when q <= 1,
-    where the conjugate exponent is undefined).  Each condition contributes
+    For 0 < p <= q the conditions are the t-Berezin quantity (ii) and the
+    averaging quantity (iii), with the verdicts compactness_index gives
+    their ring trends, and the s-Carleson condition (iv).  Each contributes
     a boundedness verdict (finite vs divergent) and a compactness verdict
     (vanishing or not); all must agree or the report is inconclusive.
 
     For 0 < q < p the conditions are the L^{pq/(p-q)} norms of the averaging
-    function against both reference measures and the (p + 1 - p/q)-Carleson
-    trend; boundedness and compactness coincide in this regime.
-    """
-    from .geometry import boundary_ladder
+    function against both reference measures (iv), the Carleson trend (v)
+    and its vanishing form (vi); boundedness and compactness coincide.
 
+    Both regimes test the Carleson box ratio mu(S(a)) / u(S(a))^e at the
+    s-independent exponent e = 1 + 1/p - 1/q (0.75 at p = 4, q = 2); it is
+    "not applicable" when p <= q and q <= 1, where the conjugate exponent is
+    undefined.  For q < p this box supremum is not an equivalent condition:
+    Luecking's condition there is an integrability condition.
+    """
     if ladder is None:
         # ladder depth matched to the kernel truncation: the model resolves
         # the boundary only while degree * (1 - rho) stays a few units large
@@ -244,74 +273,31 @@ def theorem_consistency_report(mu, u, m, p, q, t, r, s, ladder=None) -> Criterio
     conditions = {}
     if p <= q:
         rep_b = compactness_index(mu, u, m, p, q, t, r, ladder)
-        rings_av = rep_b.extras["ring_max_average"]
-        rings_tb = rep_b.extras["ring_max_berezin"]
-        conditions["ii_berezin"] = {
-            "trend": rings_tb,
-            "verdict": classify_ring_trend(rings_tb),
-            "last": rings_tb[-1],
-        }
-        conditions["iii_average"] = {
-            "trend": rings_av,
-            "verdict": classify_ring_trend(rings_av),
-            "last": rings_av[-1],
-        }
-        if q > 1:
-            expo = 1.0 + 1.0 / p - 1.0 / q
-            rings_c = ladder.ring_max(_carleson_ratios(mu, u, expo, ladder.points()))
-            conditions["iv_carleson_s"] = {
-                "trend": rings_c,
-                "verdict": classify_ring_trend(rings_c),
-                "last": rings_c[-1],
-                "exponent": expo,
-            }
-        else:
-            conditions["iv_carleson_s"] = {"verdict": "not applicable"}
+        conditions["ii_berezin"] = _condition(
+            rep_b.extras["ring_max_berezin"], rep_b.extras["berezin_trend_verdict"]
+        )
+        conditions["iii_average"] = _condition(rep_b.extras["ring_max_average"], rep_b.verdict)
         index = rep_b.index_value
     else:
         for ref in ("u_dA", "dA"):
             rep = qlp_index(mu, u, m, p, q, t, r, reference=ref)
             conditions[f"iv_average_lp_{ref}"] = {
-                "verdict": rep.verdict,
-                "norm": rep.index_value,
-                "tail_slope": rep.extras["tail_slope"],
+                "verdict": rep.verdict, "norm": rep.index_value, "tail_slope": rep.extras["tail_slope"]
             }
+        index = conditions["iv_average_lp_u_dA"]["norm"]
+    if p <= q and q <= 1:
+        conditions["iv_carleson_s"] = {"verdict": "not applicable"}
+    else:
         expo = 1.0 + 1.0 / p - 1.0 / q
         rings_c = ladder.ring_max(_carleson_ratios(mu, u, expo, ladder.points()))
-        trend_verdict = classify_ring_trend(rings_c)
-        conditions["v_carleson"] = {
-            "trend": rings_c,
-            "verdict": "finite" if trend_verdict in ("finite", "vanishing") else trend_verdict,
-            "last": rings_c[-1],
-            "exponent": expo,
-        }
-        conditions["vi_vanishing_carleson"] = {
-            "verdict": trend_verdict,
-            "last": rings_c[-1],
-        }
-        index = conditions["iv_average_lp_u_dA"]["norm"]
-
-    active = [c["verdict"] for c in conditions.values() if c["verdict"] != "not applicable"]
-    bounded = [v in ("finite", "vanishing") for v in active]
-    vanishing = [v == "vanishing" for v in active]
-    if q < p:
-        # bounded and compact coincide: only the bounded/unbounded class matters
-        if all(bounded):
-            agreement, overall = True, "finite"
-        elif not any(bounded):
-            agreement, overall = True, "divergent"
+        verdict_c = classify_ring_trend(rings_c)
+        if p <= q:
+            conditions["iv_carleson_s"] = _condition(rings_c, verdict_c, exponent=expo)
         else:
-            agreement, overall = False, "inconclusive"
-    elif all(bounded):
-        if all(vanishing) or not any(vanishing):
-            agreement = True
-            overall = "vanishing" if all(vanishing) else "finite"
-        else:
-            agreement, overall = False, "inconclusive"
-    elif not any(bounded):
-        agreement, overall = True, "divergent"
-    else:
-        agreement, overall = False, "inconclusive"
+            bounded_c = "finite" if verdict_c == "vanishing" else verdict_c
+            conditions["v_carleson"] = _condition(rings_c, bounded_c, exponent=expo)
+            conditions["vi_vanishing_carleson"] = {"verdict": verdict_c, "last": rings_c[-1]}
+    agreement, overall = _overall([c["verdict"] for c in conditions.values()], q < p)
     return CriterionReport(
         name="theorem_consistency",
         parameters={"p": p, "q": q, "t": t, "r": r, "s": s},

@@ -63,7 +63,7 @@ to rounding (the integrand is smooth on both pieces).
 Rules are immutable and built per call; the caches keep O(rings) Gauss data:
   * gauss_rule     -- one Gauss-Legendre rule on [-1, 1];
   * _jacobi_rings  -- the ring radii and t-weights of one Gauss-Jacobi rule;
-  * _polar_rule    -- one small polar rule, grid included (disk_integrals, disc_rule);
+  * _polar_rule    -- one small polar rule, grid included (disk_integrals, S(0));
   * _carleson_area -- the exact area of one Carleson region, by |a|.
 Summation uses numpy's pairwise reduction in a fixed node order, so repeated
 runs are bit-identical.
@@ -110,7 +110,7 @@ class DiscQuadrature:
     centered polar rule (disc_rule, weighted_disc_rule, density_rule).  Such
     a rule knows its rings = (radii, ring weights or None if the weights vary
     around a ring); given nodes None, it builds them from its rings on their
-    first read and holds them itself.  One built from arrays has no rings.
+    first read and holds them itself.  A region rule has no rings.
     """
 
     _nodes: np.ndarray | None
@@ -122,8 +122,11 @@ class DiscQuadrature:
     @property
     def nodes(self):
         if self._nodes is None:
+            # node k of ring i, at k + i n_angular, is rho_i e^(2 pi i k / n_angular)
             n_angular = self.weights.size // self.resolution
-            object.__setattr__(self, "_nodes", *_read_only(_ring_grid(self.rings[0], n_angular)))
+            theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+            grid = (self.rings[0][:, None] * np.exp(1j * theta)[None, :]).ravel()
+            object.__setattr__(self, "_nodes", *_read_only(grid))
         return self._nodes
 
     def integrate(self, f):
@@ -195,28 +198,11 @@ def _gauss_legendre(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _polar_grid(n_radial, n_angular, r_max):
-    """Radii, ring weights and flat nodes of the polar rule, uncached.
-
-    Radial Gauss-Legendre (exact for polynomial r-degree <= 2 n_radial - 1
-    including the r dr Jacobian), uniform trapezoid in angle (spectrally
-    accurate for the periodic direction); node k of ring i is k + i n_angular.
-    """
-    r, wr = _gauss_legendre(n_radial, 0.0, r_max)
-    return r, wr * r * (2.0 * np.pi / n_angular), _ring_grid(r, n_angular)
-
-
-def _ring_grid(rho, n_angular):
-    """Flat nodes rho_i e^(2 pi i k / n_angular), node k of ring i at k + i n_angular."""
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    return (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
-
-
 @lru_cache(maxsize=256)
 def _polar_rule(n_radial, n_angular, r_max):
-    """Polar rule on the centered disk of radius r_max; one entry holds its nodes and weights."""
-    _, ring_weights, nodes = _polar_grid(n_radial, n_angular, r_max)
-    return _read_only(nodes, np.repeat(ring_weights, n_angular))
+    """disc_rule's grid, for _disk_map and the a = 0 Carleson rule; one entry holds nodes and weights."""
+    rule = disc_rule(n_radial, n_angular, r_max)
+    return rule.nodes, rule.weights
 
 
 def _carleson_rule(a, resolution):
@@ -235,10 +221,17 @@ def _carleson_rule(a, resolution):
 
 
 def disc_rule(n_radial, n_angular, r_max=1.0):
-    """Centered full-disc rule with explicit resolution (nodes stay interior)."""
-    nodes, weights = _polar_rule(int(n_radial), int(n_angular), float(r_max))
-    rings = nodes[:: int(n_angular)].real, weights[:: int(n_angular)]  # node 0 of a ring: rho
-    return DiscQuadrature(nodes, weights, None, int(n_radial), rings)
+    """Centered rule on the disk of radius r_max (nodes stay interior), built per call.
+
+    Radial Gauss-Legendre from gauss_rule (exact for polynomial r-degree
+    <= 2 n_radial - 1 including the r dr Jacobian), uniform trapezoid in
+    angle; the node grid is built on the first read of nodes.
+    """
+    n_radial, n_angular = int(n_radial), int(n_angular)
+    r, wr = _gauss_legendre(n_radial, 0.0, float(r_max))
+    ring_weights = wr * r * (2.0 * np.pi / n_angular)
+    weights = np.repeat(ring_weights, n_angular)
+    return DiscQuadrature(None, *_read_only(weights), None, n_radial, _read_only(r, ring_weights))
 
 
 def _jacobi_recurrence(n, a, x):
@@ -316,9 +309,9 @@ def density_rule(v, n_t, n_radial, n_angular):
     """
     if v.power is not None:
         return weighted_disc_rule(n_t, n_angular, *v.power)
-    r, ring_weights, nodes = _polar_grid(n_radial, n_angular, 1.0)
-    weights = np.repeat(ring_weights, n_angular) * np.asarray(_finite_values(v, nodes), dtype=float)
-    return DiscQuadrature(*_read_only(nodes, weights), None, int(n_radial), (*_read_only(r), None))
+    rule = disc_rule(n_radial, n_angular)
+    weights = rule.weights * np.asarray(_finite_values(v, rule.nodes), dtype=float)
+    return DiscQuadrature(rule.nodes, *_read_only(weights), None, rule.resolution, (rule.rings[0], None))
 
 
 def monomial_gram(g, degree, n_radial, n_angular, r_max):
@@ -329,10 +322,11 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
     ghat_rho(-m) = conj(ghat_rho(m)) and j - k taken mod n_angular (the rule's
     own sum, aliased or not).  The upper triangle is the conjugate of the lower,
     so G is Hermitian bit for bit.  g is real; non-finite values raise EvaluationError.
-    The nodes are built for this call only and leave no rule in the cache.
+    The rule is disc_rule's, built for this call only.
     """
-    rho, ring_weights, nodes = _polar_grid(n_radial, n_angular, r_max)
-    values = np.asarray(_finite_values(g, nodes), dtype=float).reshape(n_radial, n_angular)
+    rule = disc_rule(n_radial, n_angular, r_max)
+    rho, ring_weights = rule.rings
+    values = np.asarray(_finite_values(g, rule.nodes), dtype=float).reshape(n_radial, n_angular)
     # ghat_rho(m) = sum_theta w g e^(i m theta) for m = 0..n_angular // 2
     half = np.conj(np.fft.rfft(ring_weights[:, None] * values, axis=1))
     powers = rho[:, None] ** np.arange(2 * degree + 1)
@@ -349,16 +343,11 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
 
 
 def _ring_layout(rule, what):
-    """(radii, ring weights, n_angular) of a centered polar rule, read off its arrays if need be."""
-    if rule.region is not None:
-        raise DomainError(f"{what} needs a centered polar rule, not {rule.region}")
-    n_angular = rule.weights.size // rule.resolution
-    if rule.rings is not None:
-        return (*rule.rings, n_angular)
-    weights = rule.weights.reshape(rule.resolution, n_angular)
-    ring_weights = weights[:, 0] if np.all(weights == weights[:, :1]) else None
-    # node 0 of ring i is rho_i e^(0i), exactly rho_i
-    return rule.nodes[::n_angular].real, ring_weights, n_angular
+    """(radii, ring weights, n_angular) of a centered polar rule, which carries its rings."""
+    if rule.rings is None:
+        region = "a rule built without rings" if rule.region is None else rule.region
+        raise DomainError(f"{what} needs a centered polar rule, not {region}")
+    return (*rule.rings, rule.weights.size // rule.resolution)
 
 
 def _fold(coeffs, n_angular):

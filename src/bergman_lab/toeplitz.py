@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .criteria import _bc_quantities, qlp_index
+from .criteria import _bc_pass, qlp_index
 from .errors import DegeneracyError, DomainError
 from .geometry import BoundaryLadder
 from .kernels import (
@@ -250,20 +250,15 @@ def essential_norm_estimate(
     m = m or build_kernel_model(
         u, DEFAULTS.degree_radial if u.is_radial else DEFAULTS.degree_general
     )
-    points = ladder.points()
-    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
-    rings_avg, rings_tb = ladder.ring_max(av), ladder.ring_max(tb)
-    trend = list(zip(ladder.radii, rings_tb))
+    points, _, tb, rings_avg, rings_tb = _bc_pass(mu, u, m, p, q, t, r, ladder)
     verdict = classify_ring_trend(rings_tb)
-    if verdict == "finite":
-        verdict = "bounded"
     return CriterionReport(
         name="essential_norm",
         parameters=params,
         index_value=rings_tb[-1],
         per_point=list(zip(points, tb)),
-        ring_trend=trend,
-        verdict=verdict,
+        ring_trend=list(zip(ladder.radii, rings_tb)),
+        verdict="bounded" if verdict == "finite" else verdict,
         extras={
             "regime": "p<=q",
             "ring_max_berezin": rings_tb,

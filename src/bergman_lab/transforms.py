@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import DomainError
 from .kernels import KernelModel, kernel_norms
 from .measures import DiscMeasure, basis_gram
@@ -96,13 +97,11 @@ def profile_lp_norm(mu: DiscMeasure, u: Weight, r, exponent, reference="u_dA", r
     with the radial truncation at the j-th Gauss shell, so growth of the
     partials exposes divergence of the defining integral.
     """
-    from .config import DEFAULTS
-
     rule = disc_rule(n_radial, n_angular, r_max if r_max is not None else DEFAULTS.r_max)
     vals = average_profile(mu, u, r, rule.nodes) ** exponent
     ref = np.asarray(u(rule.nodes), dtype=float) if reference == "u_dA" else 1.0
     contrib = (rule.weights * ref * vals).reshape(n_radial, n_angular).sum(axis=1)
-    radii = np.abs(rule.nodes.reshape(n_radial, n_angular)[:, 0])
+    radii = rule.rings[0]
     partials = np.cumsum(contrib) ** (1.0 / exponent)
     return float(partials[-1]), radii, partials
 

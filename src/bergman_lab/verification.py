@@ -367,11 +367,7 @@ CANONICAL_CELLS = (
     ("atom p2q4", "atomic", 0.2, 2, 4, "vanishing"),
     ("atom p4q2", "atomic", 0.2, 4, 2, "finite"),
     ("power 1.0 p4q2", "power_density", 1.0, 4, 2, "finite"),
-)
-
-AMBIGUOUS_CELLS = (
-    ("identity p4q2 (u dA reference)", "weighted_area", None, 4, 2),
-    ("identity p4q2 (dA reference)", "weighted_area", None, 4, 2),
+    ("identity p4q2", "weighted_area", None, 4, 2, "finite"),
 )
 
 
@@ -385,12 +381,10 @@ def _cell_measure(kind, param):
 
 
 def check_14_consistency_matrix():
-    """Every equivalent condition agrees on the six canonical cells.
+    """Every equivalent condition agrees, with the expected verdict, on seven cells.
 
-    The two identity q < p cells are the documented reference-measure
-    ambiguity (a finite-mass reference makes the constant averaging
-    function integrable while the identity operator is not compact); they
-    are reported as known ambiguity and excluded from pass/fail.
+    Four are p <= q and three q < p.  For q < p the identity (T of u dA) is
+    the inclusion A^p(u) -> A^q(u), which is compact, so it reads finite.
     """
     u = constant()
     m = build_kernel_model(u, 200)
@@ -405,14 +399,6 @@ def check_14_consistency_matrix():
             "expected": expected,
             "agreement": rep.extras["agreement"],
             "conditions": {k: v["verdict"] for k, v in rep.extras["conditions"].items()},
-        }
-    for name, kind, param, p, q in AMBIGUOUS_CELLS:
-        ref = "dA" if "dA reference" in name and "u dA" not in name else "u_dA"
-        rep = criteria.qlp_index(_cell_measure(kind, param), u, m, p, q, 2, 0.3, reference=ref)
-        details[name] = {
-            "verdict": rep.verdict,
-            "status": "known ambiguity (excluded)",
-            "norm": rep.index_value,
         }
     return _result(14, "theorem consistency matrix", passed, details)
 

@@ -181,7 +181,8 @@ def test_criterion_03_sees_a_dropped_ring(monkeypatch):
     # one Gauss-Jacobi node in t, the innermost ring, left out of the norm rule
     def without_first_ring(n, k, c, a):
         full = rule(n, k, c, a)
-        return DiscQuadrature(full.nodes[k:], full.weights[k:], None, n - 1)
+        rho, ring_weights = full.rings
+        return DiscQuadrature(None, full.weights[k:], None, n - 1, (rho[1:], ring_weights[1:]))
 
     rule = quadrature.weighted_disc_rule
     monkeypatch.setattr(quadrature, "weighted_disc_rule", without_first_ring)
@@ -374,6 +375,36 @@ def test_criterion_14_sees_a_tilted_carleson_ratio(monkeypatch):
     assert not res["passed"]
     for name in ("identity p=q", "power 0.6 p2q4"):
         assert res["details"][name]["agreement"] is False
+
+
+def test_criterion_14_sees_a_divergent_identity_norm(monkeypatch):
+    # for q < p the identity is the compact inclusion A^4(u) -> A^2(u): an L^s
+    # norm of its averaging function read divergent turns its cell red
+    qlp_index = criteria.qlp_index
+
+    def divergent_for_u_dA(mu, *args, **kwargs):
+        rep = qlp_index(mu, *args, **kwargs)
+        if mu.kind == "weighted_area":
+            rep.verdict = "divergent"
+        return rep
+
+    assert verification.check_14_consistency_matrix()["details"]["identity p4q2"] == {
+        "verdict": "finite",
+        "expected": "finite",
+        "agreement": True,
+        "conditions": {
+            "iv_average_lp_u_dA": "finite",
+            "iv_average_lp_dA": "finite",
+            "v_carleson": "finite",
+            "vi_vanishing_carleson": "vanishing",
+        },
+    }
+    monkeypatch.setattr(criteria, "qlp_index", divergent_for_u_dA)
+    res = verification.check_14_consistency_matrix()
+    assert not res["passed"]
+    cell = res["details"]["identity p4q2"]
+    assert (cell["verdict"], cell["agreement"]) == ("inconclusive", False)
+    assert all(c["agreement"] for name, c in res["details"].items() if name != "identity p4q2")
 
 
 def test_criterion_15_determinism():

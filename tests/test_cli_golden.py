@@ -3,6 +3,8 @@
 Every file a cell writes is pinned by its sha256, as the CLI wrote it before
 its parser was built once per process and its report columns were written
 whole; so are the top-level and per-subcommand --help texts at 80 columns.
+The theorem-consistency table and the essential-norm estimate are pinned as
+they read before each theorem condition was computed and classified once.
 """
 
 import contextlib
@@ -13,7 +15,9 @@ import sys
 
 import pytest
 
+from bergman_lab import boundary_ladder, build_kernel_model, constant, power_density
 from bergman_lab.cli import EXIT_OK, build_parser, main
+from bergman_lab.toeplitz import essential_norm_estimate
 
 # a short ladder and coarse region rules keep each cell under 0.1 s
 SMALL = {"ladder_rings": 4, "ladder_samples": 4, "resolution": 16}
@@ -93,6 +97,38 @@ HELP_DIGESTS = {
 }
 
 
+# consistency at q < p (an atom, a power density against standard(1), and q <= 1)
+# and at p <= q with q <= 1, where the Carleson condition is not applicable
+CONSISTENCY_CELLS = [
+    ["--measure", "atomic:[[0.5,0.2,1.0]]", "--p", "4", "--q", "2"],
+    ["--weight", "standard:1", "--measure", "power_density:0.7", "--p", "4", "--q", "2"],
+    ["--measure", "power_density:1", "--p", "2", "--q", "1"],
+    ["--measure", "power_density:0.6", "--p", "0.5", "--q", "1"],
+]
+
+CONSISTENCY_DIGESTS = {
+    "criteria/2d33a1e1588f/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
+    "criteria/2d33a1e1588f/report.json": "5ce078826e26e39a89a9b0df841181eecadb4101e4ffc60372ef92898dee4500",
+    "criteria/2d33a1e1588f/summary.txt": "c5d2b9377d9097adab6c995f4a39fd17010d3196f3a03354c1b3a838905718de",
+    "criteria/364c9855a906/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
+    "criteria/364c9855a906/report.json": "6f04d7185b5ab149f6c258bd93924013789e57d7201273906a5fd9ebbd2b8dae",
+    "criteria/364c9855a906/summary.txt": "8608df1f6f66cc6b06a20103bd2e40aee70d47c93abe080136af82f89db02065",
+    "criteria/a7574926f8ce/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
+    "criteria/a7574926f8ce/report.json": "223ff7bb62a3627580fc235b1d901019c268e5a2b90e7e375effd8153ec0df22",
+    "criteria/a7574926f8ce/summary.txt": "76932534dbdf2356ac452e8c188b83c45e4e72b6efddc6f784b6d764ba4b28f4",
+    "criteria/bea7c896458c/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
+    "criteria/bea7c896458c/report.json": "d42ebb97102a887072073237fd2ced087de041aa202ec631a0a327e4fd595ccc",
+    "criteria/bea7c896458c/summary.txt": "1a2360a5e43ed3dfd14b8328b6fe9c603bf98edd66bcc6c7fc5febc54d6d2ed4",
+}
+
+# essential_norm_estimate(power_density(t), constant(), p, q, 2, 0.3, boundary_ladder(4, 4),
+# degree-30 model).to_json() by (p, q, t)
+ESSENTIAL_NORM_DIGESTS = {
+    (2, 4, 0.6): "e56be4f08bb1d24b976d5ba4ca753d8fe634b599e56cdc85e81f3ec7b4ac9d15",
+    (4, 2, 0.4): "ff274a2ff9d95b90ca49ef994f30d2386d60e5bc1684682b966112806b64d983",
+}
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -110,6 +146,27 @@ def test_every_artifact_is_pinned(tmp_path):
         if p.is_file()
     }
     assert got == DIGESTS
+
+
+def test_consistency_reports_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for args in CONSISTENCY_CELLS:
+            cell = ["criteria", "--index", "consistency", "--degree", "30"] + args
+            assert main(cell + ["--out", str(out)]) == EXIT_OK
+    got = {
+        p.relative_to(out).as_posix(): _sha256(p.read_bytes())
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    assert got == CONSISTENCY_DIGESTS
+
+
+@pytest.mark.parametrize("p, q, t", list(ESSENTIAL_NORM_DIGESTS))
+def test_essential_norm_report_is_pinned(p, q, t):
+    m = build_kernel_model(constant(), 30)
+    rep = essential_norm_estimate(power_density(t), constant(), p, q, 2, 0.3, boundary_ladder(4, 4), m)
+    assert _sha256(rep.to_json().encode()) == ESSENTIAL_NORM_DIGESTS[p, q, t]
 
 
 @pytest.mark.skipif(

@@ -1,5 +1,7 @@
 """Theorem checkers: boundedness/compactness/qlp indices and Carleson tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from bergman_lab import (
     vanishing_carleson_test,
     weighted_area,
 )
+from bergman_lab.criteria import _overall
 
 
 class TestBoundedness:
@@ -167,3 +170,38 @@ class TestConsistency:
             power_density(1.0), u1, model_u1, 0.8, 0.9, 2.0, 0.3, 4.0
         )
         assert rep.extras["conditions"]["iv_carleson_s"]["verdict"] == "not applicable"
+
+
+def _table_oracle(verdicts, q_below_p):
+    """The agreement rule as theorem_consistency_report wrote it with one branch per regime."""
+    active = [v for v in verdicts if v != "not applicable"]
+    bounded = [v in ("finite", "vanishing") for v in active]
+    vanishing = [v == "vanishing" for v in active]
+    if q_below_p:
+        if all(bounded):
+            return True, "finite"
+        if not any(bounded):
+            return True, "divergent"
+        return False, "inconclusive"
+    if all(bounded):
+        if all(vanishing) or not any(vanishing):
+            return True, "vanishing" if all(vanishing) else "finite"
+        return False, "inconclusive"
+    if not any(bounded):
+        return True, "divergent"
+    return False, "inconclusive"
+
+
+@pytest.mark.parametrize("q_below_p", [False, True], ids=["p<=q", "q<p"])
+def test_verdict_table_matches_the_rule_per_regime(q_below_p):
+    # every combination of 2-4 condition verdicts, with and without a
+    # "not applicable" entry among them
+    combos = [
+        list(c)
+        for n in (2, 3, 4)
+        for c in itertools.product(("finite", "vanishing", "divergent", "inconclusive"), repeat=n)
+    ]
+    assert len(combos) == 336
+    for verdicts in combos:
+        for table in (verdicts, verdicts[:1] + ["not applicable"] + verdicts[1:]):
+            assert _overall(table, q_below_p) == _table_oracle(table, q_below_p), table

@@ -1,5 +1,7 @@
 """Every name a library module imports is used in that module, and none is scipy.
 
+Every import sits at module level, none inside a function body.
+
 And one choice of rule is made in one place: only quadrature.density_rule
 reads weighted_disc_rule.  Only the functions of _CACHED hold a
 process-wide cache, and each docstring says what one entry holds.
@@ -60,6 +62,33 @@ def test_finds_a_scipy_import():
 def test_finds_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert _unused_imports(tree) == [(1, "math"), (2, "path")]
+
+
+def _function_imports(tree):
+    """(line, function) of every import statement inside a function body."""
+    return sorted(
+        (node.lineno, fn.name)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+@pytest.mark.parametrize("module", _MODULES + ["__init__.py"])
+def test_no_import_inside_a_function(module):
+    # a module's dependencies are read at its top, and no call pays for an import
+    tree = ast.parse((_SRC / module).read_text(), filename=module)
+    assert _function_imports(tree) == []
+
+
+def test_finds_an_import_inside_a_function():
+    tree = ast.parse(
+        "import math\n"
+        "def f():\n    from .config import DEFAULTS\n    return DEFAULTS\n"
+        "class C:\n    def g(self):\n        def h():\n            import os\n        return h\n"
+    )
+    assert _function_imports(tree) == [(3, "f"), (8, "g"), (8, "h")]
 
 
 def _readers(tree, name):

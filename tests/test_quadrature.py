@@ -24,6 +24,7 @@ from bergman_lab import (
 from bergman_lab.quadrature import (
     DiscQuadrature,
     _jacobi_rings,
+    _polar_rule,
     beta_moments,
     density_rule,
     gauss_rule,
@@ -479,32 +480,21 @@ class TestDensityRule:
             density_rule(v, 8, 16, 32)
 
 
-def _from_arrays(rule):
-    """The same rule built from its node and weight arrays alone, rings unknown."""
-    return DiscQuadrature(rule.nodes, rule.weights, rule.region, rule.resolution)
-
-
 class TestRings:
-    @pytest.mark.parametrize(
-        "rule",
-        [weighted_disc_rule(30, 64, 1.5, 0.6), weighted_disc_rule(9, 7, 2.0, -0.5),
-         disc_rule(20, 48, 0.9), disc_rule(6, 5)],
-        ids=["jacobi", "jacobi-aliased", "legendre", "legendre-aliased"],
-    )
-    def test_ring_readers_agree_on_rings_and_arrays(self, rule):
-        rng = np.random.default_rng(7)
-        f = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        g = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        coefficients = lambda rho: f * rho[:, None] ** np.arange(f.size)  # noqa: E731
-        arrays = _from_arrays(rule)
-        assert arrays.rings is None and rule.rings is not None
-        assert np.array_equal(ring_values(rule, coefficients), ring_values(arrays, coefficients))
-        assert ring_pairing(rule, f, g) == ring_pairing(arrays, f, g)
-
     def test_weights_varying_around_a_ring_raise_from_arrays(self):
-        rule = _from_arrays(density_rule(power_one_minus_z(0.5), 8, 8, 16))
+        # a non-radial density folds node-sized weights into the rule: no ring weights
+        rule = density_rule(power_one_minus_z(0.5), 8, 8, 16)
+        assert rule.rings[1] is None
         with pytest.raises(DomainError, match="constant on each ring"):
             ring_pairing(rule, [1.0, 2.0], [1.0])
+
+    def test_a_rule_built_without_rings_raises(self):
+        full = disc_rule(6, 8)
+        rule = DiscQuadrature(full.nodes, full.weights, None, full.resolution)
+        with pytest.raises(DomainError, match="built without rings"):
+            ring_values(rule, lambda rho: rho[:, None] ** np.arange(3))
+        with pytest.raises(DomainError, match="built without rings"):
+            ring_pairing(rule, [1.0], [1.0])
 
     def test_ring_readers_build_no_grid(self):
         rule = weighted_disc_rule(20, 64, 1.0, 0.5)
@@ -544,3 +534,24 @@ class TestRuleMemory:
             tracemalloc.stop()
         assert len(set(degrees)) == 40
         assert held < 1 << 20
+
+    def test_disc_rules_leave_no_grid_in_the_cache(self):
+        # the Schatten sweep's rules: each 200 x 800 grid is 2.6 MB, and
+        # disc_rule kept every one alive through _polar_rule
+        import gc
+        import tracemalloc
+
+        disc_rule(4, 8).nodes
+        entries = _polar_rule.cache_info().currsize
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for r_max in (0.99, 0.995, 0.999):
+                assert disc_rule(200, 800, r_max).nodes.size == 160000
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        assert _polar_rule.cache_info().currsize == entries
