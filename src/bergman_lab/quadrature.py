@@ -325,8 +325,9 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
     The rule is disc_rule's, built for this call only.
     """
     rule = disc_rule(n_radial, n_angular, r_max)
-    rho, ring_weights = rule.rings
-    values = np.asarray(_finite_values(g, rule.nodes), dtype=float).reshape(n_radial, n_angular)
+    (rho, ring_weights), nodes = rule.rings, rule.nodes
+    del rule  # and its node-sized weights before g runs: the ring weights stand for them here
+    values = np.asarray(_finite_values(g, nodes), dtype=float).reshape(n_radial, n_angular)
     # ghat_rho(m) = sum_theta w g e^(i m theta) for m = 0..n_angular // 2
     half = np.conj(np.fft.rfft(ring_weights[:, None] * values, axis=1))
     powers = rho[:, None] ** np.arange(2 * degree + 1)
@@ -345,8 +346,7 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
 def _ring_layout(rule, what):
     """(radii, ring weights, n_angular) of a centered polar rule, which carries its rings."""
     if rule.rings is None:
-        region = "a rule built without rings" if rule.region is None else rule.region
-        raise DomainError(f"{what} needs a centered polar rule, not {region}")
+        raise DomainError(f"{what} needs a centered polar rule; {rule.region or 'this rule'} has no rings")
     return (*rule.rings, rule.weights.size // rule.resolution)
 
 

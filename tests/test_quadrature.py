@@ -491,9 +491,9 @@ class TestRings:
     def test_a_rule_built_without_rings_raises(self):
         full = disc_rule(6, 8)
         rule = DiscQuadrature(full.nodes, full.weights, None, full.resolution)
-        with pytest.raises(DomainError, match="built without rings"):
+        with pytest.raises(DomainError, match="this rule has no rings"):
             ring_values(rule, lambda rho: rho[:, None] ** np.arange(3))
-        with pytest.raises(DomainError, match="built without rings"):
+        with pytest.raises(DomainError, match="this rule has no rings"):
             ring_pairing(rule, [1.0], [1.0])
 
     def test_ring_readers_build_no_grid(self):
