@@ -326,7 +326,7 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
     """
     rule = disc_rule(n_radial, n_angular, r_max)
     (rho, ring_weights), nodes = rule.rings, rule.nodes
-    del rule  # and its node-sized weights before g runs: the ring weights stand for them here
+    del rule  # its node-sized weights go before g runs: the Gram needs the ring weights only
     values = np.asarray(_finite_values(g, nodes), dtype=float).reshape(n_radial, n_angular)
     # ghat_rho(m) = sum_theta w g e^(i m theta) for m = 0..n_angular // 2
     half = np.conj(np.fft.rfft(ring_weights[:, None] * values, axis=1))

@@ -536,8 +536,8 @@ class TestRuleMemory:
         assert held < 1 << 20
 
     def test_disc_rules_leave_no_grid_in_the_cache(self):
-        # the Schatten sweep's rules: each 200 x 800 grid is 2.6 MB, and
-        # disc_rule kept every one alive through _polar_rule
+        # the Schatten sweep's rules: each 200 x 800 grid is 2.6 MB, and no
+        # cache may keep one once its rule is dropped
         import gc
         import tracemalloc
 
