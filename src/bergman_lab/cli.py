@@ -284,7 +284,7 @@ def run_schatten(cfg: RunConfig):
     u, mu = _cell_objects(cfg)
     m = build_kernel_model(u, cfg.degree)
     h = _parse_h(cfg.h)
-    integral = toeplitz.schatten_integral(mu, m, h, C=cfg.C, r=cfg.r)
+    integral = toeplitz.schatten_integral(mu, m, h, C=cfg.C)
     membership = toeplitz.schatten_membership_report(toeplitz.assemble(mu, m), h, C=cfg.C)
     report = {"integral": integral.to_dict(), "membership": membership.to_dict()}
     agree = integral.verdict == membership.verdict
@@ -424,6 +424,9 @@ def main(argv=None):
         except (DegeneracyError, PrecisionError) as exc:
             print(f"degeneracy: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
+        except BergmanLabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
         _write_artifacts(cfg, "verify", results, csvs, summary)
         print(summary)
         return EXIT_OK if results["passed"] else EXIT_VERIFY_FAILED

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet, boundary_ladder
-from .reports import CriterionReport, band, classify_ring_trend, ring_slope
+from .reports import _SLOPE_TOL, CriterionReport, band, classify_ring_trend, ring_slope
 from .transforms import _grid_points, profile_lp_norm, t_berezin_profile
 from .weights import disk_masses, mass, on_moduli
 
@@ -142,7 +142,7 @@ def qlp_index(mu, u, m, p, q, t, r, reference="u_dA") -> CriterionReport:
     exponent = p * q / (p - q)
     norm, radii, partials = profile_lp_norm(mu, u, r, exponent, reference=reference)
     slope = ring_slope(partials[partials > 0], tail=8)
-    if not np.isfinite(norm) or slope >= 0.04:
+    if not np.isfinite(norm) or slope >= _SLOPE_TOL:
         verdict = "divergent"
     else:
         verdict = "finite"

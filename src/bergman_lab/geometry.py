@@ -167,16 +167,14 @@ def _window_half_width(rho, thr):
     which increases with t.  With a, b >= rho this gives
     d >= 2 rho s / sqrt(4 rho^2 s^2 + (1 - rho^2)^2), s = sin(t/2), with
     equality on the circle |z| = rho, and the bound reaches thr at
-    s = thr (1 - rho^2) / (2 rho sqrt(1 - thr^2)).  Returns None where no
-    window exists: rho = 0, thr >= 1, or that s is not below 1.
+    s = thr (1 - rho^2) / (2 rho sqrt(1 - thr^2)).  rho is a scalar or an
+    array.  The half-width is pi, no window, where rho = 0, thr >= 1, or
+    that s is not below 1.
     """
-    if rho <= 0.0 or thr >= 1.0:
-        return None
-    # compared before dividing: the denominator underflows to 0 for a subnormal rho
-    num, den = thr * (1.0 - rho * rho), 2.0 * rho * math.sqrt(1.0 - thr * thr)
-    if num >= den:
-        return None
-    return 2.0 * math.asin(num / den)
+    num, den = thr * (1.0 - rho * rho), 2.0 * rho * math.sqrt(max(0.0, 1.0 - thr * thr))
+    # compared before dividing: the denominator underflows to 0 for a subnormal rho;
+    # where den <= num the ratio is 1, the half-width pi
+    return 2.0 * np.arcsin(num / np.maximum(num, den))
 
 
 def _segments(starts, counts):
@@ -189,13 +187,14 @@ def _close_pairs(q, p, thr):
     """Blocks (i, j) of flat index arrays that hold, once each, every pair
     with pseudo_distance(q[i], p[j]) < thr.
 
-    The points p and q are cut into bands of hyperbolic radius atanh|z|.  A
-    band of p meets only the q that pass the radial bound
-    d(z, w) >= ||z| - |w|| / (1 - |z| |w|), and of those, band by band of q,
-    only the pairs whose angular gap lies inside _window_half_width for the
-    smallest modulus of the two bands; both bounds are taken at
-    thr (1 + _PRUNE_MARGIN).  Two bands without a window meet in full, and
-    for thr >= 1 nothing is pruned.  A block holds at most
+    The points p are cut into bands of hyperbolic radius atanh|z|.  A band
+    of p meets only the q that pass the radial bound
+    d(z, w) >= ||z| - |w|| / (1 - |z| |w|), and each of those only in its
+    own angular window: the members whose angular gap lies inside
+    _window_half_width at min(band minimum, |q|), a lower bound on both
+    moduli of the pair; both bounds are taken at thr (1 + _PRUNE_MARGIN).
+    A half-width of pi (no window) meets each member once, and for
+    thr >= 1 nothing is pruned.  A block holds at most
     max(_BLOCK_PAIRS, len(p)) pairs.
     """
     q, p = np.asarray(q), np.asarray(p)
@@ -205,7 +204,6 @@ def _close_pairs(q, p, thr):
     thr = thr * (1.0 + _PRUNE_MARGIN)
     width = 0.5 * math.atanh(thr) if thr < 1.0 else math.inf
     p_band = np.floor(np.arctanh(ap) / width).astype(int)
-    q_band = np.floor(np.arctanh(aq) / width).astype(int)
     p_order = np.argsort(p_band, kind="stable")
     q_order = np.argsort(aq, kind="stable")
     aq_sorted = aq[q_order]
@@ -222,25 +220,15 @@ def _close_pairs(q, p, thr):
         ang = p_angle[members][order]
         ext = np.concatenate([ang - 2.0 * np.pi, ang, ang + 2.0 * np.pi])
         ext_members = np.tile(members[order], 3)
-        # the selected q go band by band too, each with its own smallest modulus
-        for sub in np.split(sel, np.flatnonzero(np.diff(q_band[sel])) + 1):
-            if not sub.size:
-                continue
-            half = _window_half_width(min(a_lo, float(aq[sub[0]])), thr)
-            if half is None:
-                cand = members
-                lo = np.zeros(sub.size, dtype=int)
-                counts = np.full(sub.size, members.size)
-            else:
-                cand = ext_members
-                lo = np.searchsorted(ext, q_angle[sub] - half, "left")
-                counts = np.searchsorted(ext, q_angle[sub] + half, "right") - lo
-            step = max(1, _BLOCK_PAIRS // max(1, int(np.max(counts))))
-            for k in range(0, sub.size, step):
-                c = counts[k : k + step]
-                total = int(np.sum(c))
-                if total:
-                    yield np.repeat(sub[k : k + step], c), cand[_segments(lo[k : k + step], c)]
+        half = _window_half_width(np.minimum(a_lo, aq[sel]), thr)
+        lo = np.searchsorted(ext, q_angle[sel] - half, "left")
+        # members.size consecutive entries of ext hold each member once
+        counts = np.minimum(np.searchsorted(ext, q_angle[sel] + half, "right") - lo, members.size)
+        step = max(1, _BLOCK_PAIRS // max(1, int(np.max(counts, initial=0))))
+        for k in range(0, sel.size, step):
+            c = counts[k : k + step]
+            if np.any(c):
+                yield np.repeat(sel[k : k + step], c), ext_members[_segments(lo[k : k + step], c)]
 
 
 def _near_counts(q, p, thr):
@@ -284,11 +272,11 @@ class Lattice:
       * radial: d(z, w) >= ||z| - |w|| / (1 - |z| |w|);
       * angular: for fixed moduli d increases with the angular gap t on
         [0, pi], and with both moduli >= rho it is at least its value at
-        modulus rho, so one window half-width per (band, thr) certifies every
-        pair outside it (_window_half_width).
-    Where rho = 0 or the bound never reaches thr, a band is audited against
-    every point it selects.  The values are those of the plain all-pairs
-    audit, bit for bit.
+        modulus rho, so each audit point gets one window half-width, at
+        rho = min(band minimum, its own modulus), that certifies every pair
+        outside it (_window_half_width).
+    A half-width of pi means no window: the point meets the whole band.  The
+    values are those of the plain all-pairs audit, bit for bit.
     """
 
     radius: float
@@ -367,11 +355,9 @@ def _index_window(k, m_src, m, half):
     Candidate k of m sits at angle 2 pi k / m, so the window is the index
     interval k m / m_src -+ half m / (2 pi), padded by one index on each side
     for the rounding of rho e^{i theta} against its generating angle.  The
-    count is capped at m; half None (no window) meets all m.
+    count is capped at m, so half = pi (no window) meets all m.
     """
     k = np.asarray(k)
-    if half is None:
-        return np.zeros(k.shape, dtype=int), np.full(k.shape, m)
     center, width = k * (m / m_src), half * m / (2.0 * math.pi)
     lo = np.floor(center - width).astype(int) - 1
     hi = np.ceil(center + width).astype(int) + 1
@@ -475,16 +461,17 @@ def build_lattice(r, r_max=0.995):
     return Lattice(radius=float(r), r_max=float(r_max), points=points, multiplicity_bound=bound)
 
 
-def audit_grid(n, r_max, seed=1234):
+def audit_grid(n, r_max):
     """Deterministic audit grid: n points pseudo-spread over |z| <= r_max.
 
     Low-discrepancy in area via a golden-angle spiral, then rescaled so the
     grid concentrates near the rim where lattice certificates are hardest.
+    The radial jitter has the fixed seed 1234.
     """
     k = np.arange(n)
     rho = r_max * np.sqrt((k + 0.5) / n)
     theta = 2.0 * np.pi * ((k * 0.6180339887498949) % 1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     jitter = 0.25 * (rng.random(n) - 0.5) / n
     return np.clip(rho + jitter, 0.0, r_max) * np.exp(1j * theta)
 

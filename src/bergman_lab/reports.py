@@ -39,18 +39,19 @@ def ring_slope(values, tail=5):
     return float(np.mean(ratios))
 
 
-def classify_ring_trend(
-    values,
-    vanish_rel=1e-3,
-    vanish_abs=1e-12,
-    slope_tol=0.04,
-):
+# the trend thresholds of classify_ring_trend (criteria.qlp_index reads _SLOPE_TOL too)
+_VANISH_REL = 1e-3
+_VANISH_ABS = 1e-12
+_SLOPE_TOL = 0.04
+
+
+def classify_ring_trend(values):
     """Classify per-ring maxima as finite / vanishing / divergent / inconclusive.
 
     * divergent: sustained positive dyadic slope;
     * vanishing: decreasing over the last three rings and either below the
-      absolute threshold max(vanish_rel * max, vanish_abs) or with a sustained
-      negative slope;
+      absolute threshold max(_VANISH_REL * max, _VANISH_ABS) or with a
+      sustained negative slope;
     * finite: bounded without decay to zero;
     * inconclusive: too little data or non-monotone noise near the tolerance.
     """
@@ -60,17 +61,17 @@ def classify_ring_trend(
     if len(vals) < 3:
         return "inconclusive"
     vmax = max(vals)
-    if vmax <= vanish_abs:
+    if vmax <= _VANISH_ABS:
         return "vanishing"
     slope = ring_slope(vals)
     tail3 = vals[-3:]
     decreasing = tail3[0] >= tail3[1] >= tail3[2]
-    if slope >= slope_tol:
+    if slope >= _SLOPE_TOL:
         return "divergent"
-    threshold = max(vanish_rel * vmax, vanish_abs)
-    if decreasing and (vals[-1] <= threshold or slope <= -slope_tol):
+    threshold = max(_VANISH_REL * vmax, _VANISH_ABS)
+    if decreasing and (vals[-1] <= threshold or slope <= -_SLOPE_TOL):
         return "vanishing"
-    if abs(slope) < slope_tol or decreasing:
+    if abs(slope) < _SLOPE_TOL or decreasing:
         return "finite"
     return "inconclusive"
 

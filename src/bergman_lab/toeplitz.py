@@ -10,7 +10,7 @@ whose sorted entries are the eigenvalues.  On top of the matrix sit:
                        of int K_N(w, w) dmu
   * apply           -- T_mu f both as a direct integral and as matrix action
   * essential norm  -- boundary-ladder estimate of limsup mu~_t(z) / u(Delta)^e
-  * Schatten tests  -- the integral criterion int h(C mu~) Phi u dA and the
+  * Schatten tests  -- the integral criterion int h(C mu~) K_N u dA and the
                        eigenvalue sum  sum_k h(C lambda_k)
 
 Everything reports trends rather than asserting unspecified constants.
@@ -38,7 +38,7 @@ from .kernels import (
 from .measures import DiscMeasure, basis_gram
 from .quadrature import density_rule, disc_rule, gauss_rule
 from .reports import CriterionReport, band, classify_ring_trend
-from .weights import Weight, disk_masses
+from .weights import Weight
 
 __all__ = [
     "ToeplitzMatrix",
@@ -297,22 +297,21 @@ def h_function(spec):
     raise DomainError(f"unrecognized h spec kind {kind!r}")
 
 
-def _schatten_value(M, m, hfun, C, r_out, phi, r_avg, n_radial=200):
-    """int_{|z|<r_out} h(C mu~_2) Phi u dA; a diagonal M (basis_gram) on a 2 pi r dr Gauss rule."""
+def _schatten_value(M, m, hfun, C, r_out):
+    """int_{|z|<r_out} h(C mu~_2) K_N(z, z) u dA; a diagonal M (basis_gram) on a 2 pi r dr Gauss rule."""
     u = m.weight
     if M.ndim == 1:
-        x, w = gauss_rule(n_radial)
+        x, w = gauss_rule(200)
         rr = 0.5 * r_out * (x + 1.0)
         wts = 0.5 * r_out * w * 2.0 * np.pi * rr
         pts = at = rr.astype(complex)
     else:
-        at = disc_rule(n_radial, 4 * n_radial, r_out)
+        at = disc_rule(200, 800, r_out)
         pts, wts = at.nodes, at.weights
     kd = m.kernel_diag(at)
     bz = m.quadratic_form(M, at) / kd
     uv = np.asarray(u(pts), dtype=float)
-    ph = kd if phi == "kernel_diag" else disk_masses(u, r_avg, pts, 24) / (1.0 - np.abs(pts)) ** 4
-    return float(np.sum(wts * hfun(C * bz) * ph * uv))
+    return float(np.sum(wts * hfun(C * bz) * kd * uv))
 
 
 def schatten_integral(
@@ -320,16 +319,14 @@ def schatten_integral(
     m: KernelModel,
     h,
     C=1.0,
-    r=0.3,
-    phi="kernel_diag",
     sweep=(0.99, 0.995, 0.999),
 ) -> CriterionReport:
-    """Integral test for T_mu in S_h: trend of int h(C mu~_2) Phi u dA.
+    """Integral test for T_mu in S_h: trend of int h(C mu~_2) K_N(z, z) u dA.
 
-    Phi defaults to the truncated kernel diagonal K_N(z, z); the alternative
-    proxy u(Delta(z, r)) / (1 - |z|)^4 sits behind phi="disk_mass".  The
-    verdict compares the value across the outer-radius sweep: stable within
-    5% reads convergent, growth by 2x or more reads divergent.
+    The integrand weighs h(C mu~_2) by the truncated kernel diagonal
+    K_N(z, z), on 200 radial Gauss nodes.  The verdict compares
+    the value across the outer-radius sweep: stable within 5% reads
+    convergent, growth by 2x or more reads divergent.
 
     extras["degree_times_gap"] lists N (1 - R) for each sweep radius R, with
     N the kernel degree.  A degree-N kernel resolves scales down to about
@@ -341,11 +338,9 @@ def schatten_integral(
     """
     if C <= 0:
         raise DomainError("Schatten constant C must be positive")
-    if phi not in ("kernel_diag", "disk_mass"):
-        raise DomainError(f"unknown integrand proxy {phi!r}")
     hname, hfun = h_function(h)
     M = basis_gram(m, mu)
-    values = [_schatten_value(M, m, hfun, C, R, phi, r) for R in sweep]
+    values = [_schatten_value(M, m, hfun, C, R) for R in sweep]
     ratio = values[-1] / values[0] if values[0] > 0 else float("inf")
     # change measured against the final (largest) value: a convergent tail
     # contributes a shrinking fraction of the limit
@@ -358,7 +353,7 @@ def schatten_integral(
         verdict = "inconclusive"
     return CriterionReport(
         name="schatten_integral",
-        parameters={"h": hname, "C": C, "r": r, "phi": phi},
+        parameters={"h": hname, "C": C},
         index_value=values[-1],
         per_point=[],
         ring_trend=list(zip(sweep, values)),

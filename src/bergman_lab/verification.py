@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import criteria, toeplitz, transforms
+from .errors import DomainError
 from .geometry import audit_grid, boundary_ladder, build_lattice, pseudo_add
 from .kernels import build_kernel_model, kernel_diag, reproducing_check
 from .measures import atomic, power_density, weighted_area
@@ -179,13 +180,10 @@ def check_08_lattice_certificates():
 
 
 def _ba1_bands(degree, lattice_r):
-    u = constant()
-    m = build_kernel_model(u, degree)
-    mu = power_density(1.0)
+    m = build_kernel_model(constant(), degree)
     lat = build_lattice(lattice_r, 0.95)
-    bz = transforms.berezin_profile(mu, m, lat.points)
-    av = transforms.average_profile(mu, u, 0.3, lat.points)
-    return float(np.min(bz / av)), float(np.max(bz) / np.max(av))
+    extras = transforms.comparability_report(power_density(1.0), m, 2.0, 0.3, lat).extras
+    return extras["lower_band"], extras["sup_ratio"]
 
 
 def check_09_ba1_band():
@@ -453,11 +451,10 @@ ALL_CHECKS = (
 
 def run_all(selected=None):
     """Run the acceptance checks (all, or by criterion numbers)."""
-    results = []
-    for number, fn in enumerate(ALL_CHECKS, start=1):
-        if selected and number not in selected:
-            continue
-        results.append(fn())
+    unknown = sorted(set(selected or ()) - set(range(1, len(ALL_CHECKS) + 1)))
+    if unknown:
+        raise DomainError(f"no acceptance check numbered {unknown}; they run 1..{len(ALL_CHECKS)}")
+    results = [fn() for n, fn in enumerate(ALL_CHECKS, start=1) if not selected or n in selected]
     return {"checks": results, "passed": all(r["passed"] for r in results)}
 
 

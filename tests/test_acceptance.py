@@ -231,6 +231,27 @@ def test_criterion_08_lattice_certificates():
     _run(verification.check_08_lattice_certificates)
 
 
+def test_criterion_08_audit_candidates_are_pinned(monkeypatch):
+    # every pair _close_pairs hands out to check 8's audits, and those within
+    # their threshold.  Each audit point meets a band of lattice points in its
+    # own angular window, the bound of _window_half_width at
+    # min(band minimum, |z|): 4,958,246 candidates for 1,589,771 near pairs
+    # (3.1 per near pair).  One window per pair of bands, at the smaller
+    # band's least modulus, handed out 6,793,776 (4.3 per near pair).
+    counted = [0, 0]
+
+    def counting(q, p, thr):
+        for i, j in close_pairs(q, p, thr):
+            counted[0] += i.size
+            counted[1] += int(np.sum(geometry.pseudo_distance(q[i], p[j]) < thr))
+            yield i, j
+
+    close_pairs = geometry._close_pairs
+    monkeypatch.setattr(geometry, "_close_pairs", counting)
+    assert verification.check_08_lattice_certificates()["passed"]
+    assert counted == [4_958_246, 1_589_771]
+
+
 def test_criterion_08_sees_a_dropped_wraparound(monkeypatch):
     # the within-ring search of build_lattice without its wrap-around term:
     # the last candidates of a ring no longer meet the first accepted ones,

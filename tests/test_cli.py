@@ -163,6 +163,9 @@ class TestCommands:
         for spec in ('atomic:[[0.1,0.2]]', 'atomic:{"a":1}'):
             args = ["toeplitz", "--measure", spec, "--degree", "10", "--out", out]
             assert main(args) == EXIT_BAD_CONFIG
+        # check numbers outside 1..15 ran nothing and passed, or were dropped
+        for only in ("99", "1,99"):
+            assert main(["verify", "--only", only, "--out", out]) == EXIT_BAD_CONFIG
 
     def test_verify_selected(self, tmp_path):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ its parser was built once per process and its report columns were written
 whole; so are the top-level and per-subcommand --help texts at 80 columns.
 The theorem-consistency table and the essential-norm estimate are pinned as
 they read before each theorem condition was computed and classified once.
+The schatten report's integral takes the parameters {"h", "C"} only.
 """
 
 import contextlib
@@ -71,7 +72,7 @@ DIGESTS = {
     "lattice/f07902a63363/lattice.json": "84ec09d29f9ae4d48bd707d66badb01450a3261cf78e4950dadfc29d224a047c",
     "lattice/f07902a63363/report.json": "41b1582e992c9895958fb9ce02fd35b9de251403eabbece51cce4f4fccdcb740",
     "lattice/f07902a63363/summary.txt": "521c7a04660db74072099a03caf68b67edee0850fc821cd3853d9c071a348b49",
-    "schatten/ef5fbbdd530c/report.json": "7464bf15c5b900fdeca64edba86eae44c56dade8eff1348db33a19e288610d9f",
+    "schatten/ef5fbbdd530c/report.json": "32c41e7ae1eb9e400069fb0afcbaefff737476b2994e4e4e8f5d3e5ff3f40e3e",
     "schatten/ef5fbbdd530c/summary.txt": "ad4584556062f2ba2fab187e98b500d4b17109bac9f15cd096872b2e3dcc99ba",
     "toeplitz/f7b377e2af1f/report.json": "1c6217c06dfa6c7fc46d2ff01e94bd802907f819fe18f5b22921d4cb37f0472a",
     "toeplitz/f7b377e2af1f/spectrum.csv": "70ae7aba138af99859908807ebf0daef45f08ff2f9ce9a17d51262dee74e8473",

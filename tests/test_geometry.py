@@ -267,7 +267,7 @@ class TestWindowedLattice:
     @example(rho=0.5, thr=0.25, a=0.0, b=0.0, gap=0.0, angle=0.0)
     def test_window_half_width_is_sound(self, rho, thr, a, b, gap, angle):
         half = geometry._window_half_width(rho, thr * (1.0 + geometry._PRUNE_MARGIN))
-        if half is None:
+        if half >= np.pi:
             return
         # moduli in [rho, 0.9999], angular gap in [half, pi]
         p = (rho + a * (0.9999 - rho)) * np.exp(1j * angle)
@@ -286,6 +286,9 @@ class TestWindowedLattice:
     )
     # a subnormal modulus once divided by zero in _window_half_width
     @example(q=[5e-324 + 0j], steps=[(0.9375, 0.0)], thr=0.96875)
+    # q = 0 has the window pi, and p = -0.25 sits at exactly the opposite
+    # angle: the window's two ends both hold p, which is handed out once
+    @example(q=[0j], steps=[(0.5, 0.0)], thr=0.5)
     @settings(max_examples=200, deadline=None)
     def test_close_pairs_hold_every_near_pair_once(self, q, steps, thr):
         # p[k] sits just inside pseudo-distance thr of q[k % len(q)]
@@ -301,6 +304,12 @@ class TestWindowedLattice:
         d = pseudo_distance(q[:, None], p[None, :])
         near = set(zip(*(idx.tolist() for idx in np.nonzero(d < thr))))
         assert near <= set(seen)
+
+    # rho = 0, thr >= 1, and a subnormal rho whose denominator underflows
+    @pytest.mark.parametrize("rho, thr", [(0.0, 0.5), (0.5, 1.0), (0.5, 1.2), (5e-324, 0.96875)])
+    def test_window_half_width_is_pi_without_a_window(self, rho, thr):
+        assert geometry._window_half_width(rho, thr) == np.pi
+        assert np.array_equal(geometry._window_half_width(np.array([rho, rho]), thr), [np.pi, np.pi])
 
     def test_audits_reject_points_outside_the_disc(self):
         lat = Lattice(0.3, 0.9, np.array([0.0, 1.0 + 0.0j]), 2)
@@ -356,7 +365,7 @@ class TestRingWindows:
         inside = (np.arange(m)[None, :] - lo[:, None]) % m < count[:, None]
         assert np.all(inside[near])
 
-    @given(m=st.integers(1, 200), half=st.one_of(st.none(), st.floats(1e-3, np.pi)), data=st.data())
+    @given(m=st.integers(1, 200), half=st.one_of(st.just(np.pi), st.floats(1e-3, np.pi)), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_earlier_pairs_are_the_window_pairs(self, m, half, data):
         keep = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))), dtype=int)
