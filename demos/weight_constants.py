@@ -23,9 +23,9 @@ for label, u in [
 ]:
     bp = bekolle_constant(u, 2.0, ladder=ladder)
     cp = cp_constant(u, 2.0, 0.3, ladder=ladder)
-    print(f"{label:24s} {bp.value:10.4f} {cp.value:14.4f} {bp.verdict:>12s}")
+    print(f"{label:24s} {bp.index_value:10.4f} {cp.index_value:14.4f} {bp.verdict:>12s}")
 
 print()
 print("ring trend of the B_2 joint average for alpha = 1:")
-for rho, v in bekolle_constant(standard(1.0), 2.0, ladder=ladder).trend:
+for rho, v in bekolle_constant(standard(1.0), 2.0, ladder=ladder).ring_trend:
     print(f"  rho = {rho:.4f}   joint average = {v:.4f}")

@@ -38,13 +38,11 @@ from .geometry import (
 )
 from .kernels import (
     KernelModel,
-    NormalizedKernel,
     build_kernel_model,
     kernel_diag,
     kernel_eval,
     kernel_norm,
     kernel_norms,
-    normalized_kernel,
     reproducing_check,
 )
 from .measures import (
@@ -68,7 +66,6 @@ from .toeplitz import (
     matrix_apply,
     pairing_check,
     schatten_integral,
-    schatten_membership,
     schatten_membership_report,
     spectrum,
     trace_identity_check,
@@ -86,7 +83,6 @@ from .transforms import (
 from .verification import run_all, render_summary
 from .weights import (
     Weight,
-    WeightConstantReport,
     bekolle_constant,
     constant,
     cp_constant,

@@ -1,14 +1,16 @@
 """Command-line front end: experiment orchestration and artifact emission.
 
-Every subcommand resolves a RunConfig (JSON config file plus flag overrides),
-runs the computation for each cell of the parameter sweep, and writes JSON +
-CSV artifacts and a human-readable summary under
+Every experiment subcommand resolves a RunConfig (JSON config file plus flag
+overrides), runs the computation for each cell of the parameter sweep, and
+writes JSON + CSV artifacts and a human-readable summary under
 
     <out>/<subcommand>/<param-hash>/
 
 The param hash is derived from the canonical JSON of the cell config minus
 --out, and every artifact embeds that hash and the package version, so
 identical configs produce byte-identical artifacts under any output root.
+``verify`` runs the fixed acceptance checks and takes --out and --only only:
+its artifacts sit under the hash of the default RunConfig.
 
 Exit codes: 0 success; 1 failed acceptance check under ``verify``; 2 invalid
 configuration; 3 numerical degeneracy.
@@ -207,14 +209,14 @@ def run_weights(cfg: RunConfig):
     bp = weights.bekolle_constant(u, cfg.p, ladder=ladder, resolution=cfg.resolution)
     cp = weights.cp_constant(u, cfg.p, cfg.r, ladder=ladder, resolution=cfg.resolution)
     report = {
-        "bp": {"value": bp.value, "trend": [[r, v] for r, v in bp.trend], "verdict": bp.verdict},
-        "cp": {"value": cp.value, "trend": [[r, v] for r, v in cp.trend], "verdict": cp.verdict},
+        "bp": {"value": bp.index_value, "trend": [[r, v] for r, v in bp.ring_trend], "verdict": bp.verdict},
+        "cp": {"value": cp.index_value, "trend": [[r, v] for r, v in cp.ring_trend], "verdict": cp.verdict},
     }
-    anchors = np.array([a for a, _ in bp.per_anchor])
-    csv = profile_csv(anchors, {"bp_joint_average": np.array([v for _, v in bp.per_anchor])})
+    anchors = np.array([a for a, _ in bp.per_point])
+    csv = profile_csv(anchors, {"bp_joint_average": np.array([v for _, v in bp.per_point])})
     summary = (
-        f"[u]_Bp(p={cfg.p}) = {bp.value:.6g} (trend {bp.verdict}); "
-        f"[u]_Cp(r={cfg.r}) = {cp.value:.6g} (trend {cp.verdict})"
+        f"[u]_Bp(p={cfg.p}) = {bp.index_value:.6g} (trend {bp.verdict}); "
+        f"[u]_Cp(r={cfg.r}) = {cp.index_value:.6g} (trend {cp.verdict})"
     )
     return report, {"bp_per_anchor.csv": csv}, summary
 
@@ -296,7 +298,7 @@ def run_schatten(cfg: RunConfig):
     return report, {}, summary
 
 
-def run_verify(cfg: RunConfig, selected=None):
+def run_verify(selected=None):
     results = verification.run_all(selected)
     summary = verification.render_summary(results)
     return results, {}, summary
@@ -341,7 +343,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in RUNNERS:
         sub.add_parser(name, parents=[shared], help=f"run the {name} experiment")
-    verify = sub.add_parser("verify", parents=[shared], help="run the verify experiment")
+    # verify runs fixed checks: its config only names the artifact directory
+    verify = sub.add_parser("verify", help="run the verify experiment")
+    verify.add_argument("--out", type=str, help="artifact output directory")
     verify.add_argument("--only", type=str, help="comma-separated criterion numbers")
     return parser
 
@@ -402,25 +406,18 @@ def _worker_count():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cells = resolve_configs(args)
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
+    args = build_parser().parse_args(argv)
     if args.subcommand == "verify":
+        cfg = RunConfig() if args.out is None else RunConfig(out=args.out)
         selected = None
-        if getattr(args, "only", None):
+        if args.only:
             try:
                 selected = {int(x) for x in args.only.split(",")}
             except ValueError:
                 print(f"error: --only must be numeric: {args.only!r}", file=sys.stderr)
                 return EXIT_BAD_CONFIG
-        cfg = cells[0]
         try:
-            results, csvs, summary = run_verify(cfg, selected)
+            results, csvs, summary = run_verify(selected)
         except (DegeneracyError, PrecisionError) as exc:
             print(f"degeneracy: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
@@ -431,6 +428,11 @@ def main(argv=None):
         print(summary)
         return EXIT_OK if results["passed"] else EXIT_VERIFY_FAILED
 
+    try:
+        cells = resolve_configs(args)
+    except (DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     runner = RUNNERS[args.subcommand]
 
     def run_cell(cfg):

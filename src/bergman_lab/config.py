@@ -15,7 +15,6 @@ __all__ = ["Defaults", "DEFAULTS"]
 class Defaults:
     # basis truncation
     degree_radial: int = 200
-    degree_general: int = 120
     # outer truncation radius for criteria / profile integrals; basis and
     # kernel-norm integrands are polynomials and use the full disc instead
     r_max: float = 0.995

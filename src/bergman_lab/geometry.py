@@ -478,7 +478,7 @@ def audit_grid(n, r_max):
 
 @dataclass(frozen=True)
 class BoundaryLadder:
-    """Dyadic radii climbing to the boundary: 1 - 2^-j (1 - rho0), j = 0.."""
+    """Radii climbing to the boundary (boundary_ladder: 1 - 2^-(j+1)), samples_per_ring points on each."""
 
     radii: tuple
     samples_per_ring: int
@@ -506,11 +506,11 @@ class BoundaryLadder:
         return rows.max(axis=1).tolist()
 
 
-def boundary_ladder(n_rings, samples_per_ring, rho0=0.5):
-    """Ladder with radii 1 - 2^-j (1 - rho0) for j = 0..n_rings-1."""
+def boundary_ladder(n_rings, samples_per_ring):
+    """Ladder with radii 1 - 2^-(j+1) for j = 0..n_rings-1."""
     if n_rings < 2:
         raise DomainError("boundary ladder needs at least 2 rings")
-    radii = tuple(1.0 - (1.0 - rho0) * 0.5**j for j in range(n_rings))
+    radii = tuple(1.0 - 0.5 ** (j + 1) for j in range(n_rings))
     if radii[-1] >= 1.0:
         raise DomainError("ladder too deep for float resolution")
     return BoundaryLadder(radii=radii, samples_per_ring=int(samples_per_ring))

@@ -57,8 +57,6 @@ __all__ = [
     "kernel_diag",
     "kernel_norm",
     "kernel_norms",
-    "NormalizedKernel",
-    "normalized_kernel",
     "polynomial_values",
     "reproducing_check",
 ]
@@ -302,25 +300,6 @@ def kernel_norms(m: KernelModel, points, p):
 def kernel_norm(m: KernelModel, w, p):
     """|| K_w ||_{A^p(u)}: kernel_norms at the one point w."""
     return float(kernel_norms(m, [w], p)[0])
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedKernel:
-    """k_{t,w} = K(., w) / ||K_w||_{A^t(u)}, evaluable on arrays."""
-
-    base: KernelModel
-    at: complex
-    exponent: float
-    norm_value: float
-
-    def __call__(self, z):
-        return self.base.kernel(np.asarray(z, dtype=complex), self.at) / self.norm_value
-
-
-def normalized_kernel(m: KernelModel, w, t=2.0) -> NormalizedKernel:
-    if t <= 0:
-        raise DomainError("normalization exponent must be positive")
-    return NormalizedKernel(m, complex(w), float(t), kernel_norm(m, w, t))
 
 
 def reproducing_check(m: KernelModel, coefs, w):

@@ -133,17 +133,6 @@ class DiscMeasure:
             return float(sum(mz for _, mz in self.atoms))
         return self.integrate(lambda z: np.ones(np.shape(z)))
 
-    def scaled(self, c):
-        """The measure c * mu (c > 0)."""
-        if c <= 0:
-            raise DomainError("scaling factor must be positive")
-        if self.kind == "atomic":
-            return DiscMeasure("atomic", tuple((z, c * m) for z, m in self.atoms))
-        return density(
-            lambda z: c * self.density_at(z),
-            params={"scaled_from": self.kind, "factor": c, **self.params},
-        )
-
     def config(self):
         if self.kind == "atomic":
             return {

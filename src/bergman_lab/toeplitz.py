@@ -11,19 +11,18 @@ whose sorted entries are the eigenvalues.  On top of the matrix sit:
   * apply           -- T_mu f both as a direct integral and as matrix action
   * essential norm  -- boundary-ladder estimate of limsup mu~_t(z) / u(Delta)^e
   * Schatten tests  -- the integral criterion int h(C mu~) K_N u dA and the
-                       eigenvalue sum  sum_k h(C lambda_k)
+                       eigenvalue sum  sum_k h(C lambda_k), with its growth
+                       under truncation doubling (schatten_membership_report)
 
 Everything reports trends rather than asserting unspecified constants.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
 from .criteria import _bc_pass, qlp_index
 from .errors import DegeneracyError, DomainError
 from .geometry import BoundaryLadder
@@ -32,7 +31,6 @@ from .kernels import (
     _norm_resolution,
     _solve_lower,
     _truncated,
-    build_kernel_model,
     polynomial_values,
 )
 from .measures import DiscMeasure, basis_gram
@@ -52,7 +50,6 @@ __all__ = [
     "essential_norm_estimate",
     "h_function",
     "schatten_integral",
-    "schatten_membership",
     "schatten_membership_report",
 ]
 
@@ -105,15 +102,6 @@ class ToeplitzMatrix:
     def operator_norm(self):
         return float(self.eigenvalues()[0])
 
-    def to_dict(self):
-        entries = self.entries
-        return {
-            "degree": self.model.degree,
-            "measure": self.measure.config(),
-            "entries_real": np.real(entries).tolist(),
-            "entries_imag": np.imag(entries).tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -131,10 +119,6 @@ class Spectrum:
         lines = ["k,lambda"]
         lines += [f"{k},{v!r}" for k, v in enumerate(self.eigenvalues)]
         return "\n".join(lines) + "\n"
-
-    def to_json(self, **kwargs):
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps({"eigenvalues": list(self.eigenvalues)}, **kwargs)
 
 
 def assemble(mu: DiscMeasure, m: KernelModel) -> ToeplitzMatrix:
@@ -211,14 +195,7 @@ def pairing_check(mu: DiscMeasure, m: KernelModel, fcoefs, gcoefs):
 
 
 def essential_norm_estimate(
-    mu: DiscMeasure,
-    u: Weight,
-    p,
-    q,
-    t,
-    r,
-    ladder: BoundaryLadder,
-    m: KernelModel = None,
+    mu: DiscMeasure, u: Weight, p, q, t, r, ladder: BoundaryLadder, m: KernelModel
 ) -> CriterionReport:
     """Boundary estimate of ||T_mu||_e ~ limsup mu~_t(z) / u(Delta(z,r))^(1/p - 1/q).
 
@@ -247,9 +224,6 @@ def essential_norm_estimate(
             },
         )
 
-    m = m or build_kernel_model(
-        u, DEFAULTS.degree_radial if u.is_radial else DEFAULTS.degree_general
-    )
     points, _, tb, rings_avg, rings_tb = _bc_pass(mu, u, m, p, q, t, r, ladder)
     verdict = classify_ring_trend(rings_tb)
     return CriterionReport(
@@ -368,14 +342,6 @@ def schatten_integral(
     )
 
 
-def schatten_membership(T: ToeplitzMatrix, h, C=1.0):
-    """sum_k h(C lambda_k) over the truncated spectrum."""
-    if C <= 0:
-        raise DomainError("Schatten constant C must be positive")
-    _, hfun = h_function(h)
-    return float(np.sum(hfun(C * T.eigenvalues())))
-
-
 def schatten_membership_report(T: ToeplitzMatrix, h, C=1.0) -> CriterionReport:
     """Membership sum plus its growth under truncation doubling.
 
@@ -383,8 +349,10 @@ def schatten_membership_report(T: ToeplitzMatrix, h, C=1.0) -> CriterionReport:
     max(2, n//2) and n, with n = N+1 the matrix size (200, 400 and 801 at
     degree N = 800), are nested lower bounds (eigenvalue interlacing); a
     stable tail (last doubling within 5%) reads convergent, growth by 15% or
-    more reads divergent.
+    more reads divergent.  index_value is the sum over the full spectrum.
     """
+    if C <= 0:
+        raise DomainError("Schatten constant C must be positive")
     hname, hfun = h_function(h)
     n = T.size
     sizes = sorted({max(2, n // 4), max(2, n // 2), n})

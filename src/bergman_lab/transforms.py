@@ -90,17 +90,22 @@ def average_profile(mu: DiscMeasure, u: Weight, r, points):
     return mu.disk_masses(points, r) / disk_masses(u, r, points, 32)
 
 
-def profile_lp_norm(mu: DiscMeasure, u: Weight, r, exponent, reference="u_dA", r_max=None, n_radial=48, n_angular=96):
+# the polar rule of profile_lp_norm: Gauss shells in radius, angles per shell
+_LP_RADIAL = 48
+_LP_ANGULAR = 96
+
+
+def profile_lp_norm(mu: DiscMeasure, u: Weight, r, exponent, reference="u_dA", r_max=None):
     """L^exponent norm of the averaging function against u dA (or plain dA).
 
     Returns (norm, shell_radii, partials): partials[j] is the norm computed
-    with the radial truncation at the j-th Gauss shell, so growth of the
-    partials exposes divergence of the defining integral.
+    with the radial truncation at the j-th of _LP_RADIAL Gauss shells, so
+    growth of the partials exposes divergence of the defining integral.
     """
-    rule = disc_rule(n_radial, n_angular, r_max if r_max is not None else DEFAULTS.r_max)
+    rule = disc_rule(_LP_RADIAL, _LP_ANGULAR, r_max if r_max is not None else DEFAULTS.r_max)
     vals = average_profile(mu, u, r, rule.nodes) ** exponent
     ref = np.asarray(u(rule.nodes), dtype=float) if reference == "u_dA" else 1.0
-    contrib = (rule.weights * ref * vals).reshape(n_radial, n_angular).sum(axis=1)
+    contrib = (rule.weights * ref * vals).reshape(_LP_RADIAL, _LP_ANGULAR).sum(axis=1)
     radii = rule.rings[0]
     partials = np.cumsum(contrib) ** (1.0 / exponent)
     return float(partials[-1]), radii, partials
@@ -114,30 +119,27 @@ def _grid_points(grid):
     return np.asarray(pts, dtype=complex)
 
 
-def comparability_report(
-    mu: DiscMeasure, m: KernelModel, t, r, grid, u: Weight = None, p=2.0
-) -> CriterionReport:
-    """Compare the t-Berezin transform against the averaging function.
+def comparability_report(mu: DiscMeasure, m: KernelModel, t, r, grid) -> CriterionReport:
+    """Compare the t-Berezin transform against the averaging function (u = m.weight).
 
     Reports the one-sided forms that actually hold pointwise:
       (a) lower band: min over the grid of mu~_t(z) / mu^_r(z);
       (b) sup check:  max mu~_t <= C * sup mu^_r (C reported, not asserted);
-      (c) discrete L^p norms of both profiles over the grid, with their ratio.
+      (c) discrete L^2 norms of both profiles over the grid, with their ratio.
     """
-    u = u or m.weight
     points = _grid_points(grid)
     tb = t_berezin_profile(mu, m, t, points)
-    av = average_profile(mu, u, r, points)
+    av = average_profile(mu, m.weight, r, points)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(av > 0, tb / np.where(av > 0, av, 1.0), np.inf)
     finite = ratios[np.isfinite(ratios) & (av > 0)]
     lower = float(np.min(finite)) if finite.size else float("nan")
     upper = float(np.max(tb) / np.max(av)) if np.max(av) > 0 else float("nan")
-    lp_tb = float(np.mean(tb**p) ** (1.0 / p))
-    lp_av = float(np.mean(av**p) ** (1.0 / p))
+    lp_tb = float(np.mean(tb**2.0) ** 0.5)
+    lp_av = float(np.mean(av**2.0) ** 0.5)
     return CriterionReport(
         name="berezin_vs_average",
-        parameters={"t": t, "r": r, "p": p},
+        parameters={"t": t, "r": r},
         index_value=upper,
         per_point=list(zip(points, ratios)),
         ring_trend=[],

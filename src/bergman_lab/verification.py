@@ -289,7 +289,7 @@ def check_12_compactness():
     and u(Delta(z, r)) = pi r^2 (1 - |z|^2)^2 / (1 - r^2 |z|^2)^2 for u = 1.
     The ring quantity therefore decays like (1 - rho)^0.1, and the literal
     last-ring bound (< 1e-2 of the global max) first holds at ring index 68,
-    i.e. it needs 69 rings of the ladder from rho0 = 0.5.  Ladder radii
+    i.e. it needs 69 rings of the ladder, which starts at 0.5.  Ladder radii
     1 - 2^-(j+1) exist in float64 only up to j = 52, so boundary_ladder
     accepts at most 53 rings; the bound is asserted as stated and reported
     honestly.

@@ -11,7 +11,8 @@ are provided:
 The B_p constant takes joint averages over Carleson sets S(a); the C_p
 constant takes the same averages over pseudohyperbolic disks Delta(z, r).
 Suprema over the disc are replaced by maxima over a supplied anchor set plus
-a boundary ladder, whose per-ring maxima expose divergence as a trend.
+a boundary ladder, whose per-ring maxima expose divergence as a trend; both
+constants return a CriterionReport, like every other checker.
 
 A radial weight, one with a Weight.power, integrated over Delta(z, r) or S(z)
 gives a number of |z| alone: both regions turn with their centre.  Such quantities are taken once
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet, PseudoDisk, pseudo_disk
 from .quadrature import disk_integrals, region_quadrature
-from .reports import classify_ring_trend
+from .reports import CriterionReport, classify_ring_trend
 
 __all__ = [
     "Weight",
@@ -41,7 +42,6 @@ __all__ = [
     "mass",
     "disk_masses",
     "on_moduli",
-    "WeightConstantReport",
     "bekolle_constant",
     "cp_constant",
 ]
@@ -217,22 +217,6 @@ def _pseudo_disk_masses(u, disks, resolution):
     return disk_integrals(u, disks, resolution)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightConstantReport:
-    """Joint-average constant report: max over anchors plus a boundary trend."""
-
-    p: float
-    value: float
-    per_anchor: list  # (anchor, local value)
-    trend: list  # (ring radius, ring max)
-    kind: str = "bp"
-
-    @property
-    def verdict(self):
-        """classify_ring_trend of the per-ring maxima; inconclusive without a ladder."""
-        return classify_ring_trend([v for _, v in self.trend])
-
-
 def _joint_average(u, p, region, resolution):
     """<u>_E * (<u^{-p'/p}>_E)^(p-1) over one region."""
     q = region_quadrature(region, resolution)
@@ -254,22 +238,35 @@ def _joint_averages(u, p, region_of, points, resolution):
     return (on_moduli(at, points) if u.is_radial else at(points)).tolist()
 
 
-def _constant_report(region_of, u, p, anchors, ladder, resolution, kind):
+def _constant_report(name, parameters, region_of, u, anchors, ladder, resolution):
+    """The joint averages over region_of(a) at the anchors and the ladder points.
+
+    index_value is their max, per_point holds (point, value) and ring_trend
+    the ladder's ring maxima, whose classify_ring_trend is the verdict
+    (inconclusive without a ladder).
+    """
+    p = parameters["p"]
     if p <= 1:
         raise DomainError("joint-average constants need p > 1")
     anchors = list(anchors or [])
     on_ladder = ladder is not None and bool(ladder.radii)
     if not anchors and not on_ladder:
         raise DomainError("no anchors supplied")
-    per_anchor = list(zip(anchors, _joint_averages(u, p, region_of, anchors, resolution)))
-    trend = []
+    per_point = list(zip(anchors, _joint_averages(u, p, region_of, anchors, resolution)))
+    ring_trend = []
     if on_ladder:
         pts = ladder.points()
         vals = _joint_averages(u, p, region_of, pts, resolution)
-        trend = list(zip(ladder.radii, ladder.ring_max(vals)))
-        per_anchor.extend(zip(pts, vals))
-    value = max(v for _, v in per_anchor)
-    return WeightConstantReport(p=float(p), value=value, per_anchor=per_anchor, trend=trend, kind=kind)
+        ring_trend = list(zip(ladder.radii, ladder.ring_max(vals)))
+        per_point.extend(zip(pts, vals))
+    return CriterionReport(
+        name=name,
+        parameters=parameters,
+        index_value=max(v for _, v in per_point),
+        per_point=per_point,
+        ring_trend=ring_trend,
+        verdict=classify_ring_trend([v for _, v in ring_trend]),
+    )
 
 
 def bekolle_constant(u, p, anchors=None, ladder: BoundaryLadder = None, resolution=48):
@@ -280,7 +277,7 @@ def bekolle_constant(u, p, anchors=None, ladder: BoundaryLadder = None, resoluti
     (at the real anchor |a|) for the anchors and the ladder points alike.
     """
     return _constant_report(
-        lambda a: CarlesonSet(complex(a)), u, p, anchors, ladder, resolution, "bp"
+        "bekolle_constant", {"p": p}, lambda a: CarlesonSet(complex(a)), u, anchors, ladder, resolution
     )
 
 
@@ -289,5 +286,5 @@ def cp_constant(u, p, r, centers=None, ladder: BoundaryLadder = None, resolution
     if not (0.0 < r < 1.0):
         raise DomainError("C_p disk radius must lie in (0, 1)")
     return _constant_report(
-        lambda a: pseudo_disk(complex(a), r), u, p, centers, ladder, resolution, "cp"
+        "cp_constant", {"p": p, "r": r}, lambda a: pseudo_disk(complex(a), r), u, centers, ladder, resolution
     )

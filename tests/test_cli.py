@@ -167,6 +167,19 @@ class TestCommands:
         for only in ("99", "1,99"):
             assert main(["verify", "--only", only, "--out", out]) == EXIT_BAD_CONFIG
 
+    def test_verify_takes_out_and_only_alone(self, tmp_path):
+        # no experiment flag changes a verify check, so argparse refuses each
+        # (exit 2), and the artifacts sit under the default config's hash
+        for stray in (["--t", "0.5"], ["--weight", "standard:1"], ["--degree", "7"],
+                      ["--config", "cell.json"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["verify", "--only", "1", *stray])
+            assert exit_info.value.code == 2
+        out = tmp_path / "out"
+        assert main(["verify", "--only", "1", "--out", str(out)]) == EXIT_OK
+        assert [d.name for d in (out / "verify").iterdir()] == ["407688338db5"]
+        assert RunConfig().param_hash() == "407688338db5"
+
     def test_verify_selected(self, tmp_path):
         out = tmp_path / "out"
         code = main(["verify", "--only", "1,3", "--out", str(out)])

@@ -94,7 +94,7 @@ HELP_DIGESTS = {
     'toeplitz': "e69903e81027446b25aeac526eb2a9b913fff34367681088be741c010a6fafa7",
     'criteria': "d2995dba2fa2bcee90f2f0744271dd793d025e1380d0afae125aeeee573390aa",
     'schatten': "88883efcfef64dda746de16c33d84ea7047a56b8782d940f7ad9ebbf68437fc0",
-    'verify': "05b9482bc494d8f86b2e87b8c91bfc141bb59eb6221a7be8349a80c1ceb688e7",
+    'verify': "2da6ecfa77db08fd13648d5e075ce89528b55bd8eb30c4cda28ff97446cdb04e",
 }
 
 

@@ -14,6 +14,7 @@ from bergman_lab import (
     compactness_index,
     atomic,
     constant,
+    density,
     mass,
     power_density,
     power_one_minus_z,
@@ -39,7 +40,8 @@ class TestBoundedness:
         # scaling mu by c scales the index by c
         mu = power_density(1.0)
         a = boundedness_index(mu, u1, model_u1, 2.0, 2.0, 2.0, 0.3, lattice_small)
-        b = boundedness_index(mu.scaled(2.5), u1, model_u1, 2.0, 2.0, 2.0, 0.3, lattice_small)
+        scaled = density(lambda z: 2.5 * mu.density_at(z))
+        b = boundedness_index(scaled, u1, model_u1, 2.0, 2.0, 2.0, 0.3, lattice_small)
         assert b.index_value == pytest.approx(2.5 * a.index_value, rel=1e-9)
 
     def test_ladder_trend(self, model_u1, u1):

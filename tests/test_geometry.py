@@ -380,7 +380,7 @@ class TestRingWindows:
 
 class TestBoundaryLadder:
     def test_dyadic_radii(self):
-        lad = boundary_ladder(4, 8, rho0=0.5)
+        lad = boundary_ladder(4, 8)
         assert lad.radii == (0.5, 0.75, 0.875, 0.9375)
 
     def test_ring_points_on_ring(self):

@@ -21,7 +21,6 @@ from bergman_lab import (
     kernel_eval,
     kernel_norm,
     kernel_norms,
-    normalized_kernel,
     power_one_minus_z,
     reproducing_check,
     standard,
@@ -76,13 +75,6 @@ class TestNorms:
             assert kernel_norm(model_u1, w, 2.0) == pytest.approx(
                 np.sqrt(kernel_diag(model_u1, w)), rel=1e-10
             )
-
-    def test_normalized_kernel_unit_norm(self, model_u1):
-        nk = normalized_kernel(model_u1, 0.5, t=2.0)
-        # evaluation at the base point equals K(w,w) / ||K_w||
-        assert abs(nk(np.array([0.5]))[0]) == pytest.approx(
-            np.sqrt(kernel_diag(model_u1, 0.5)), rel=1e-10
-        )
 
     def test_p_norm_monotone_in_base_point(self, model_u1):
         # kernels blow up toward the boundary in every norm

@@ -209,7 +209,8 @@ class TestIntegration:
     @settings(max_examples=10, deadline=None)
     def test_linearity_in_scaling(self, c):
         mu = power_density(1.0)
-        assert mu.scaled(c).total_mass() == pytest.approx(c * mu.total_mass(), rel=1e-9)
+        scaled = density(lambda z: c * mu.density_at(z))
+        assert scaled.total_mass() == pytest.approx(c * mu.total_mass(), rel=1e-9)
 
 
 class TestDiskMass:
@@ -295,7 +296,6 @@ class TestDiskMass:
         assert not weighted_area(power_one_minus_z(1.0)).is_radial
         assert not density(lambda z: np.ones(np.shape(z))).is_radial
         assert not atomic([(0.0, 1.0)]).is_radial
-        assert not power_density(0.4).scaled(2.0).is_radial
 
     def test_nonfinite_density_in_a_later_block_raises(self):
         mu = density(lambda z: np.where(np.real(z) > 0.9, np.nan, 1.0))

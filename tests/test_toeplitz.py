@@ -30,7 +30,6 @@ from bergman_lab import (
     power_one_minus_z,
     reproducing_check,
     schatten_integral,
-    schatten_membership,
     schatten_membership_report,
     spectrum,
     standard,
@@ -243,14 +242,14 @@ class TestEssentialNorm:
         assert rep.verdict == "divergent"
         assert rep.extras["ring_max_berezin"] == ref.extras["ring_max_berezin"]
 
-    def test_q_less_p_short_circuit(self, u1):
-        rep = essential_norm_estimate(power_density(2.0), u1, 4.0, 2.0, 2.0, 0.3, None)
+    def test_q_less_p_short_circuit(self, model_u1, u1):
+        rep = essential_norm_estimate(power_density(2.0), u1, 4.0, 2.0, 2.0, 0.3, None, model_u1)
         assert rep.verdict == "vanishing"
         assert rep.index_value == 0.0
 
-    def test_invalid_exponents(self, u1):
+    def test_invalid_exponents(self, model_u1, u1):
         with pytest.raises(DomainError):
-            essential_norm_estimate(power_density(1.0), u1, -1.0, 2.0, 2.0, 0.3, None)
+            essential_norm_estimate(power_density(1.0), u1, -1.0, 2.0, 2.0, 0.3, None, model_u1)
 
 
 class TestSchatten:
@@ -268,14 +267,14 @@ class TestSchatten:
     def test_membership_rank_one(self, model_u1_small):
         # single eigenvalue lambda_1 = 2/pi, h = power(2): sum = (2/pi)^2
         T = assemble(atomic([(0.0, 2.0)]), model_u1_small)
-        assert schatten_membership(T, ("power", 2.0)) == pytest.approx((2 / np.pi) ** 2, rel=1e-10)
         rep = schatten_membership_report(T, ("power", 2.0))
+        assert rep.index_value == pytest.approx((2 / np.pi) ** 2, rel=1e-10)
         assert rep.verdict == "finite"
 
     def test_membership_constant_scaling(self, model_u1_small):
         T = assemble(atomic([(0.0, 2.0)]), model_u1_small)
-        s1 = schatten_membership(T, ("power", 2.0), C=1.0)
-        s2 = schatten_membership(T, ("power", 2.0), C=3.0)
+        s1 = schatten_membership_report(T, ("power", 2.0), C=1.0).index_value
+        s2 = schatten_membership_report(T, ("power", 2.0), C=3.0).index_value
         assert s2 == pytest.approx(9.0 * s1, rel=1e-12)
 
     def test_integral_trend_finite(self, model_u1):
@@ -289,10 +288,15 @@ class TestSchatten:
         rep = schatten_integral(power_density(0.8), build_kernel_model(u1, 1600), ("power", 2))
         assert rep.extras["degree_times_gap"] == pytest.approx([16.0, 8.0, 1.6], rel=1e-12)
 
-    def test_invalid_constant(self, model_u1_small):
-        T = assemble(atomic([(0.0, 1.0)]), model_u1_small)
-        with pytest.raises(DomainError):
-            schatten_membership(T, ("power", 2.0), C=0.0)
+    def test_invalid_constant(self):
+        # h(C lambda) with C <= 0 tests nothing; both Schatten tests refuse it
+        m = build_kernel_model(constant(), 40)
+        T = assemble(power_density(1.0), m)
+        for C in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                schatten_membership_report(T, ("power", 2.0), C=C)
+            with pytest.raises(DomainError):
+                schatten_integral(power_density(1.0), m, ("power", 2.0), C=C)
 
 
 def test_polar_rule_callers_build_no_basis_on_nodes(monkeypatch):

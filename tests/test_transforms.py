@@ -84,7 +84,7 @@ class TestBerezin:
     def test_positive_and_linear(self, model_u1_small):
         mu = atomic([(0.3, 1.0)])
         v1 = berezin(mu, model_u1_small, 0.1)
-        v2 = berezin(mu.scaled(3.0), model_u1_small, 0.1)
+        v2 = berezin(atomic([(0.3, 3.0)]), model_u1_small, 0.1)
         assert v1 > 0
         assert v2 == pytest.approx(3.0 * v1, rel=1e-12)
 
