@@ -349,7 +349,9 @@ def schatten_membership_report(T: ToeplitzMatrix, h, C=1.0) -> CriterionReport:
     max(2, n//2) and n, with n = N+1 the matrix size (200, 400 and 801 at
     degree N = 800), are nested lower bounds (eigenvalue interlacing); a
     stable tail (last doubling within 5%) reads convergent, growth by 15% or
-    more reads divergent.  index_value is the sum over the full spectrum.
+    more reads divergent.  index_value is the sum over the full spectrum,
+    which is T.eigenvalues() read in ascending order: the one solve T caches,
+    so a matrix that eigenvalues() refuses as not PSD is refused here too.
     """
     if C <= 0:
         raise DomainError("Schatten constant C must be positive")
@@ -358,7 +360,7 @@ def schatten_membership_report(T: ToeplitzMatrix, h, C=1.0) -> CriterionReport:
     sizes = sorted({max(2, n // 4), max(2, n // 2), n})
     sums = []
     for k in sizes:
-        lam = np.maximum(T._block_eigenvalues(k), 0.0)
+        lam = T.eigenvalues()[::-1] if k == n else np.maximum(T._block_eigenvalues(k), 0.0)
         sums.append(float(np.sum(hfun(C * lam))))
     ratio = sums[-1] / sums[-2] if len(sums) > 1 and sums[-2] > 0 else 1.0
     # a divergent eigenvalue sum keeps growing by a fixed factor per doubling

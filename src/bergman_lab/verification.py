@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import criteria, toeplitz, transforms
+from . import criteria, geometry, toeplitz, transforms, weights
 from .errors import DomainError
 from .geometry import audit_grid, boundary_ladder, build_lattice, pseudo_add
 from .kernels import build_kernel_model, kernel_diag, reproducing_check
@@ -402,7 +402,10 @@ def check_14_consistency_matrix():
 
 
 def _determinism_artifacts():
-    """A representative artifact bundle, rebuilt from scratch each call."""
+    """A representative artifact bundle, rebuilt from scratch each call: the
+    lattice and disk-mass result caches are emptied first."""
+    geometry._lattice.cache_clear()
+    weights._radial_disk_masses.cache_clear()
     u = constant()
     m = build_kernel_model(u, 120)
     lat = build_lattice(0.3, 0.9)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,13 +201,48 @@ def disk_masses(u: Weight, r, points, resolution):
     """u(Delta(z, r)) for every z in points, with Euclidean forms from pseudo_disk.
 
     A radial u is integrated once per distinct |z|, on the disk centred at
-    the real point |z|; other weights take one disk per point.
+    the real point |z|; other weights take one disk per point.  A radial u
+    that is the weight its power names takes those masses from
+    _radial_disk_masses, once per process for each set of moduli; standard(0),
+    whose power names constant(1), and hand-built powers are integrated anew.
     """
+    if u.is_radial and _power_kind(u.power) == u.kind:
 
-    def masses(pts):
-        return _pseudo_disk_masses(u, [pseudo_disk(z, r) for z in np.ravel(pts)], resolution)
+        def masses(moduli):
+            return _radial_disk_masses(u.power, float(r), moduli.real.tobytes(), resolution)
+
+    else:
+
+        def masses(pts):
+            return _pseudo_disk_masses(u, [pseudo_disk(z, r) for z in np.ravel(pts)], resolution)
 
     return on_moduli(masses, points) if u.is_radial else masses(points)
+
+
+def _power_kind(power):
+    """The kind of the weight that a power (c, a) names: constant(c) for
+    a = 0, standard(a) for c = 1, and None for any other (hand-built) power."""
+    c, a = power
+    return "constant" if a == 0.0 else "standard" if c == 1.0 else None
+
+
+@lru_cache(maxsize=64)
+def _radial_disk_masses(power, r, moduli, resolution):
+    """Read-only masses u(Delta(rho, r)) at each distinct modulus rho, for
+    the weight u that power names (_power_kind), each disk centred at the
+    real point rho.
+
+    moduli is the bytes of the float64 array of moduli: a key of Python
+    floats would keep one small object per modulus alive, scattered over
+    the interpreter's arenas.  One cache entry holds the masses at one set
+    of distinct moduli.
+    """
+    c, a = power
+    u = constant(c) if a == 0.0 else standard(a)
+    disks = [pseudo_disk(complex(rho), r) for rho in np.frombuffer(moduli)]
+    masses = _pseudo_disk_masses(u, disks, resolution)
+    masses.flags.writeable = False
+    return masses
 
 
 def _pseudo_disk_masses(u, disks, resolution):

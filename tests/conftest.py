@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from bergman_lab import build_kernel_model, build_lattice, constant, standard
+from bergman_lab import build_kernel_model, build_lattice, constant, geometry, standard, weights
+
+
+@pytest.fixture(autouse=True)
+def fresh_result_caches():
+    # a test that patches a builder must see its own build, not one an earlier
+    # test left in the process-wide result caches, and must leave none behind
+    geometry._lattice.cache_clear()
+    weights._radial_disk_masses.cache_clear()
+    yield
+    geometry._lattice.cache_clear()
+    weights._radial_disk_masses.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -233,11 +233,12 @@ def test_criterion_08_lattice_certificates():
 
 def test_criterion_08_audit_candidates_are_pinned(monkeypatch):
     # every pair _close_pairs hands out to check 8's audits, and those within
-    # their threshold.  Each audit point meets a band of lattice points in its
-    # own angular window, the bound of _window_half_width at
-    # min(band minimum, |z|): 4,958,246 candidates for 1,589,771 near pairs
-    # (3.1 per near pair).  One window per pair of bands, at the smaller
-    # band's least modulus, handed out 6,793,776 (4.3 per near pair).
+    # their threshold.  Each audit point meets a band of lattice points in the
+    # exact angular window of its disk on the band's moduli (_disk_window):
+    # 2,465,756 candidates for 1,589,771 near pairs (1.55 per near pair).  The
+    # bound of _window_half_width at min(band minimum, |z|) handed out
+    # 4,958,246 (3.1 per near pair), and one window per pair of bands, at the
+    # smaller band's least modulus, 6,793,776 (4.3 per near pair).
     counted = [0, 0]
 
     def counting(q, p, thr):
@@ -249,7 +250,7 @@ def test_criterion_08_audit_candidates_are_pinned(monkeypatch):
     close_pairs = geometry._close_pairs
     monkeypatch.setattr(geometry, "_close_pairs", counting)
     assert verification.check_08_lattice_certificates()["passed"]
-    assert counted == [4_958_246, 1_589_771]
+    assert counted == [2_465_756, 1_589_771]
 
 
 def test_criterion_08_sees_a_dropped_wraparound(monkeypatch):
@@ -430,6 +431,25 @@ def test_criterion_14_sees_a_divergent_identity_norm(monkeypatch):
 
 def test_criterion_15_determinism():
     _run(verification.check_15_determinism)
+
+
+def test_criterion_15_sees_a_nondeterministic_build(monkeypatch):
+    # every second candidate spiral is turned by 0.01 rad, so the second
+    # artifact build differs from the first wherever the lattice is really
+    # rebuilt, and not served from the lattice cache
+    def turned_every_second(r, r_max):
+        calls.append((r, r_max))
+        rings = candidate_rings(r, r_max)
+        if len(calls) % 2 == 0:
+            rings = [(rho, cands * np.exp(0.01j)) for rho, cands in rings]
+        return rings
+
+    calls = []
+    candidate_rings = geometry._candidate_rings
+    monkeypatch.setattr(geometry, "_candidate_rings", turned_every_second)
+    res = verification.check_15_determinism()
+    assert not res["passed"]
+    assert res["details"]["mismatched"] == ["lattice.json"]
 
 
 def test_criterion_15_sees_a_reordered_lattice(monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestLattice:
         a = build_lattice(0.5, 0.8)
         b = build_lattice(0.5, 0.8)
         assert np.array_equal(a.points, b.points)
+
+    def test_one_build_per_key(self):
+        # a lattice is built once per (r, r_max) and shared read-only; a bad
+        # radius raises every time and leaves nothing in the cache
+        a = build_lattice(0.5, 0.8)
+        assert build_lattice(np.float64(0.5), 0.8) is a
+        assert geometry._lattice.cache_info()[:2] == (1, 1)
+        with pytest.raises(ValueError):
+            a.points[0] = 0.0
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                build_lattice(1.5, 0.8)
+        assert geometry._lattice.cache_info().currsize == 1
 
     def test_json_round_trip(self, lattice_small):
         text = lattice_small.to_json()
@@ -310,6 +324,66 @@ class TestWindowedLattice:
     def test_window_half_width_is_pi_without_a_window(self, rho, thr):
         assert geometry._window_half_width(rho, thr) == np.pi
         assert np.array_equal(geometry._window_half_width(np.array([rho, rho]), thr), [np.pi, np.pi])
+
+    @given(
+        aq=st.floats(0.0, 0.999),
+        ends=st.tuples(st.floats(0.0, 0.9999), st.floats(0.0, 0.9999)),
+        thr=st.floats(1e-3, 0.999),
+        angle=st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    # the disk Delta(0.5, 0.3) holds no circle of the band, which its centre splits
+    @example(aq=0.5, ends=(0.4, 0.6), thr=0.3, angle=0.0)
+    # the disk holds the origin, and the band lies beyond it
+    @example(aq=0.2, ends=(0.35, 0.6), thr=0.3, angle=1.0)
+    @example(aq=5e-324, ends=(0.0, 0.5), thr=0.5, angle=0.0)
+    def test_disk_window_is_sound(self, aq, ends, thr, angle):
+        # every point with modulus in the band at an angular gap beyond the
+        # window of q is at least thr from q, and the window warns nowhere
+        b_lo, b_hi = sorted(ends)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            half = float(geometry._disk_window(aq, b_lo, b_hi, thr * (1.0 + geometry._PRUNE_MARGIN)))
+        assert 0.0 <= half <= np.pi
+        if half == np.pi:
+            return
+        b = np.linspace(b_lo, b_hi, 33)[:, None]
+        t = half + np.linspace(0.0, 1.0, 33)[None, :] * (np.pi - half)
+        q = aq * np.exp(1j * angle)
+        assert np.all(pseudo_distance(q, b * np.exp(1j * (angle + t))) >= thr)
+        assert np.all(pseudo_distance(q, b * np.exp(1j * (angle - t))) >= thr)
+
+    def test_disk_window_is_the_exact_gap(self):
+        # at the modulus where the band meets Delta(q, thr) widest, the
+        # window's edge lies on the disk's boundary circle
+        aq, thr = 0.5, 0.3
+        s = thr * thr
+        c = (1.0 - s) * aq / (1.0 - s * aq * aq)
+        R = thr * (1.0 - aq * aq) / (1.0 - s * aq * aq)
+        b = np.sqrt(c * c - R * R)
+        half = float(geometry._disk_window(aq, 0.1, 0.9, thr))
+        assert pseudo_distance(aq, b * np.exp(1j * half)) == pytest.approx(thr, rel=1e-12)
+
+    # q = 0 against a band from the origin, thr >= 1, and a disk that holds
+    # the origin against a band from it: a circle of the band lies in the disk
+    @pytest.mark.parametrize("aq, b_lo, b_hi, thr", [
+        (0.0, 0.0, 0.5, 0.3), (5e-324, 0.0, 0.5, 0.3), (0.5, 0.2, 0.9, 1.0),
+        (0.5, 0.2, 0.9, 1.2), (0.2, 0.0, 0.9, 0.3), (0.2, 0.05, 0.9, 0.3),
+    ])
+    def test_disk_window_is_pi_where_the_disk_holds_a_circle(self, aq, b_lo, b_hi, thr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert geometry._disk_window(aq, b_lo, b_hi, thr) == np.pi
+            assert np.array_equal(geometry._disk_window(np.array([aq, aq]), b_lo, b_hi, thr), [np.pi, np.pi])
+
+    def test_band_out_of_reach_gives_no_pairs(self):
+        # a band beyond the disk: the window is 0, and _close_pairs hands out
+        # no pair, whether the radial bound or the window rules the band out
+        assert geometry._disk_window(0.0, 0.4, 0.5, 0.3) == 0.0
+        assert geometry._disk_window(0.2, 0.8, 0.9, 0.3) == 0.0
+        ring = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
+        for q in (np.array([0.0j]), np.array([0.2 + 0.1j, -0.3j])):
+            assert list(geometry._close_pairs(q, ring, 0.3)) == []
 
     def test_audits_reject_points_outside_the_disc(self):
         lat = Lattice(0.3, 0.9, np.array([0.0, 1.0 + 0.0j]), 2)

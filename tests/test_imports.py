@@ -129,13 +129,16 @@ def test_finds_a_second_reader():
 
 
 # (module, function) of every lru_cache and functools.cache in the library:
-# Gauss data, small reference rules, one float per |a|, and the CLI parser
+# Gauss data, small reference rules, one float per |a|, the CLI parser, and
+# two read-only results: lattices and radial disk masses
 _CACHED = {
     ("quadrature.py", "gauss_rule"),
     ("quadrature.py", "_jacobi_rings"),
     ("quadrature.py", "_polar_rule"),
     ("quadrature.py", "_carleson_area"),
     ("cli.py", "build_parser"),
+    ("geometry.py", "_lattice"),
+    ("weights.py", "_radial_disk_masses"),
 }
 
 

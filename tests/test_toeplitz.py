@@ -288,6 +288,23 @@ class TestSchatten:
         rep = schatten_integral(power_density(0.8), build_kernel_model(u1, 1600), ("power", 2))
         assert rep.extras["degree_times_gap"] == pytest.approx([16.0, 8.0, 1.6], rel=1e-12)
 
+    def test_membership_takes_the_cached_spectrum(self, monkeypatch):
+        # the k = n block sum reads T.eigenvalues(), so a dense operator pays
+        # one full eigen-solve for spectrum(T) and the report together
+        T = assemble(power_density(0.5), build_kernel_model(power_one_minus_z(0.5), 60))
+        full = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            full.append(np.shape(a) == (T.size, T.size))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        spectrum(T)
+        rep = schatten_membership_report(T, ("power", 2.0))
+        assert sum(full) == 1
+        assert rep.index_value == float(np.sum(T.eigenvalues()[::-1] ** 2))
+
     def test_invalid_constant(self):
         # h(C lambda) with C <= 0 tests nothing; both Schatten tests refuse it
         m = build_kernel_model(constant(), 40)

@@ -20,6 +20,7 @@ from bergman_lab import (
     standard,
     weight_from_config,
 )
+from bergman_lab import weights
 from bergman_lab.quadrature import _polar_rule, disc_rule, region_quadrature
 from bergman_lab.weights import _joint_average, on_moduli
 
@@ -158,6 +159,22 @@ class TestDiskMasses:
             # pi c R^2 depends on |z| alone: the same bits as before
             assert np.array_equal(got, rotated)
         assert mass(u, pseudo_disk(points[-1], r), resolution) == want[-1]
+
+    def test_radial_masses_are_taken_once_per_key(self):
+        # new weight objects of one power share an entry; the entry is
+        # read-only and every caller gets its own array
+        points = [0.3, 0.3j, -0.5]
+        first = disk_masses(standard(0.5), 0.3, points, 32)
+        again = disk_masses(standard(0.5), np.float64(0.3), points[::-1], 32)
+        assert weights._radial_disk_masses.cache_info()[:2] == (1, 1)
+        assert np.array_equal(again, first[::-1])
+        first[0] = 0.0
+        assert disk_masses(standard(0.5), 0.3, points, 32)[0] == again[-1]
+        assert not weights._radial_disk_masses((1.0, 0.5), 0.3, np.array([0.3, 0.5]).tobytes(), 32).flags.writeable
+        # standard(0) has the power (1, 0) of constant(1), whose closed form
+        # differs from its quadrature in the last bits: it is not cached
+        disk_masses(standard(0.0), 0.3, points, 32)
+        assert weights._radial_disk_masses.cache_info().currsize == 1
 
     def test_pseudo_disk_validation(self):
         with pytest.raises(DomainError):
