@@ -6,15 +6,20 @@ import pytest
 from bergman_lab import build_kernel_model, build_lattice, constant, geometry, standard, weights
 
 
+def _clear_result_caches():
+    geometry._lattice.cache_clear()
+    weights._radial_disk_masses.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_result_caches():
-    # a test that patches a builder must see its own build, not one an earlier
-    # test left in the process-wide result caches, and must leave none behind
-    geometry._lattice.cache_clear()
-    weights._radial_disk_masses.cache_clear()
-    yield
-    geometry._lattice.cache_clear()
-    weights._radial_disk_masses.cache_clear()
+    """Empty the lattice and disk-mass caches before and after every test,
+    so a test that patches a builder sees its own build and leaves none
+    behind; a test that compares two runs calls the yielded function between
+    them."""
+    _clear_result_caches()
+    yield _clear_result_caches
+    _clear_result_caches()
 
 
 @pytest.fixture(scope="session")

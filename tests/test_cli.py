@@ -1,10 +1,13 @@
 """CLI: config resolution, artifacts, determinism, exit codes."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from bergman_lab import build_lattice, disk_masses, geometry, standard, weights
 from bergman_lab.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -96,11 +99,13 @@ class TestCommands:
         assert code == EXIT_OK
         assert len(list((out / "criteria").iterdir())) == 2
 
-    def test_sweep_artifacts_independent_of_threads(self, tmp_path, monkeypatch):
+    def test_sweep_artifacts_independent_of_threads(self, tmp_path, monkeypatch, fresh_result_caches):
         args = ["criteria", "--index", "vanishing", "--measure", "power_density:1",
                 "--p", "2", "--q", "2,3", "--degree", "30"]
         artifacts = []
         for threads in ("1", "2"):
+            # each run computes its own disk masses, none served from the other's
+            fresh_result_caches()
             monkeypatch.setenv("BERGMAN_LAB_THREADS", threads)
             out = tmp_path / f"out{threads}"
             assert main(args + ["--out", str(out)]) == EXIT_OK
@@ -109,7 +114,7 @@ class TestCommands:
         assert len({name.split("/")[1] for name in artifacts[0]}) == 2
         assert artifacts[0] == artifacts[1]
 
-    def test_byte_identical_rerun(self, tmp_path):
+    def test_byte_identical_rerun(self, tmp_path, fresh_result_caches):
         out = tmp_path / "out"
         args = [
             "berezin",
@@ -125,6 +130,8 @@ class TestCommands:
         assert main(args) == EXIT_OK
         (d,) = (out / "berezin").iterdir()
         first = {p.name: p.read_bytes() for p in d.iterdir()}
+        # the rerun rebuilds its lattice and disk masses, as a new process would
+        fresh_result_caches()
         assert main(args) == EXIT_OK
         second = {p.name: p.read_bytes() for p in d.iterdir()}
         assert first == second
@@ -188,3 +195,26 @@ class TestCommands:
         payload = json.loads((run_dir / "report.json").read_text())
         checks = payload["report"]["checks"]
         assert [c["criterion"] for c in checks] == [1, 3]
+
+
+def test_threads_share_the_result_caches(fresh_result_caches):
+    # sweep cells run on BERGMAN_LAB_THREADS threads, which share the lattice
+    # and disk-mass caches: every thread gets the serial result, and each key
+    # ends up in one entry
+    points = 0.6 * np.exp(1j * np.arange(12))
+    want = build_lattice(0.5, 0.8).points, disk_masses(standard(0.5), 0.3, points, 32)
+    fresh_result_caches()
+
+    def work():
+        return build_lattice(0.5, 0.8).points, disk_masses(standard(0.5), 0.3, points, 32)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(work) for _ in range(16)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) for got in results)
+    assert geometry._lattice.cache_info().currsize == 1
+    assert weights._radial_disk_masses.cache_info().currsize == 1

@@ -128,10 +128,11 @@ class TestLattice:
         assert lat.covering_fraction(grid) == 1.0
         assert lat.multiplicity(grid) <= lat.multiplicity_bound
 
-    def test_deterministic(self):
+    def test_deterministic(self, fresh_result_caches):
         a = build_lattice(0.5, 0.8)
+        fresh_result_caches()
         b = build_lattice(0.5, 0.8)
-        assert np.array_equal(a.points, b.points)
+        assert b is not a and np.array_equal(a.points, b.points)
 
     def test_one_build_per_key(self):
         # a lattice is built once per (r, r_max) and shared read-only; a bad
