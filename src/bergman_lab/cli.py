@@ -361,6 +361,8 @@ def resolve_configs(args):
             base = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise DomainError(f"config file is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise DomainError(str(exc)) from exc
         if not isinstance(base, dict):
             raise DomainError("config file must contain a JSON object")
     unknown = set(base) - set(RunConfig.__dataclass_fields__)
@@ -407,40 +409,26 @@ def _worker_count():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.subcommand == "verify":
-        cfg = RunConfig() if args.out is None else RunConfig(out=args.out)
-        selected = None
-        if args.only:
+    try:
+        if args.subcommand == "verify":
+            cfg = RunConfig() if args.out is None else RunConfig(out=args.out)
             try:
-                selected = {int(x) for x in args.only.split(",")}
+                selected = {int(x) for x in args.only.split(",")} if args.only else None
             except ValueError:
-                print(f"error: --only must be numeric: {args.only!r}", file=sys.stderr)
-                return EXIT_BAD_CONFIG
-        try:
+                raise DomainError(f"--only must be numeric: {args.only!r}") from None
             results, csvs, summary = run_verify(selected)
-        except (DegeneracyError, PrecisionError) as exc:
-            print(f"degeneracy: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
-        except BergmanLabError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        _write_artifacts(cfg, "verify", results, csvs, summary)
-        print(summary)
-        return EXIT_OK if results["passed"] else EXIT_VERIFY_FAILED
+            _write_artifacts(cfg, "verify", results, csvs, summary)
+            print(summary)
+            return EXIT_OK if results["passed"] else EXIT_VERIFY_FAILED
 
-    try:
         cells = resolve_configs(args)
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    runner = RUNNERS[args.subcommand]
+        runner = RUNNERS[args.subcommand]
 
-    def run_cell(cfg):
-        report, csvs, summary = runner(cfg)
-        outdir = _write_artifacts(cfg, args.subcommand, report, csvs, summary)
-        return outdir, summary
+        def run_cell(cfg):
+            report, csvs, summary = runner(cfg)
+            outdir = _write_artifacts(cfg, args.subcommand, report, csvs, summary)
+            return outdir, summary
 
-    try:
         workers = _worker_count()
         if workers > 1 and len(cells) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

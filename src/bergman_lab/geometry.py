@@ -158,26 +158,6 @@ _PRUNE_MARGIN = 1e-3
 _BLOCK_PAIRS = 1 << 13
 
 
-def _window_half_width(rho, thr):
-    """Angular gap beyond which two points of modulus >= rho are >= thr apart.
-
-    For |z| = a, |w| = b at angular gap t in [0, pi],
-
-        d(z, w)^2 = N / (N + (1 - a^2)(1 - b^2)),  N = (a - b)^2 + 4ab sin^2(t/2),
-
-    which increases with t.  With a, b >= rho this gives
-    d >= 2 rho s / sqrt(4 rho^2 s^2 + (1 - rho^2)^2), s = sin(t/2), with
-    equality on the circle |z| = rho, and the bound reaches thr at
-    s = thr (1 - rho^2) / (2 rho sqrt(1 - thr^2)).  rho is a scalar or an
-    array.  The half-width is pi, no window, where rho = 0, thr >= 1, or
-    that s is not below 1.
-    """
-    num, den = thr * (1.0 - rho * rho), 2.0 * rho * math.sqrt(max(0.0, 1.0 - thr * thr))
-    # compared before dividing: the denominator underflows to 0 for a subnormal rho;
-    # where den <= num the ratio is 1, the half-width pi
-    return 2.0 * np.arcsin(num / np.maximum(num, den))
-
-
 def _segments(starts, counts):
     """The concatenated index ranges [starts[n], starts[n] + counts[n])."""
     total = int(np.sum(counts))
@@ -290,23 +270,21 @@ class Lattice:
       * no point lies in more than multiplicity_bound of the doubled disks
         Delta(a_k, pseudo_add(r, r)).
 
-    build_lattice finds the points ring by ring on its candidate spiral,
-    where every point has a candidate index and meets only the candidates in
-    its index window on the next rings (_index_window).  The audits take any
-    point set, a loaded one too, so they do not rely on that structure.
-
-    The audits evaluate pseudo_distance only on the pairs that can fall below
-    their threshold thr (r for the separation and the covering, the doubled
-    radius for the multiplicity), band by band of hyperbolic radius.  Two
-    proven lower bounds rule the other pairs out:
+    The build and the audits evaluate pseudo_distance only on the pairs
+    that can fall below their threshold thr (r/2 for the build, r for the
+    separation and the covering, the doubled radius for the multiplicity).
+    Two proven lower bounds, both taken at thr (1 + _PRUNE_MARGIN), rule the
+    other pairs out:
       * radial: d(z, w) >= ||z| - |w|| / (1 - |z| |w|);
       * angular: Delta(z, thr) is a Euclidean disk, which meets the circle
-        |w| = b only within an angular gap of z that depends on b, so each
-        audit point gets the widest such gap over the band's moduli as its
-        window half-width, and that certifies every pair outside it
-        (_disk_window).
-    A half-width of pi means no window: the point meets the whole band.  The
-    values are those of the plain all-pairs audit, bit for bit.
+        |w| = b only within an angular gap of z that depends on b, so a
+        point gets the widest such gap over a band of moduli as its window
+        half-width, and that certifies every pair outside it (_disk_window).
+    A half-width of pi means no window: the point meets the whole band.
+    build_lattice takes its bands one candidate ring at a time and turns
+    each window into candidate indices (_index_window); the audits take any
+    point set, a loaded one too, cut into bands of hyperbolic radius.  The
+    values are those of the plain all-pairs greedy and audits, bit for bit.
     """
 
     radius: float
@@ -444,11 +422,11 @@ def build_lattice(r, r_max=0.995):
 
     Each accepted point keeps its candidate index, and meets only the
     candidates of a later ring whose indices lie in its window
-    (_index_window).  Two proven lower bounds on d, both taken at
-    r/2 (1 + _PRUNE_MARGIN), give the windows: a ring whose radial bound
-    |rho - b| / (1 - rho b) (see Lattice) reaches the threshold is skipped,
-    and otherwise the angular bound of _window_half_width at the smaller
-    modulus gives the half-width.
+    (_index_window).  The radial and angular bounds of Lattice give the
+    windows: a ring whose radial bound |rho - b| / (1 - rho b) reaches the
+    threshold is skipped, and otherwise the half-width is the _disk_window
+    of a point of modulus b on the ring's circle |w| = rho, one array call
+    per ring for the last five rings and the ring itself.
     Near the origin, where no window exists, a point meets the whole ring.
     One array pass per earlier ring marks the candidates that clash with
     its points, so the pairs in memory at once are those of two rings.  The
@@ -485,14 +463,17 @@ def _lattice(r, r_max):
     for rho, cands in _candidate_rings(r, r_max):
         m = cands.size
         clash = np.zeros(m, dtype=bool)
-        for b, m_src, k, pts in rings[-window:]:
+        recent = rings[-window:]
+        # the half-widths of a point of each recent ring, and of this ring, on |w| = rho
+        half = _disk_window([b for b, *_ in recent] + [rho], rho, rho, thr)
+        for (b, m_src, k, pts), h in zip(recent, half):
             if abs(rho - b) / (1.0 - rho * b) >= thr:
                 continue
-            lo, counts = _index_window(k, m_src, m, _window_half_width(min(rho, b), thr))
+            lo, counts = _index_window(k, m_src, m, h)
             j = _segments(lo, counts) % m
             clash[j[pseudo_distance(np.repeat(pts, counts), cands[j]) < sep]] = True
         keep = np.flatnonzero(~clash)
-        keep = keep[_ring_greedy(cands, keep, _window_half_width(rho, thr), sep)]
+        keep = keep[_ring_greedy(cands, keep, half[-1], sep)]
         rings.append((rho, m, keep, cands[keep]))
     points = np.concatenate([pts for *_, pts in rings])
 

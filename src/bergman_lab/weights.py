@@ -200,37 +200,24 @@ def on_moduli(f, points):
 def disk_masses(u: Weight, r, points, resolution):
     """u(Delta(z, r)) for every z in points, with Euclidean forms from pseudo_disk.
 
-    A radial u is integrated once per distinct |z|, on the disk centred at
-    the real point |z|; other weights take one disk per point.  A radial u
-    that is the weight its power names takes those masses from
-    _radial_disk_masses, once per process for each set of moduli; standard(0),
-    whose power names constant(1), and hand-built powers are integrated anew.
+    A radial u takes its masses from _radial_disk_masses, once per process
+    for each set of distinct |z|, on the disks centred at the real points
+    |z|; other weights take one disk per point.
     """
-    if u.is_radial and _power_kind(u.power) == u.kind:
-
-        def masses(moduli):
-            return _radial_disk_masses(u.power, float(r), moduli.real.tobytes(), resolution)
-
-    else:
-
-        def masses(pts):
-            return _pseudo_disk_masses(u, [pseudo_disk(z, r) for z in np.ravel(pts)], resolution)
-
-    return on_moduli(masses, points) if u.is_radial else masses(points)
-
-
-def _power_kind(power):
-    """The kind of the weight that a power (c, a) names: constant(c) for
-    a = 0, standard(a) for c = 1, and None for any other (hand-built) power."""
-    c, a = power
-    return "constant" if a == 0.0 else "standard" if c == 1.0 else None
+    if u.is_radial:
+        return on_moduli(
+            lambda moduli: _radial_disk_masses(u.power, float(r), moduli.real.tobytes(), resolution), points
+        )
+    return disk_integrals(u, [pseudo_disk(z, r) for z in np.ravel(points)], resolution)
 
 
 @lru_cache(maxsize=64)
 def _radial_disk_masses(power, r, moduli, resolution):
-    """Read-only masses u(Delta(rho, r)) at each distinct modulus rho, for
-    the weight u that power names (_power_kind), each disk centred at the
-    real point rho.
+    """Read-only masses of u = c (1 - |z|^2)^a, (c, a) = power, over
+    Delta(rho, r) at each distinct modulus rho, each disk centred at the
+    real point rho: the closed form c pi R^2 for a = 0, else the integral
+    of u, so constant(c) and standard(a) (c = 1) of one power agree bit for
+    bit.
 
     moduli is the bytes of the float64 array of moduli: a key of Python
     floats would keep one small object per modulus alive, scattered over
@@ -238,19 +225,13 @@ def _radial_disk_masses(power, r, moduli, resolution):
     of distinct moduli.
     """
     c, a = power
-    u = constant(c) if a == 0.0 else standard(a)
     disks = [pseudo_disk(complex(rho), r) for rho in np.frombuffer(moduli)]
-    masses = _pseudo_disk_masses(u, disks, resolution)
+    if a == 0.0:
+        masses = np.array([c * np.pi * float(d.euclid_radius) ** 2 for d in disks])
+    else:
+        masses = disk_integrals(lambda z: c * (1.0 - np.abs(z) ** 2) ** a, disks, resolution)
     masses.flags.writeable = False
     return masses
-
-
-def _pseudo_disk_masses(u, disks, resolution):
-    """u over pseudo-disks; constant weights integrate exactly as value * pi * R^2."""
-    if u.kind == "constant":
-        value = float(u.params["value"])
-        return np.array([value * np.pi * float(d.euclid_radius) ** 2 for d in disks])
-    return disk_integrals(u, disks, resolution)
 
 
 def _joint_average(u, p, region, resolution):

@@ -235,8 +235,8 @@ def test_criterion_08_audit_candidates_are_pinned(monkeypatch):
     # every pair _close_pairs hands out to check 8's audits, and those within
     # their threshold.  Each audit point meets a band of lattice points in the
     # exact angular window of its disk on the band's moduli (_disk_window):
-    # 2,465,756 candidates for 1,589,771 near pairs (1.55 per near pair).  The
-    # bound of _window_half_width at min(band minimum, |z|) handed out
+    # 2,465,756 candidates for 1,589,771 near pairs (1.55 per near pair).  A
+    # lower bound at the smaller modulus, min(band minimum, |z|), handed out
     # 4,958,246 (3.1 per near pair), and one window per pair of bands, at the
     # smaller band's least modulus, 6,793,776 (4.3 per near pair).
     counted = [0, 0]

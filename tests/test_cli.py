@@ -7,15 +7,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from bergman_lab import build_lattice, disk_masses, geometry, standard, weights
+from bergman_lab import build_lattice, cli, disk_masses, geometry, standard, verification, weights
 from bergman_lab.cli import (
     EXIT_BAD_CONFIG,
+    EXIT_DEGENERATE,
     EXIT_OK,
     RunConfig,
     main,
     parse_measure_spec,
     parse_weight_spec,
 )
+from bergman_lab.errors import DegeneracyError
 
 
 class TestSpecs:
@@ -173,6 +175,25 @@ class TestCommands:
         # check numbers outside 1..15 ran nothing and passed, or were dropped
         for only in ("99", "1,99"):
             assert main(["verify", "--only", only, "--out", out]) == EXIT_BAD_CONFIG
+
+    def test_each_error_has_one_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a DegeneracyError exits 3 under verify and under an experiment
+        def degenerate(*args):
+            raise DegeneracyError("singular Gram")
+
+        monkeypatch.setattr(verification, "run_all", degenerate)
+        monkeypatch.setitem(cli.RUNNERS, "lattice", degenerate)
+        out = str(tmp_path / "out")
+        assert main(["verify", "--out", out]) == EXIT_DEGENERATE
+        assert main(["lattice", "--out", out]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == "degeneracy: singular Gram\n" * 2
+        # a non-numeric --only, and a config file that cannot be read, exit 2
+        assert main(["verify", "--only", "x", "--out", out]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "error: --only must be numeric: 'x'\n"
+        with pytest.raises(OSError) as unreadable:
+            tmp_path.read_text()
+        assert main(["toeplitz", "--config", str(tmp_path)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"error: {unreadable.value}\n"
 
     def test_verify_takes_out_and_only_alone(self, tmp_path):
         # no experiment flag changes a verify check, so argparse refuses each

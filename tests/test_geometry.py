@@ -270,27 +270,6 @@ class TestWindowedLattice:
         assert lat.multiplicity(grid) == _reference_multiplicity(pts, r, grid)
 
     @given(
-        rho=st.floats(1e-3, 0.999),
-        thr=st.floats(1e-3, 0.999),
-        a=st.floats(0.0, 1.0),
-        b=st.floats(0.0, 1.0),
-        gap=st.floats(0.0, 1.0),
-        angle=st.floats(-np.pi, np.pi),
-    )
-    @settings(max_examples=300)
-    # the tight case: both points on |z| = rho, exactly the half-width apart
-    @example(rho=0.5, thr=0.25, a=0.0, b=0.0, gap=0.0, angle=0.0)
-    def test_window_half_width_is_sound(self, rho, thr, a, b, gap, angle):
-        half = geometry._window_half_width(rho, thr * (1.0 + geometry._PRUNE_MARGIN))
-        if half >= np.pi:
-            return
-        # moduli in [rho, 0.9999], angular gap in [half, pi]
-        p = (rho + a * (0.9999 - rho)) * np.exp(1j * angle)
-        t = half + gap * (np.pi - half)
-        c = (rho + b * (0.9999 - rho)) * np.exp(1j * (angle + t))
-        assert pseudo_distance(p, c) >= thr
-
-    @given(
         q=st.lists(disc_points, min_size=1, max_size=40),
         steps=st.lists(
             st.tuples(st.floats(0.9, 1.0, exclude_max=True), st.floats(-np.pi, np.pi)),
@@ -299,7 +278,7 @@ class TestWindowedLattice:
         ),
         thr=st.floats(0.01, 1.2),
     )
-    # a subnormal modulus once divided by zero in _window_half_width
+    # a subnormal modulus, whose window denominators underflow
     @example(q=[5e-324 + 0j], steps=[(0.9375, 0.0)], thr=0.96875)
     # q = 0 has the window pi, and p = -0.25 sits at exactly the opposite
     # angle: the window's two ends both hold p, which is handed out once
@@ -319,12 +298,6 @@ class TestWindowedLattice:
         d = pseudo_distance(q[:, None], p[None, :])
         near = set(zip(*(idx.tolist() for idx in np.nonzero(d < thr))))
         assert near <= set(seen)
-
-    # rho = 0, thr >= 1, and a subnormal rho whose denominator underflows
-    @pytest.mark.parametrize("rho, thr", [(0.0, 0.5), (0.5, 1.0), (0.5, 1.2), (5e-324, 0.96875)])
-    def test_window_half_width_is_pi_without_a_window(self, rho, thr):
-        assert geometry._window_half_width(rho, thr) == np.pi
-        assert np.array_equal(geometry._window_half_width(np.array([rho, rho]), thr), [np.pi, np.pi])
 
     @given(
         aq=st.floats(0.0, 0.999),
@@ -377,6 +350,29 @@ class TestWindowedLattice:
             assert geometry._disk_window(aq, b_lo, b_hi, thr) == np.pi
             assert np.array_equal(geometry._disk_window(np.array([aq, aq]), b_lo, b_hi, thr), [np.pi, np.pi])
 
+    @given(
+        windows=st.lists(
+            st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.9999), st.floats(0.0, 0.9999)),
+            min_size=1,
+            max_size=12,
+        ),
+        thr=st.floats(1e-3, 1.2),
+    )
+    @settings(max_examples=200, deadline=None)
+    # the build's call: sources at the origin and beyond, on the band [rho, rho]
+    @example(windows=[(0.0, 0.3, 0.3), (0.2, 0.3, 0.3), (0.3, 0.3, 0.3)], thr=0.1001)
+    @example(windows=[(0.0, 0.0, 0.0), (5e-324, 0.5, 0.5)], thr=0.5)
+    def test_disk_window_on_arrays_is_the_scalar_window(self, windows, thr):
+        # one array call equals the scalar calls element by element, for
+        # array bands and for the one band [rho, rho] that build_lattice takes
+        aq, ends_a, ends_b = (np.array(col) for col in zip(*windows))
+        b_lo, b_hi = np.minimum(ends_a, ends_b), np.maximum(ends_a, ends_b)
+        scalar = [float(geometry._disk_window(*args, thr)) for args in zip(aq, b_lo, b_hi)]
+        assert np.array_equal(geometry._disk_window(aq, b_lo, b_hi, thr), scalar)
+        rho = float(b_lo[0])
+        scalar = [float(geometry._disk_window(a, rho, rho, thr)) for a in aq]
+        assert np.array_equal(geometry._disk_window(list(aq), rho, rho, thr), scalar)
+
     def test_band_out_of_reach_gives_no_pairs(self):
         # a band beyond the disk: the window is 0, and _close_pairs hands out
         # no pair, whether the radial bound or the window rules the band out
@@ -418,7 +414,7 @@ class TestRingWindows:
     @given(r=st.floats(0.1, 0.9), r_max=st.floats(0.05, 0.9), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_index_window_is_sound(self, r, r_max, data):
-        # model: test_window_half_width_is_sound.  Of two rings at most five
+        # model: test_disk_window_is_sound.  Of two rings at most five
         # apart, every candidate of the later one (or the same one) within sep
         # of a candidate k of the earlier lies in the window of k, unless the
         # radial bound already rules the two rings out
@@ -435,10 +431,26 @@ class TestRingWindows:
         if abs(rho - rho_b) / (1.0 - rho * rho_b) >= thr:
             assert not np.any(near)
             return
-        half = geometry._window_half_width(min(rho, rho_b), thr)
+        half = geometry._disk_window(rho_b, rho, rho, thr)
         lo, count = geometry._index_window(k, m_src, m, half)
         inside = (np.arange(m)[None, :] - lo[:, None]) % m < count[:, None]
         assert np.all(inside[near])
+
+    def test_build_distances_are_pinned(self, monkeypatch):
+        # every pseudo_distance that the build of (0.2, 0.99) evaluates.  Each
+        # point meets a ring in the exact window of its disk on the ring's
+        # circle (_disk_window): 543,254 distances.  A lower bound at the
+        # smaller of the two moduli took 708,885.
+        counted = [0]
+
+        def counting(z, w):
+            out = pseudo_distance(z, w)
+            counted[0] += np.size(out)
+            return out
+
+        monkeypatch.setattr(geometry, "pseudo_distance", counting)
+        assert len(build_lattice(0.2, 0.99).points) == 13412
+        assert counted == [543_254]
 
     @given(m=st.integers(1, 200), half=st.one_of(st.just(np.pi), st.floats(1e-3, np.pi)), data=st.data())
     @settings(max_examples=200, deadline=None)

@@ -171,10 +171,19 @@ class TestDiskMasses:
         first[0] = 0.0
         assert disk_masses(standard(0.5), 0.3, points, 32)[0] == again[-1]
         assert not weights._radial_disk_masses((1.0, 0.5), 0.3, np.array([0.3, 0.5]).tobytes(), 32).flags.writeable
-        # standard(0) has the power (1, 0) of constant(1), whose closed form
-        # differs from its quadrature in the last bits: it is not cached
+        # standard(0) has the power (1, 0) of constant(1): the two share an entry
+        hits = weights._radial_disk_masses.cache_info().hits
         disk_masses(standard(0.0), 0.3, points, 32)
-        assert weights._radial_disk_masses.cache_info().currsize == 1
+        disk_masses(constant(), 0.3, points, 32)
+        assert weights._radial_disk_masses.cache_info()[:2] == (hits + 1, 2)
+
+    def test_standard_zero_is_constant_one(self):
+        # one weight u == 1 under two names: the closed form pi R^2, bit for
+        # bit, whichever of the two fills the cache
+        points = np.linspace(0.0, 0.95, 40)
+        want = disk_masses(constant(), 0.3, points, 32)
+        weights._radial_disk_masses.cache_clear()
+        assert np.array_equal(disk_masses(standard(0.0), 0.3, points, 32), want)
 
     def test_pseudo_disk_validation(self):
         with pytest.raises(DomainError):
