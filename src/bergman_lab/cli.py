@@ -106,15 +106,25 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
+def _spec_number(spec, arg, default):
+    """The number after a spec's ':' (default if none); DomainError naming the spec if not numeric."""
+    if not arg:
+        return default
+    try:
+        return float(arg)
+    except ValueError:
+        raise DomainError(f"spec {spec!r} needs a number after ':'") from None
+
+
 def parse_weight_spec(spec):
     """'constant[:v]' | 'standard:alpha' | 'power_one_minus_z:gamma'."""
     head, _, arg = spec.partition(":")
     if head == "constant":
-        return {"kind": "constant", "value": float(arg) if arg else 1.0}
+        return {"kind": "constant", "value": _spec_number(spec, arg, 1.0)}
     if head == "standard":
-        return {"kind": "standard", "alpha": float(arg) if arg else 1.0}
+        return {"kind": "standard", "alpha": _spec_number(spec, arg, 1.0)}
     if head == "power_one_minus_z":
-        return {"kind": "power_one_minus_z", "gamma": float(arg) if arg else 1.0}
+        return {"kind": "power_one_minus_z", "gamma": _spec_number(spec, arg, 1.0)}
     raise DomainError(f"unknown weight spec {spec!r}")
 
 
@@ -124,7 +134,7 @@ def parse_measure_spec(spec):
     if head == "weighted_area":
         return {"kind": "weighted_area"}
     if head == "power_density":
-        return {"kind": "power_density", "t": float(arg) if arg else 1.0}
+        return {"kind": "power_density", "t": _spec_number(spec, arg, 1.0)}
     if head == "atomic":
         try:
             atoms = json.loads(arg)
@@ -143,7 +153,7 @@ def _cell_objects(cfg: RunConfig):
 def _parse_h(spec):
     head, _, arg = spec.partition(":")
     if head == "power":
-        return ("power", float(arg) if arg else 2.0)
+        return ("power", _spec_number(spec, arg, 2.0))
     raise DomainError(f"unknown h spec {spec!r} (expected power:p)")
 
 

@@ -30,6 +30,15 @@ FFT per ring (quadrature.ring_values), so no per-node Horner or power table
 runs there.  A radial model's reproducing pairing <f, K_w> needs no node
 values at all: its norm rule has one weight per ring, so the node sum is
 taken ring by ring from the coefficients of f and K_w (quadrature.ring_pairing).
+
+Sums of |K_N(w, z)|^t over the nodes of a polar rule, for t != 2, have one
+primitive, _kernel_powers: kernel_norms is it on the norm rule, to the power
+1/p, and the t-Berezin transform is its value on mu's density rule over its
+value on the norm rule.  A radial model on a rule with one weight per ring
+takes it once per distinct modulus, at the real point |z|: there the kernel's
+ring coefficients are real, so its node values are conjugate-symmetric and
+one real FFT per ring gives half of them (quadrature._real_ring_power_sum).
+Any other model or rule takes every node at every point.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .config import DEFAULTS
 from .errors import DegeneracyError, DomainError
 from .quadrature import (
     DiscQuadrature,
+    _real_ring_power_sum,
     beta_moments,
     density_rule,
     monomial_gram,
@@ -275,26 +285,41 @@ def kernel_diag(m: KernelModel, z):
     return float(out[0]) if scalar else out
 
 
-def kernel_norms(m: KernelModel, points, p):
-    """|| K_w ||_{A^p(u)} = (int |K(z, w)|^p u dA)^(1/p) at every point w, by quadrature.
+def _kernel_powers(m: KernelModel, rule, points, t):
+    """sum_nodes w |K_N(w, z)|^t on a centered polar rule, at every point z.
 
-    One rule and one weight evaluation serve all points.  For a radial model
-    the norm depends on |w| alone, so it is taken once per distinct modulus
-    (weights.on_moduli).  For p = 2 it must agree with sqrt(K(w, w))
-    (reproducing identity); that identity is asserted in the test-suite, not
-    silently substituted.
+    A radial model on a rule with one weight per ring (a radial density's)
+    takes it once per distinct modulus (weights.on_moduli), at the real point
+    x = |z|, whose ring coefficients (x rho)^n / G_nn are real; other models
+    and rules take every node at every point.  A value that is not finite
+    raises EvaluationError.
+    """
+    points = np.ravel(np.asarray(points, dtype=complex))
+    rho, ring_weights = rule.rings
+    if m.is_radial and ring_weights is not None:
+        powers = rho[:, None] ** np.arange(m.degree + 1)
+
+        def at(moduli):
+            return np.array(
+                [_real_ring_power_sum(rule, m.kernel_coefficients(x).real * powers, t) for x in moduli]
+            )
+
+        return on_moduli(at, points)
+    return np.array([rule.weighted_sum(np.abs(m.kernel(rule, z)) ** t) for z in points])
+
+
+def kernel_norms(m: KernelModel, points, p):
+    """|| K_w ||_{A^p(u)} = (int |K(z, w)|^p u dA)^(1/p) at every point w, on the norm rule.
+
+    The integrals are _kernel_powers on norm_rule: one rule and one weight
+    evaluation serve all points, and a radial model takes each distinct
+    modulus once, on half of each ring.  For p = 2 the norm must agree with
+    sqrt(K(w, w)) (reproducing identity); that identity is asserted in the
+    test-suite, not silently substituted.
     """
     if p <= 0:
         raise DomainError("kernel norm exponent must be positive")
-    rule = m.norm_rule()
-
-    def norms(pts):
-        return np.array(
-            [float(np.sum(rule.weights * np.abs(m.kernel(rule, w)) ** p) ** (1.0 / p)) for w in pts]
-        )
-
-    points = np.ravel(np.asarray(points, dtype=complex))
-    return on_moduli(norms, points) if m.is_radial else norms(points)
+    return _kernel_powers(m, m.norm_rule(), points, p) ** (1.0 / p)
 
 
 def kernel_norm(m: KernelModel, w, p):

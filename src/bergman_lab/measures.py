@@ -72,11 +72,14 @@ class DiscMeasure:
         """int f dmu, with f given one array of every atom, or the density's polar rule.
 
         An atomic measure calls f once, on its atoms in atom order, and sums
-        mass * value in that order; the first atom whose value is not finite
-        raises EvaluationError.  Given the rule itself, f can evaluate
-        polynomials and kernels at its nodes one FFT per ring
-        (kernels.polynomial_values).  Densities are integrated on the full
-        disc against quadrature.density_rule, whose weights hold the density;
+        mass * value in that order; f gives one value per atom, or one row per
+        atom (the t-Berezin numerator: one column per point).  The first atom
+        whose value is not finite raises EvaluationError.  Given the rule
+        itself, f can evaluate polynomials and kernels at its nodes one FFT
+        per ring (kernels.polynomial_values).  Densities are integrated on the
+        full disc against _density_rule, quadrature.density_rule at DEFAULTS'
+        size, whose weights hold the density (the t-Berezin numerator builds
+        it once per profile and takes every point on it);
         Gauss nodes stay interior, so no boundary evaluation occurs and no
         mass is truncated away.  A radial density c (1 - |z|^2)^t is never
         evaluated and polynomial integrands of t-degree below
@@ -84,16 +87,20 @@ class DiscMeasure:
         """
         if self.kind == "atomic":
             values = np.asarray(f(self.atom_points()))
-            bad = np.flatnonzero(~np.isfinite(values))
+            bad = np.argwhere(~np.isfinite(values))
             if bad.size:
-                raise EvaluationError(f"integrand not finite at atom {self.atoms[bad[0]][0]}")
+                raise EvaluationError(f"integrand not finite at atom {self.atoms[bad[0][0]][0]}")
             total = 0.0
             for (_, mz), v in zip(self.atoms, values):
                 total += mz * v
             return total
-        n = DEFAULTS.density_radial
-        rule = density_rule(self.density, n, n, DEFAULTS.density_angular)
+        rule = self._density_rule()
         return rule.weighted_sum(f(rule))
+
+    def _density_rule(self):
+        """The polar rule of integrate_at: quadrature.density_rule of the density, built per call."""
+        n = DEFAULTS.density_radial
+        return density_rule(self.density, n, n, DEFAULTS.density_angular)
 
     def disk_mass(self, z, r):
         """mu(Delta(z, r)); atoms use strict pseudo-disk membership."""

@@ -46,7 +46,9 @@ takes values at the nodes with one FFT per ring (exact at the nodes, aliased
 frequencies included).  Where the weights are constant on each ring,
 ring_pairing takes the node sum of w f conj(g) for polynomials f and g from
 their folded ring coefficients by discrete Parseval: the same sum, with no
-FFT and no node values.
+FFT and no node values; and where a function's ring coefficients are real,
+its values are conjugate-symmetric around each ring, so _real_ring_power_sum
+takes sum w |f|^t from half of each ring.
 
 Only Carleson sets take an acceptance test.  The polar rule (Gauss-Legendre
 in r dr, trapezoid in angle) integrates constants exactly on every disk, so
@@ -398,6 +400,25 @@ def ring_pairing(rule, f, g):
     k = min(a.shape[1], b.shape[1])
     ring_sums = n_angular * np.sum(a[:, :k] * np.conj(b[:, :k]), axis=1)
     return complex(ring_weights @ ring_sums)
+
+
+def _real_ring_power_sum(rule, coeffs, t):
+    """sum_nodes w |f|^t from half of each ring, for f = sum_d a_rho(d) e^(i d theta) with real a_rho(d).
+
+    coeffs holds a_rho(d), one row per ring of a centered polar rule with one
+    weight per ring.  Real coefficients make the node values
+    conjugate-symmetric, f(-theta) = conj(f(theta)), so one real FFT per
+    (folded) ring gives |f| at the angles 2 pi k / n_angular, k = 0..n_angular // 2,
+    and node k shares its value with node n_angular - k: the ring's node sum
+    takes them with weights 1, 2, ..., 2, 1 (1, 2, ..., 2 for odd n_angular).
+    A value that is not finite raises EvaluationError.
+    """
+    rho, ring_weights, n_angular = _ring_layout(rule, "half-ring sums")
+    values = np.abs(np.fft.rfft(_fold(coeffs, n_angular), n=n_angular, axis=1)) ** t
+    half = np.arange(values.shape[1])
+    values = _finite(values, values.shape, lambda: rho[:, None] * np.exp(2j * np.pi * half / n_angular))
+    pair = np.where((half == 0) | (2 * half == n_angular), 1.0, 2.0)
+    return float(ring_weights @ (values @ pair))
 
 
 def _disk_map(disks, resolution):

@@ -3,7 +3,10 @@
 The Toeplitz operator of a positive measure mu acts on the truncated model
 through the matrix M[m, n] = int e_n conj(e_m) dmu, which is Hermitian and
 positive semidefinite; for a radial pair it is diagonal, kept as a 1-D array
-whose sorted entries are the eigenvalues.  On top of the matrix sit:
+whose sorted entries are the eigenvalues.  For A atoms it has rank <= A and
+is kept as its (N+1) x A factor B, M = B B^H: its spectra come from the
+A x A kernel matrix B^H B, padded with exact zeros, and the dense matrix is
+built only when read.  On top of the matrix sit:
 
   * spectrum        -- descending eigenvalues (= singular values, positivity)
   * trace identity  -- sum of eigenvalues against an independent quadrature
@@ -54,6 +57,16 @@ __all__ = [
 ]
 
 
+def _hermitian(entries):
+    """A dense matrix made Hermitian, 0.5 (M + M^H); DegeneracyError if its defect is not rounding."""
+    entries = entries.astype(complex, copy=False)
+    scale = float(np.max(np.abs(entries))) or 1.0
+    herm = float(np.max(np.abs(entries - entries.conj().T)))
+    if herm > 1e-10 * scale:
+        raise DegeneracyError(f"assembled matrix not Hermitian: defect {herm:.2e}")
+    return 0.5 * (entries + entries.conj().T)
+
+
 class ToeplitzMatrix:
     """Hermitian PSD matrix of T_mu in the A^2(u) basis; gram keeps a diagonal one as a 1-D array."""
 
@@ -61,16 +74,9 @@ class ToeplitzMatrix:
         gram = np.asarray(entries)
         if gram.ndim == 1 and np.iscomplexobj(gram):
             raise DegeneracyError("diagonal operator with complex entries is not Hermitian")
-        if gram.ndim == 2:
-            entries = gram.astype(complex, copy=False)
-            scale = float(np.max(np.abs(entries))) or 1.0
-            herm = float(np.max(np.abs(entries - entries.conj().T)))
-            if herm > 1e-10 * scale:
-                raise DegeneracyError(f"assembled matrix not Hermitian: defect {herm:.2e}")
-            gram = 0.5 * (entries + entries.conj().T)
         self.model = model
         self.measure = measure
-        self.gram = gram
+        self.gram = _hermitian(gram) if gram.ndim == 2 else gram
         self._eigs = None
 
     @property
@@ -103,6 +109,43 @@ class ToeplitzMatrix:
         return float(self.eigenvalues()[0])
 
 
+class _AtomicToeplitz(ToeplitzMatrix):
+    """T_mu of atoms (a_l, m_l), kept as its factor B = conj(E) sqrt(m): M = B B^H.
+
+    E = basis_matrix of the atoms is (N+1) x A.  The leading k x k block of M
+    is B[:k] B[:k]^H, whose nonzero eigenvalues are those of the A x A matrix
+    B[:k]^H B[:k] = [sqrt(m_i m_j) K_(k-1)(a_i, a_j)] (the truncated kernel
+    of e_0..e_(k-1)): a block larger than A solves that matrix and pads with
+    exact zeros, a smaller one solves its own k x k matrix.  The dense matrix
+    is built on its first read, and made Hermitian as the dense path is.
+    """
+
+    def __init__(self, model: KernelModel, measure: DiscMeasure):
+        masses = np.array([mz for _, mz in measure.atoms])
+        self.model = model
+        self.measure = measure
+        self._factor = np.conj(model.basis_matrix(measure.atom_points())) * np.sqrt(masses)
+        self._gram = None
+        self._eigs = None
+
+    @property
+    def size(self):
+        return self._factor.shape[0]
+
+    @property
+    def gram(self):
+        if self._gram is None:
+            self._gram = _hermitian(self._factor @ self._factor.conj().T)
+        return self._gram
+
+    def _block_eigenvalues(self, k):
+        B = self._factor[:k]
+        if B.shape[1] >= k:
+            return np.linalg.eigvalsh(B @ B.conj().T)
+        small = np.linalg.eigvalsh(B.conj().T @ B)
+        return np.sort(np.concatenate((np.zeros(k - small.size), small)))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Descending nonnegative eigenvalues of a positive Toeplitz matrix."""
@@ -122,7 +165,9 @@ class Spectrum:
 
 
 def assemble(mu: DiscMeasure, m: KernelModel) -> ToeplitzMatrix:
-    """Toeplitz matrix M[m, n] = int e_n conj(e_m) dmu."""
+    """Toeplitz matrix M[m, n] = int e_n conj(e_m) dmu; an atomic mu keeps its factor."""
+    if mu.kind == "atomic":
+        return _AtomicToeplitz(m, mu)
     return ToeplitzMatrix(m, mu, basis_gram(m, mu))
 
 

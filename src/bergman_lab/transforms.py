@@ -10,7 +10,14 @@ For t = 2 the normalization ||K_z||_2^2 is the diagonal K(z, z) (reproducing
 identity), which makes berezin and t_berezin(t=2) the same computation.
 Profiles over point sets assemble the basis Gram matrix against mu once and
 evaluate quadratic forms, which is algebraically identical to the direct
-integral on the same quadrature nodes.
+integral on the same quadrature nodes.  For t != 2 a profile takes two calls
+of kernels._kernel_powers, one sum of |K(., z)|^t over every point: the
+numerator on mu's density rule, built once per profile, and the
+normalisation on the model's norm rule.  A radial model takes each on a
+radial rule once per distinct |z|, so the value at z is the value at the
+real point |z|; where a rule has not converged this differs from the node
+sum at z itself in the digits the rule does not resolve.  Atoms are summed
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError
-from .kernels import KernelModel, kernel_norms
+from .kernels import KernelModel, _kernel_powers
 from .measures import DiscMeasure, basis_gram
 from .quadrature import DiscQuadrature, disc_rule
 from .reports import CriterionReport, band
@@ -55,19 +62,22 @@ def berezin(mu: DiscMeasure, m: KernelModel, z):
 def t_berezin_profile(mu: DiscMeasure, m: KernelModel, t, points):
     """t-Berezin transform over the points; t = 2 reduces to berezin_profile.
 
-    The normalisations ||K_z||_t come from one batched kernel_norms call.
+    The numerator over ||K_z||_t^t, each one _kernel_powers call for every
+    point (see the module docstring); atoms are summed exactly, in atom
+    order, over K_N(a, z) from the basis at the atoms and at the points.
     """
     if t <= 0:
         raise DomainError("t-Berezin exponent must be positive")
     if t == 2:
         return berezin_profile(mu, m, points)
     points = np.ravel(np.asarray(points, dtype=complex))
-    norms = kernel_norms(m, points, t)
-    out = np.empty(points.size, dtype=float)
-    for i, z in enumerate(points):
-        num = mu.integrate_at(lambda w: np.abs(m.kernel(w, z)) ** t)
-        out[i] = num / float(norms[i]) ** t
-    return out
+    if mu.kind == "atomic":
+        # one row of |K_N(a, z)|^t per atom a, one column per point z
+        ez = np.conj(m.basis_matrix(points))
+        num = mu.integrate_at(lambda atoms: np.abs(m.basis_matrix(atoms).T @ ez) ** t)
+    else:
+        num = _kernel_powers(m, mu._density_rule(), points, t)
+    return num / _kernel_powers(m, m.norm_rule(), points, t)
 
 
 def t_berezin(mu: DiscMeasure, m: KernelModel, t, z):

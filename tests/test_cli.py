@@ -194,6 +194,13 @@ class TestCommands:
             tmp_path.read_text()
         assert main(["toeplitz", "--config", str(tmp_path)]) == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == f"error: {unreadable.value}\n"
+        # a spec whose argument is not a number exits 2, naming the spec
+        assert main(["lattice", "--weight", "standard:x", "--out", out]) == EXIT_BAD_CONFIG
+        assert main(["toeplitz", "--measure", "power_density:y", "--out", out]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "error: spec 'standard:x' needs a number after ':'\n"
+            "error: spec 'power_density:y' needs a number after ':'\n"
+        )
 
     def test_verify_takes_out_and_only_alone(self, tmp_path):
         # no experiment flag changes a verify check, so argparse refuses each

@@ -75,7 +75,7 @@ DIGESTS = {
     "schatten/ef5fbbdd530c/report.json": "32c41e7ae1eb9e400069fb0afcbaefff737476b2994e4e4e8f5d3e5ff3f40e3e",
     "schatten/ef5fbbdd530c/summary.txt": "ad4584556062f2ba2fab187e98b500d4b17109bac9f15cd096872b2e3dcc99ba",
     "toeplitz/f7b377e2af1f/report.json": "1c6217c06dfa6c7fc46d2ff01e94bd802907f819fe18f5b22921d4cb37f0472a",
-    "toeplitz/f7b377e2af1f/spectrum.csv": "70ae7aba138af99859908807ebf0daef45f08ff2f9ce9a17d51262dee74e8473",
+    "toeplitz/f7b377e2af1f/spectrum.csv": "d87541c3c25b6f1cbb24b58a6221074fd2348b7dfb4f1ef33337691ed62d674d",
     "toeplitz/f7b377e2af1f/summary.txt": "b9260893fb26595577576e0bfaa8b9b8b89d6cbc94de7a0bd87f34ca157d8758",
     "weights/a75d9457a302/bp_per_anchor.csv": "6a3a9f97f32ab9fa7048da588d21cde47500687e54cc6e85ac2e5faafc749992",
     "weights/a75d9457a302/report.json": "c3c076f8426298689b5340878a59aeb002f791688947ce979dd43d41065bbbeb",

@@ -25,7 +25,7 @@ from bergman_lab import (
     reproducing_check,
     standard,
 )
-from bergman_lab.kernels import _gram_resolution, _norm_resolution, polynomial_values
+from bergman_lab.kernels import _gram_resolution, _kernel_powers, _norm_resolution, polynomial_values
 from bergman_lab.quadrature import _polar_rule, monomial_gram, weighted_disc_rule
 from bergman_lab.toeplitz import _basis_coordinates
 
@@ -154,6 +154,29 @@ class TestExactNormRule:
             assert kernel_norm(m, w, 3.0) == want
         assert list(kernel_norms(m, [0.3 - 0.2j, 0.8], 3.0)) == [
             kernel_norm(m, 0.3 - 0.2j, 3.0), kernel_norm(m, 0.8, 3.0)]
+
+
+class TestKernelPowers:
+    """sum w |K_N(w, x)|^t at a real x: a radial model on a radial rule takes half of each ring."""
+
+    @given(
+        alpha=st.sampled_from([0.0, -0.5, 0.5, 1.0, 2.5]),
+        degree=st.integers(1, 220),
+        t=st.floats(0.0, 5.0, exclude_min=True),
+        x=st.floats(0.0, 0.99),
+        n_angular=st.integers(3, 520),
+    )
+    @example(alpha=0.0, degree=220, t=5.0, x=0.99, n_angular=512)
+    @example(alpha=1.0, degree=220, t=0.3, x=0.99, n_angular=443)
+    @example(alpha=0.5, degree=150, t=1.7, x=0.9, n_angular=101)  # folded rings, odd
+    @example(alpha=-0.5, degree=1, t=2.5, x=0.0, n_angular=4)
+    @settings(max_examples=40, deadline=None)
+    def test_half_ring_is_the_node_sum(self, alpha, degree, t, x, n_angular):
+        m = build_kernel_model(_standard(alpha), degree)
+        rule = weighted_disc_rule(degree // 2 + 2, n_angular, 1.0, alpha)
+        want = rule.weighted_sum(np.abs(m.kernel(rule, x)) ** t)
+        (got,) = _kernel_powers(m, rule, [x], t)
+        assert abs(got - want) <= 1e-14 * want
 
 
 class TestRadialNorms:

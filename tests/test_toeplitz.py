@@ -145,6 +145,72 @@ class TestDiagonalOperator:
             ToeplitzMatrix(model_u1_small, power_density(1.0), d.astype(complex))
 
 
+def _atoms(count, seed):
+    rng = np.random.default_rng(seed)
+    z = 0.9 * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+    return list(zip(z, rng.uniform(0.2, 2.0, count)))
+
+
+def _dense_atomic(m, atoms):
+    """The sum of mass * conj(e) e^T over the atoms, in atom order."""
+    M = np.zeros((m.degree + 1, m.degree + 1), dtype=complex)
+    for z, mass in atoms:
+        e = m.basis_matrix(np.array([z]))[:, 0]
+        M += mass * np.outer(np.conj(e), e)
+    return M
+
+
+class TestAtomicOperator:
+    @pytest.mark.parametrize(
+        "u, degree, count",
+        [
+            (constant(), 30, 1),
+            (constant(), 30, 7),
+            (standard(1.0), 24, 25),
+            (standard(0.5), 12, 40),
+            (power_one_minus_z(0.5), 20, 6),
+            (power_one_minus_z(0.5), 16, 17),
+        ],
+    )
+    def test_matches_the_dense_sum(self, u, degree, count):
+        # eigenvalues from the A x A kernel matrix (or the k x k block where
+        # k <= A) agree with the dense matrix's; the rest are exact zeros
+        atoms = _atoms(count, degree + count)
+        m = build_kernel_model(u, degree)
+        T = assemble(atomic(atoms), m)
+        dense = _dense_atomic(m, atoms)
+        lam = T.eigenvalues()
+        tol = 1e-13 * lam[0]
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(dense)[::-1])) <= tol
+        assert np.all(lam[count:] == 0.0)
+        n = T.size
+        for k in sorted({2, n // 4, n // 2, n}):
+            got = T._block_eigenvalues(k)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(dense[:k, :k]))) <= tol
+            assert np.count_nonzero(got == 0.0) >= k - count
+        assert np.array_equal(T.entries, T.entries.conj().T)
+        assert np.max(np.abs(T.entries - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_spectra_solve_no_more_than_the_atoms(self, monkeypatch):
+        # degree 200 and 64 atoms: the blocks of 201 and 100 solve 64 x 64
+        # kernel matrices, the block of 50 its own 50 x 50 matrix, and the
+        # dense matrix is never built (a dense operator solves 201, 100 and 50)
+        T = assemble(atomic(_atoms(64, 3)), build_kernel_model(standard(1.0), 200))
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        spectrum(T)
+        rep = schatten_membership_report(T, ("power", 2.0))
+        assert sorted(sizes) == [(50, 50), (64, 64), (64, 64)]
+        assert rep.index_value == float(np.sum(T.eigenvalues()[::-1] ** 2))
+        assert T._gram is None
+
+
 class TestTraceIdentity:
     def test_atomic(self, model_u1_small):
         mu = atomic([(0.2, 1.0), (0.5j, 0.7)])

@@ -27,6 +27,8 @@ from bergman_lab import (
     t_berezin_profile,
     weighted_area,
 )
+from bergman_lab import measures
+from bergman_lab.kernels import _kernel_powers
 
 
 class TestBerezin:
@@ -125,6 +127,46 @@ class TestTBerezin:
             ]
             got = t_berezin_profile(mu, m, t, pts)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.6, 3.3])
+    def test_radial_pair_reads_the_modulus(self, t):
+        # the numerator and the norm are taken once per |z|, at the real point |z|
+        m = build_kernel_model(standard(1.0), 60)
+        zs = np.array([0.73, 0.73j, -0.73, 0.3 + 0.4j, 0.5, 0.61 * np.exp(2.1j), 0.61, -0.9 + 0.1j])
+        for mu in (power_density(0.7), weighted_area(standard(1.0))):
+            got = t_berezin_profile(mu, m, t, zs)
+            assert got[0] == got[1] == got[2]
+            # abs is the modulus on_moduli takes (np.abs can differ in the last bit)
+            assert np.array_equal(got, t_berezin_profile(mu, m, t, [abs(z) for z in zs]))
+
+    @pytest.mark.parametrize("t", [0.7, 3.1])
+    def test_unstructured_pairs_take_every_node(self, t):
+        # a general model, or a non-radial density, sums every node of the rule
+        # at every point, bit for bit the per-point node sums
+        pts = np.array([0.0, 0.35 - 0.2j, -0.7j, 0.85])
+
+        def node_sums(m, rule):
+            return np.array([rule.weighted_sum(np.abs(m.kernel(rule, z)) ** t) for z in pts])
+
+        general = build_kernel_model(power_one_minus_z(1.0), 30)
+        for mu in (power_density(1.3), weighted_area(power_one_minus_z(0.5))):
+            want = node_sums(general, mu._density_rule()) / node_sums(general, general.norm_rule())
+            assert np.array_equal(t_berezin_profile(mu, general, t, pts), want)
+        radial = build_kernel_model(standard(0.5), 30)
+        rule = weighted_area(power_one_minus_z(0.5))._density_rule()
+        assert np.array_equal(_kernel_powers(radial, rule, pts, t), node_sums(radial, rule))
+
+    def test_one_density_rule_per_profile(self, monkeypatch):
+        # the numerator's rule is built once for every point of a profile
+        built = []
+        density_rule = measures.density_rule
+        monkeypatch.setattr(measures, "density_rule", lambda *a: built.append(a) or density_rule(*a))
+        pts = np.linspace(0.0, 0.9, 7) * np.exp(1j * np.arange(7))
+        for m in (build_kernel_model(standard(0.5), 30), build_kernel_model(power_one_minus_z(0.5), 20)):
+            for mu in (power_density(1.3), weighted_area(power_one_minus_z(0.5))):
+                built.clear()
+                t_berezin_profile(mu, m, 1.5, pts)
+                assert len(built) == 1
 
     def test_requires_positive_t(self, model_u1_small):
         with pytest.raises(DomainError):
