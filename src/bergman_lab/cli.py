@@ -99,11 +99,13 @@ class RunConfig:
         """Every field but the output root, which does not change the results."""
         return {k: v for k, v in asdict(self).items() if k != "out"}
 
-    def canonical_json(self):
-        return json.dumps(self.parameters(), sort_keys=True)
-
     def param_hash(self):
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+        return _param_hash(self.parameters())
+
+
+def _param_hash(parameters):
+    """The first 12 hex digits of the sha256 of the canonical JSON of RunConfig.parameters()."""
+    return hashlib.sha256(json.dumps(parameters, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _spec_number(spec, arg, default):
@@ -158,12 +160,14 @@ def _parse_h(spec):
 
 
 def _write_artifacts(cfg: RunConfig, subcommand, report, csv_files=None, summary=""):
-    outdir = Path(cfg.out) / subcommand / cfg.param_hash()
+    parameters = cfg.parameters()
+    config_hash = _param_hash(parameters)
+    outdir = Path(cfg.out) / subcommand / config_hash
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": __version__,
-        "config_hash": cfg.param_hash(),
-        "config": cfg.parameters(),
+        "config_hash": config_hash,
+        "config": parameters,
         "report": report,
     }
     (outdir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -236,7 +240,7 @@ def run_berezin(cfg: RunConfig):
     m = build_kernel_model(u, cfg.degree)
     lat = build_lattice(cfg.lattice_r, min(cfg.rmax, DEFAULTS.lattice_r_max))
     bz = transforms.berezin_profile(mu, m, lat.points)
-    tb = transforms.t_berezin_profile(mu, m, cfg.t, lat.points)
+    tb = bz if cfg.t == 2 else transforms.t_berezin_profile(mu, m, cfg.t, lat.points)
     av = transforms.average_profile(mu, u, cfg.r, lat.points)
     csv = profile_csv(lat.points, {"berezin": bz, "t_berezin": tb, "average": av})
     report = {
@@ -289,7 +293,8 @@ def run_criteria(cfg: RunConfig):
     else:
         rep = criteria.theorem_consistency_report(mu, u, m, cfg.p, cfg.q, cfg.t, cfg.r, cfg.s)
     summary = f"{rep.name}: index {rep.index_value!r}, verdict {rep.verdict}"
-    return rep.to_dict(), {"per_point.csv": rep.per_point_csv()}, summary
+    # the samples go to per_point.csv only, as in the berezin and weights cells
+    return rep._fields(), {"per_point.csv": rep.per_point_csv()}, summary
 
 
 def run_schatten(cfg: RunConfig):

@@ -100,19 +100,20 @@ class CriterionReport:
         rows = [list(row) for row in zip(z.real.tolist(), z.imag.tolist(), values.tolist())]
         if not (np.isfinite(z).all() and np.isfinite(values).all()):
             rows = _jsonable(rows)
-        out = _jsonable(
+        return {**self._fields(), "per_point": rows}
+
+    def _fields(self):
+        """to_dict without per_point, for a writer that keeps the samples in per_point_csv only."""
+        return _jsonable(
             {
                 "name": self.name,
                 "parameters": self.parameters,
                 "index_value": self.index_value,
-                "per_point": None,
                 "ring_trend": self.ring_trend,
                 "verdict": self.verdict,
                 "extras": self.extras,
             }
         )
-        out["per_point"] = rows
-        return out
 
     def to_json(self, **kwargs):
         kwargs.setdefault("sort_keys", True)
@@ -131,13 +132,12 @@ class CriterionReport:
 def profile_csv(points, columns):
     """CSV with re,im plus named value columns, each value written as repr(float).
 
-    Every column is converted whole, by one tolist().
+    Every column is converted whole, by one tolist() and one map(repr).
     """
     z = np.asarray(points, dtype=complex)
     cols = [z.real.tolist(), z.imag.tolist()]
     cols += [np.asarray(c, dtype=float).tolist() for c in columns.values()]
-    lines = ["re,im," + ",".join(columns)]
-    lines += [",".join(map(repr, row)) for row in zip(*cols)]
+    lines = ["re,im," + ",".join(columns), *map(",".join, zip(*(map(repr, c) for c in cols)))]
     return "\n".join(lines) + "\n"
 
 

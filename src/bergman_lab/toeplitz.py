@@ -304,8 +304,8 @@ def h_function(spec):
     kind = spec.get("kind")
     if kind == "power":
         pw = float(spec["p"])
-        if pw < 1:
-            raise DomainError("power h requires exponent >= 1")
+        if not 1.0 <= pw < np.inf:
+            raise DomainError(f"power h requires a finite exponent >= 1, got {pw}")
         return f"power({pw:g})", lambda x: np.asarray(x, dtype=float) ** pw
     if kind == "table":
         xs = np.asarray(spec["x"], dtype=float)

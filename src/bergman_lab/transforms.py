@@ -10,14 +10,16 @@ For t = 2 the normalization ||K_z||_2^2 is the diagonal K(z, z) (reproducing
 identity), which makes berezin and t_berezin(t=2) the same computation.
 Profiles over point sets assemble the basis Gram matrix against mu once and
 evaluate quadratic forms, which is algebraically identical to the direct
-integral on the same quadrature nodes.  For t != 2 a profile takes two calls
-of kernels._kernel_powers, one sum of |K(., z)|^t over every point: the
-numerator on mu's density rule, built once per profile, and the
-normalisation on the model's norm rule.  A radial model takes each on a
-radial rule once per distinct |z|, so the value at z is the value at the
-real point |z|; where a rule has not converged this differs from the node
-sum at z itself in the digits the rule does not resolve.  Atoms are summed
-exactly.
+integral on the same quadrature nodes.  An atomic mu is a sum over its A
+atoms instead: sum_a m_a |K_N(a, z)|^t, one row of kernel values per atom,
+taken from the basis at the atoms and at the points (A (N+1) work per point,
+not (N+1)^2), for t = 2 as for every other t.  For t != 2 a density's
+profile takes two calls of kernels._kernel_powers, one sum of |K(., z)|^t
+over every point: the numerator on mu's density rule, built once per
+profile, and the normalisation on the model's norm rule.  A radial model
+takes each on a radial rule once per distinct |z|, so the value at z is the
+value at the real point |z|; where a rule has not converged this differs
+from the node sum at z itself in the digits the rule does not resolve.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError
-from .kernels import KernelModel, _kernel_powers
+from .kernels import _BASIS_CHUNK, KernelModel, _kernel_powers
 from .measures import DiscMeasure, basis_gram
 from .quadrature import DiscQuadrature, disc_rule
 from .reports import CriterionReport, band
@@ -48,15 +50,41 @@ def berezin_profile(mu: DiscMeasure, m: KernelModel, points):
     """Berezin transform e(z)^T M conj(e(z)) / K(z, z) for M = basis_gram(m, mu).
 
     points is an array, or a centered polar rule (one FFT per ring at its nodes).
+    An atomic mu at an array of points takes sum_a m_a |K_N(z, a)|^2 over its
+    atoms (_atomic_kernel_powers) and builds no Gram matrix.
     """
     if not isinstance(points, DiscQuadrature):
         points = np.asarray(points, dtype=complex)
+        if mu.kind == "atomic":
+            return _atomic_kernel_powers(mu, m, points, 2) / m.kernel_diag(points)
     return m.quadratic_form(basis_gram(m, mu), points) / m.kernel_diag(points)
 
 
 def berezin(mu: DiscMeasure, m: KernelModel, z):
     """mu~(z) = int |k_z|^2 dmu = <T_mu k_z, k_z>."""
     return float(berezin_profile(mu, m, np.array([complex(z)]))[0])
+
+
+def _atomic_kernel_powers(mu: DiscMeasure, m: KernelModel, points, t):
+    """sum_a m_a |K_N(a, z)|^t over the atoms of mu, at every point z.
+
+    mu.integrate_at takes one row per atom and one column per point and sums
+    them in atom order; the first atom with a value that is not finite
+    raises EvaluationError.  The basis at the points goes in blocks of
+    _BASIS_CHUNK points, which bounds its memory.
+    """
+    points = np.ravel(points)
+
+    def rows(atoms):
+        ea = m.basis_matrix(atoms).T
+        out = np.empty((atoms.size, points.size))
+        for i in range(0, points.size, _BASIS_CHUNK):
+            out[:, i : i + _BASIS_CHUNK] = (
+                np.abs(ea @ np.conj(m.basis_matrix(points[i : i + _BASIS_CHUNK]))) ** t
+            )
+        return out
+
+    return mu.integrate_at(rows)
 
 
 def t_berezin_profile(mu: DiscMeasure, m: KernelModel, t, points):
@@ -72,9 +100,7 @@ def t_berezin_profile(mu: DiscMeasure, m: KernelModel, t, points):
         return berezin_profile(mu, m, points)
     points = np.ravel(np.asarray(points, dtype=complex))
     if mu.kind == "atomic":
-        # one row of |K_N(a, z)|^t per atom a, one column per point z
-        ez = np.conj(m.basis_matrix(points))
-        num = mu.integrate_at(lambda atoms: np.abs(m.basis_matrix(atoms).T @ ez) ** t)
+        num = _atomic_kernel_powers(mu, m, points, t)
     else:
         num = _kernel_powers(m, mu._density_rule(), points, t)
     return num / _kernel_powers(m, m.norm_rule(), points, t)
@@ -111,9 +137,15 @@ def profile_lp_norm(mu: DiscMeasure, u: Weight, r, exponent, reference="u_dA", r
     Returns (norm, shell_radii, partials): partials[j] is the norm computed
     with the radial truncation at the j-th of _LP_RADIAL Gauss shells, so
     growth of the partials exposes divergence of the defining integral.
+    Radial mu and u take the averaging function once per shell, at the real
+    point rho, and repeat it around the shell.
     """
     rule = disc_rule(_LP_RADIAL, _LP_ANGULAR, r_max if r_max is not None else DEFAULTS.r_max)
-    vals = average_profile(mu, u, r, rule.nodes) ** exponent
+    if mu.is_radial and u.is_radial:
+        shells = average_profile(mu, u, r, rule.rings[0].astype(complex)) ** exponent
+        vals = np.repeat(shells, _LP_ANGULAR)
+    else:
+        vals = average_profile(mu, u, r, rule.nodes) ** exponent
     ref = np.asarray(u(rule.nodes), dtype=float) if reference == "u_dA" else 1.0
     contrib = (rule.weights * ref * vals).reshape(_LP_RADIAL, _LP_ANGULAR).sum(axis=1)
     radii = rule.rings[0]

@@ -16,7 +16,11 @@ constants return a CriterionReport, like every other checker.
 
 A radial weight, one with a Weight.power, integrated over Delta(z, r) or S(z)
 gives a number of |z| alone: both regions turn with their centre.  Such quantities are taken once
-per distinct modulus, at the real point |z| (on_moduli).
+per distinct modulus, at the real point |z| (on_moduli).  Any other weight
+still shares the rule of S(z): S(z) = (z / |z|) S(|z|), so the B_p constant
+builds the accepted rule of S(rho) once per distinct modulus rho (per ring
+of a ladder) and turns its nodes to each point.  Pseudo-disks take one rule
+each.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet, PseudoDisk, pseudo_disk
-from .quadrature import disk_integrals, region_quadrature
+from .quadrature import DiscQuadrature, disk_integrals, region_quadrature
 from .reports import CriterionReport, classify_ring_trend
 
 __all__ = [
@@ -74,17 +78,17 @@ class Weight:
 
 
 def constant(value=1.0):
-    if value <= 0:
-        raise DomainError("constant weight must be positive")
     v = float(value)
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"constant weight must be positive and finite, got {v}")
     return Weight("constant", {"value": v}, lambda z: np.full(np.shape(z), v), (v, 0.0))
 
 
 def standard(alpha):
     """u(z) = (1 - |z|^2)^alpha; integrable on the disc for alpha > -1."""
-    if alpha <= -1:
-        raise DomainError("standard weight needs alpha > -1")
     a = float(alpha)
+    if not -1.0 < a < math.inf:
+        raise DomainError(f"standard weight needs a finite alpha > -1, got {a}")
     return Weight(
         "standard", {"alpha": a}, lambda z: (1.0 - np.abs(z) ** 2) ** a, (1.0, a)
     )
@@ -235,12 +239,16 @@ def _radial_disk_masses(power, r, moduli, resolution):
 
 
 def _joint_average(u, p, region, resolution):
-    """<u>_E * (<u^{-p'/p}>_E)^(p-1) over one region."""
-    q = region_quadrature(region, resolution)
-    area = q.area
-    m1 = q.integrate(u)
-    expo = -1.0 / (p - 1.0)  # -p'/p
-    m2 = q.integrate(lambda z: np.asarray(u(z), dtype=float) ** expo)
+    """<u>_E * (<u^{-p'/p}>_E)^(p-1) over one region E, on its region_quadrature."""
+    return _rule_average(u, p, region_quadrature(region, resolution))
+
+
+def _rule_average(u, p, rule):
+    """The joint average of _joint_average on a given rule; u is evaluated once per node."""
+    values = np.asarray(u(rule.nodes), dtype=float)
+    area = rule.area
+    m1 = rule.weighted_sum(values)
+    m2 = rule.weighted_sum(values ** (-1.0 / (p - 1.0)))  # -p'/p
     if not np.isfinite(m2) or m2 <= 0:
         return math.inf
     return (m1 / area) * (m2 / area) ** (p - 1.0)
@@ -255,25 +263,50 @@ def _joint_averages(u, p, region_of, points, resolution):
     return (on_moduli(at, points) if u.is_radial else at(points)).tolist()
 
 
-def _constant_report(name, parameters, region_of, u, anchors, ladder, resolution):
-    """The joint averages over region_of(a) at the anchors and the ladder points.
+def _carleson_averages(u, p, points, moduli, resolution):
+    """Joint averages over S(a) for every a in points, with |a| given by moduli.
 
+    A radial u is _joint_averages.  Otherwise S(a) = (a / |a|) S(|a|), since
+    phi_a(e^(i phi) w) = e^(i phi) phi_|a|(w): the accepted rule of S(rho) is
+    built once per distinct rho in moduli, and each anchor of that modulus
+    turns its nodes by a / |a| and keeps its weights and area.
+    """
+    if u.is_radial:
+        return _joint_averages(u, p, CarlesonSet, points, resolution)
+    points = np.asarray(points, dtype=complex)
+    keys, inverse = np.unique(np.asarray(moduli, dtype=float), return_inverse=True)
+    out = np.empty(points.size)
+    for k, rho in enumerate(keys):
+        base = region_quadrature(CarlesonSet(complex(rho)), resolution)
+        for i in np.flatnonzero(inverse == k):
+            a = complex(points[i])
+            turn = a / abs(a) if a else 1.0
+            rule = DiscQuadrature(base.nodes * turn, base.weights, CarlesonSet(a), base.resolution)
+            out[i] = _rule_average(u, p, rule)
+    return out.tolist()
+
+
+def _constant_report(name, parameters, averages, anchors, ladder):
+    """The joint averages at the anchors and the ladder points.
+
+    averages(points, moduli) gives one joint average per point, moduli[k]
+    its modulus: |a| for an anchor a, the ring radius for a ladder point.
     index_value is their max, per_point holds (point, value) and ring_trend
     the ladder's ring maxima, whose classify_ring_trend is the verdict
     (inconclusive without a ladder).
     """
-    p = parameters["p"]
-    if p <= 1:
+    if parameters["p"] <= 1:
         raise DomainError("joint-average constants need p > 1")
     anchors = list(anchors or [])
     on_ladder = ladder is not None and bool(ladder.radii)
     if not anchors and not on_ladder:
         raise DomainError("no anchors supplied")
-    per_point = list(zip(anchors, _joint_averages(u, p, region_of, anchors, resolution)))
+    moduli = [abs(complex(a)) for a in anchors]
+    per_point = list(zip(anchors, averages(anchors, moduli)))
     ring_trend = []
     if on_ladder:
         pts = ladder.points()
-        vals = _joint_averages(u, p, region_of, pts, resolution)
+        vals = averages(pts, np.repeat(ladder.radii, ladder.samples_per_ring))
         ring_trend = list(zip(ladder.radii, ladder.ring_max(vals)))
         per_point.extend(zip(pts, vals))
     return CriterionReport(
@@ -291,17 +324,25 @@ def bekolle_constant(u, p, anchors=None, ladder: BoundaryLadder = None, resoluti
 
     A non-integrable u^{-p'/p} shows up as +inf for that anchor (not an error).
     S(a) turns with a, so a radial u takes one Carleson rule per distinct |a|
-    (at the real anchor |a|) for the anchors and the ladder points alike.
+    (at the real anchor |a|) for the anchors and the ladder points alike,
+    and any other u one rule per distinct |a| of an anchor and per ladder
+    ring, turned to each point (_carleson_averages).
     """
     return _constant_report(
-        "bekolle_constant", {"p": p}, lambda a: CarlesonSet(complex(a)), u, anchors, ladder, resolution
+        "bekolle_constant", {"p": p},
+        lambda points, moduli: _carleson_averages(u, p, points, moduli, resolution), anchors, ladder,
     )
 
 
 def cp_constant(u, p, r, centers=None, ladder: BoundaryLadder = None, resolution=32):
-    """Estimate [u]_{C_p}: same joint average over pseudo disks Delta(z, r), per |z| for a radial u."""
+    """Estimate [u]_{C_p}: same joint average over pseudo disks Delta(z, r), per |z| for a radial u.
+
+    Each disk takes its own rule: a turned disk rule would be another node set.
+    """
     if not (0.0 < r < 1.0):
         raise DomainError("C_p disk radius must lie in (0, 1)")
     return _constant_report(
-        "cp_constant", {"p": p, "r": r}, lambda a: pseudo_disk(complex(a), r), u, centers, ladder, resolution
+        "cp_constant", {"p": p, "r": r},
+        lambda points, _: _joint_averages(u, p, lambda a: pseudo_disk(complex(a), r), points, resolution),
+        centers, ladder,
     )

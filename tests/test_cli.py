@@ -101,6 +101,40 @@ class TestCommands:
         assert code == EXIT_OK
         assert len(list((out / "criteria").iterdir())) == 2
 
+    def test_criteria_samples_live_in_per_point_csv(self, tmp_path):
+        # report.json holds every field of the report but per_point, whose
+        # rows per_point.csv holds
+        from bergman_lab import boundary_ladder, build_kernel_model, constant, criteria, power_density
+
+        out = tmp_path / "out"
+        args = ["criteria", "--index", "bound", "--measure", "power_density:0.6", "--degree", "30",
+                "--p", "2", "--q", "4", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        (run_dir,) = (out / "criteria").iterdir()
+        report = json.loads((run_dir / "report.json").read_text())["report"]
+        rep = criteria.boundedness_index(power_density(0.6), constant(), build_kernel_model(constant(), 30),
+                                         2.0, 4.0, 2.0, 0.3, boundary_ladder(12, 16))
+        want = json.loads(rep.to_json())
+        assert "per_point" not in report and want.pop("per_point")
+        assert report == want
+        assert (run_dir / "per_point.csv").read_text() == rep.per_point_csv()
+
+    def test_berezin_at_t2_takes_one_profile(self, tmp_path, monkeypatch):
+        from bergman_lab import transforms
+
+        calls = []
+        for name in ("berezin_profile", "t_berezin_profile"):
+            original = getattr(transforms, name)
+            monkeypatch.setattr(transforms, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        args = ["berezin", "--measure", "atomic:[[0.3,0.1,1.0]]", "--degree", "20",
+                "--lattice-r", "0.5", "--rmax", "0.8", "--out", str(tmp_path / "out")]
+        assert main(args + ["--t", "2"]) == EXIT_OK
+        assert calls == ["berezin_profile"]
+        calls.clear()
+        assert main(args + ["--t", "3"]) == EXIT_OK
+        assert calls == ["berezin_profile", "t_berezin_profile"]
+
     def test_sweep_artifacts_independent_of_threads(self, tmp_path, monkeypatch, fresh_result_caches):
         args = ["criteria", "--index", "vanishing", "--measure", "power_density:1",
                 "--p", "2", "--q", "2,3", "--degree", "30"]
@@ -200,6 +234,19 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: spec 'standard:x' needs a number after ':'\n"
             "error: spec 'power_density:y' needs a number after ':'\n"
+        )
+        # a weight or h number that is not finite exits 2 (exit 0, or a traceback, before)
+        for args in (["kernel", "--weight", "constant:inf"], ["kernel", "--weight", "constant:nan"],
+                     ["kernel", "--weight", "standard:inf"], ["kernel", "--weight", "standard:nan"],
+                     ["schatten", "--h", "power:nan"], ["schatten", "--h", "power:inf"]):
+            assert main(args + ["--degree", "5", "--out", out]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "error: constant weight must be positive and finite, got inf\n"
+            "error: constant weight must be positive and finite, got nan\n"
+            "error: standard weight needs a finite alpha > -1, got inf\n"
+            "error: standard weight needs a finite alpha > -1, got nan\n"
+            "error: power h requires a finite exponent >= 1, got nan\n"
+            "error: power h requires a finite exponent >= 1, got inf\n"
         )
 
     def test_verify_takes_out_and_only_alone(self, tmp_path):

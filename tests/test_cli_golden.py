@@ -6,6 +6,10 @@ whole; so are the top-level and per-subcommand --help texts at 80 columns.
 The theorem-consistency table and the essential-norm estimate are pinned as
 they read before each theorem condition was computed and classified once.
 The schatten report's integral takes the parameters {"h", "C"} only.
+A criteria report.json holds every field of the report but per_point, whose
+rows per_point.csv holds: each is the file pinned before with report.per_point
+removed and re-serialized, and the q < p consistency cells also take their
+L^p norms of the averaging function once per shell of the polar rule.
 """
 
 import contextlib
@@ -49,22 +53,22 @@ DIGESTS = {
     "berezin/7f1a916a6df4/report.json": "b2814282c82715e40aebc5b4c4890973a1e358124e3e56a600e1db3be6173535",
     "berezin/7f1a916a6df4/summary.txt": "b765bdf82595f53ba7ca4ad0d2d57457c758a44468558feadb21c82fef9f7ce1",
     "criteria/13a5a6be92b8/per_point.csv": "56a0f85acfd2bd708e2796564e5bd76338b941d237c53674b01325696fa628b6",
-    "criteria/13a5a6be92b8/report.json": "59cbc40bbf73c524e67e5d1bdf5bb738a719baf98adfc134abb97b0e06b4d3f0",
+    "criteria/13a5a6be92b8/report.json": "eb86636117391705c60e9596103262acc0405dccf66197fe341b127659106efe",
     "criteria/13a5a6be92b8/summary.txt": "7f595cc4f60c75b6958cde717ed68c88955b4f31786ef3cfd9857426f1872fcd",
     "criteria/31ec578ab3af/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
-    "criteria/31ec578ab3af/report.json": "4b4619df82e8b2627793b70350d5c0f84ea585399736ebf695a5e63d25e3b34d",
+    "criteria/31ec578ab3af/report.json": "bb70089c4bc15fbe4ca216ed448fc3d670c0e50632db7138250667454ea5b981",
     "criteria/31ec578ab3af/summary.txt": "97e8d8044bd37a41a49d9ea3c48ac3d81b3cd24a0283bc458e13fae1047d3a88",
     "criteria/5b6c7dc7763e/per_point.csv": "9c2ff84d4a0a2d6bb46aabcccc7d6745ff40fb06757c0bdb712d8624bb065b62",
-    "criteria/5b6c7dc7763e/report.json": "d39b26e7418fab516798eb6be97e359cd094c8e63980811e2df0bf777cf11f5c",
+    "criteria/5b6c7dc7763e/report.json": "9d19cb604425bbba53e9e9d55e43cc40f58cc94f25261f11e24453ef7a88ed32",
     "criteria/5b6c7dc7763e/summary.txt": "e20d28e03b4bd9707834f730fdd4064cae0a842379c1870f12b9fb207b7369ae",
     "criteria/86ea67c680a3/per_point.csv": "922eb35a80bdecbbf1f32251b2a13affad935faf0661e1ecd14b5f9c5987ac41",
-    "criteria/86ea67c680a3/report.json": "d0dbbc5b90fbfa3864d2f6c1a48453e36d188620aa1b63401e63a269e8d7fbe1",
+    "criteria/86ea67c680a3/report.json": "774ca83019a11893c192a0678c27b2bee66fb994cfff8a1d38f86361cf1e5fa3",
     "criteria/86ea67c680a3/summary.txt": "c75e774075989c4868ec2df8994e77aa53984422b409b32d66bb857c0f43676c",
     "criteria/b133f9880a9d/per_point.csv": "386ee99aef0903725cd3ce2dff8ce11dcac0f778756506cb9f8fa88070e581a3",
-    "criteria/b133f9880a9d/report.json": "3fd854962be788c3102dc781d203ea2b5af936e9231c5ae4ae2c3d4a4b72ba79",
+    "criteria/b133f9880a9d/report.json": "55c2d1b880ace5a2152583a570a8b26df1b4b0db0dc797ef180eedf57af1f06f",
     "criteria/b133f9880a9d/summary.txt": "ecfa70b5b7883eda1c8daed9c1e0428924279fba5b44e3c92c7e4a8119139d52",
     "criteria/ef5fbbdd530c/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
-    "criteria/ef5fbbdd530c/report.json": "937cbc972211036e8fb6a5039fb26de8714ec711ed369a3f1b03c362b9ef21e5",
+    "criteria/ef5fbbdd530c/report.json": "3ecc4f74a86b1ca0b4f316d1a4817e9b451a5aa11b223a140b3d960bd08f2f07",
     "criteria/ef5fbbdd530c/summary.txt": "e5c980bb53706ab07dbc0cfb063e58f2248a9cfa311e6f2da94755d35b8522a5",
     "kernel/c296ee340dfd/model.json": "0b537d96d6b0eafe2c4d847261186c5f6ae4aa8c30f3e8723abc69554592e686",
     "kernel/c296ee340dfd/report.json": "7cb09a3d1a6d9025e9352401cb54fa39eba402d187018abc00918623cd729b5c",
@@ -109,16 +113,16 @@ CONSISTENCY_CELLS = [
 
 CONSISTENCY_DIGESTS = {
     "criteria/2d33a1e1588f/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
-    "criteria/2d33a1e1588f/report.json": "5ce078826e26e39a89a9b0df841181eecadb4101e4ffc60372ef92898dee4500",
-    "criteria/2d33a1e1588f/summary.txt": "c5d2b9377d9097adab6c995f4a39fd17010d3196f3a03354c1b3a838905718de",
+    "criteria/2d33a1e1588f/report.json": "0a21c6fcad21bc1d933f0159d797b8383ebc9a61391ca8ee8291906d145c5069",
+    "criteria/2d33a1e1588f/summary.txt": "8687bf09e02f101f911c2ca8374308677cc27cb1e331f935711e644fb6988e60",
     "criteria/364c9855a906/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
-    "criteria/364c9855a906/report.json": "6f04d7185b5ab149f6c258bd93924013789e57d7201273906a5fd9ebbd2b8dae",
+    "criteria/364c9855a906/report.json": "a67cfe4aad94d69d0bfc911f35e11a1c653e32e6aa1bf09deda43fdd773d8d25",
     "criteria/364c9855a906/summary.txt": "8608df1f6f66cc6b06a20103bd2e40aee70d47c93abe080136af82f89db02065",
     "criteria/a7574926f8ce/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
-    "criteria/a7574926f8ce/report.json": "223ff7bb62a3627580fc235b1d901019c268e5a2b90e7e375effd8153ec0df22",
+    "criteria/a7574926f8ce/report.json": "eea7366694f041d281a61c43169499b8df0e807fab66367a6d6653f5a0574b04",
     "criteria/a7574926f8ce/summary.txt": "76932534dbdf2356ac452e8c188b83c45e4e72b6efddc6f784b6d764ba4b28f4",
     "criteria/bea7c896458c/per_point.csv": "14661165bce430fc05910e8a6085d8e66f3198141cd070a1d998ac1984f1ad7a",
-    "criteria/bea7c896458c/report.json": "d42ebb97102a887072073237fd2ced087de041aa202ec631a0a327e4fd595ccc",
+    "criteria/bea7c896458c/report.json": "d8362b7162ad250e61c64e45176a573edb5edd4534a4aee781918daea2a0ead3",
     "criteria/bea7c896458c/summary.txt": "1a2360a5e43ed3dfd14b8328b6fe9c603bf98edd66bcc6c7fc5febc54d6d2ed4",
 }
 

@@ -135,6 +135,19 @@ class TestCriterionReport:
             "re,im,a,b\n0.1,0.2,0.3333333333333333,2.0\n0.0,1e-17,inf,nan\n"
         )
 
+    def test_profile_csv_is_the_row_by_row_table(self):
+        # whole-column conversion writes the bytes of one repr per value, row by row
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=642) + 1j * rng.normal(size=642)
+        columns = {name: rng.normal(size=642) * 10.0 ** rng.integers(-300, 300, 642) for name in "abc"}
+        columns["a"][[3, 17, 40]] = [np.inf, -np.inf, np.nan]
+        columns["b"][5] = -0.0
+        rows = ["re,im,a,b,c"] + [
+            ",".join(repr(float(v)) for v in (zk.real, zk.imag, *(c[k] for c in columns.values())))
+            for k, zk in enumerate(z)
+        ]
+        assert profile_csv(z, columns) == "\n".join(rows) + "\n"
+
     def test_nonfinite_values_are_valid_json(self):
         # an atom outside every Delta(z, 0.1): the averages are 0, so the
         # ratios are inf and the index nan (written "inf" and bare Infinity before)

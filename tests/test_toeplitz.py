@@ -325,8 +325,9 @@ class TestSchatten:
         assert f(3.0) == pytest.approx(9.0)
         _, g = h_function({"kind": "table", "x": [0.0, 1.0], "y": [0.0, 2.0]})
         assert g(0.5) == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            h_function(("power", 0.5))
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                h_function(("power", bad))
         with pytest.raises(DomainError):
             h_function({"kind": "mystery"})
 

@@ -27,8 +27,10 @@ from bergman_lab import (
     t_berezin_profile,
     weighted_area,
 )
-from bergman_lab import measures
-from bergman_lab.kernels import _kernel_powers
+from bergman_lab import measures, transforms
+from bergman_lab.errors import EvaluationError
+from bergman_lab.geometry import build_lattice
+from bergman_lab.kernels import KernelModel, _kernel_powers
 
 
 class TestBerezin:
@@ -89,6 +91,61 @@ class TestBerezin:
         v2 = berezin(atomic([(0.3, 3.0)]), model_u1_small, 0.1)
         assert v1 > 0
         assert v2 == pytest.approx(3.0 * v1, rel=1e-12)
+
+
+def _atoms(count, seed):
+    rng = np.random.default_rng(seed)
+    rho = 0.8 * np.sqrt(rng.random(count))
+    return atomic(zip(rho * np.exp(2j * np.pi * rng.random(count)), rng.uniform(0.2, 2.0, count)))
+
+
+class TestAtomicBerezin:
+    @pytest.mark.parametrize(
+        "u, degree", [(constant(), 200), (standard(0.5), 60), (power_one_minus_z(0.5), 30)],
+        ids=["constant", "standard", "general"],
+    )
+    @pytest.mark.parametrize("count", [1, 3, 64])
+    def test_matches_the_dense_gram(self, u, degree, count, monkeypatch):
+        # sum_a m_a |K_N(z, a)|^2 / K(z, z) against e(z)^T M conj(e(z)) / K(z, z)
+        # on M = basis_gram(m, mu), at ladder and lattice points
+        m = build_kernel_model(u, degree)
+        mu = _atoms(count, count)
+        grids = [boundary_ladder(12, 16).points(), build_lattice(0.4, 0.95).points]
+        M = measures.basis_gram(m, mu)
+        wants = [m.quadratic_form(M, pts) / m.kernel_diag(pts) for pts in grids]
+
+        def refuse(*args):
+            raise AssertionError("an atomic profile builds no Gram matrix")
+
+        monkeypatch.setattr(transforms, "basis_gram", refuse)
+        monkeypatch.setattr(measures, "basis_gram", refuse)
+        for pts, want in zip(grids, wants):
+            got = berezin_profile(mu, m, pts)
+            assert np.max(np.abs(got - want) / want) <= 1e-13
+        assert berezin(mu, m, grids[0][5]) == berezin_profile(mu, m, grids[0][5:6])[0]
+
+    def test_sums_the_atoms_in_order(self, model_u1_small):
+        # the profile is linear in mu, atom by atom
+        pts = np.array([0.0, 0.5j, -0.3 + 0.2j])
+        a, b = (0.4, 2.0), (-0.2 + 0.6j, 0.5)
+        m = model_u1_small
+        total = berezin_profile(atomic([a, b]), m, pts)
+        parts = berezin_profile(atomic([a]), m, pts) + berezin_profile(atomic([b]), m, pts)
+        assert np.allclose(total, parts, rtol=1e-14, atol=0.0)
+
+    def test_a_value_that_is_not_finite_names_its_atom(self, model_u1_small, monkeypatch):
+        basis_matrix = KernelModel.basis_matrix
+        atoms = np.array([0.1, 0.2j, -0.3])
+
+        def broken(self, z):
+            e = basis_matrix(self, z)
+            if np.array_equal(z, atoms):
+                e[:, 1] = np.nan
+            return e
+
+        monkeypatch.setattr(KernelModel, "basis_matrix", broken)
+        with pytest.raises(EvaluationError, match=r"atom 0.2j"):
+            berezin_profile(atomic([(z, 1.0) for z in atoms]), model_u1_small, [0.5, 0.1j])
 
 
 class TestTBerezin:
@@ -212,6 +269,24 @@ class TestProfileLpNorm:
         n_u, _, _ = profile_lp_norm(weighted_area(ustd), ustd, 0.3, 2.0, reference="u_dA", r_max=0.9)
         n_a, _, _ = profile_lp_norm(weighted_area(ustd), ustd, 0.3, 2.0, reference="dA", r_max=0.9)
         assert n_u != pytest.approx(n_a, rel=1e-3)
+
+
+    @pytest.mark.parametrize(
+        "mu, u",
+        [(power_density(0.6), standard(1.0)), (weighted_area(constant(2.0)), constant(2.0)),
+         (power_density(-0.5), standard(0.5))],
+    )
+    @pytest.mark.parametrize("exponent, reference", [(2.0, "u_dA"), (0.5, "dA")])
+    def test_radial_pair_takes_one_value_per_shell(self, mu, u, exponent, reference):
+        # the per-shell values at the real point rho against the per-node ones
+        rule = disc_rule(48, 96, 0.995)
+        vals = average_profile(mu, u, 0.3, rule.nodes) ** exponent
+        ref = u(rule.nodes) if reference == "u_dA" else 1.0
+        partials = np.cumsum((rule.weights * ref * vals).reshape(48, 96).sum(axis=1)) ** (1 / exponent)
+        norm, radii, got = profile_lp_norm(mu, u, 0.3, exponent, reference)
+        assert np.array_equal(radii, rule.rings[0])
+        assert np.max(np.abs(got - partials) / partials) <= 1e-13
+        assert norm == got[-1]
 
 
 class TestComparability:

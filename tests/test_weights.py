@@ -64,6 +64,14 @@ class TestWeightEvaluation:
         u = power_one_minus_z(2.0)
         assert u(np.array([0.5j]))[0] == pytest.approx(abs(1.0 - 0.5j) ** 2)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_constant_and_standard_refuse_numbers_out_of_range(self, bad):
+        # nan fails every comparison, so "value <= 0" alone let it pass
+        with pytest.raises(DomainError):
+            constant(bad)
+        with pytest.raises(DomainError):
+            standard(bad - 1.0)
+
     def test_config_round_trip(self):
         for u in (constant(3.0), standard(0.5), power_one_minus_z(1.5)):
             v = weight_from_config(u.config())
@@ -221,6 +229,32 @@ class TestJointAverages:
         with pytest.raises(DomainError):
             bekolle_constant(constant(), 1.0, anchors=[0.1])
 
+    @pytest.mark.parametrize(
+        "u", [power_one_minus_z(0.5), power_one_minus_z(-0.5), grid_weight(np.add.outer(_XS, 2 * _XS) + 4.0, 8)]
+    )
+    def test_one_evaluation_is_the_two_pass_average(self, u):
+        # u at the nodes once, both moments from those values: bit for bit the
+        # two integrations, one of u and one of u^(-p'/p)
+        for region, resolution in ((CarlesonSet(0.6 - 0.3j), 48), (CarlesonSet(0.0), 16),
+                                   (pseudo_disk(-0.4j, 0.3), 32)):
+            q = region_quadrature(region, resolution)
+            for p in (1.5, 2.0, 4.0):
+                m1 = q.integrate(u)
+                m2 = q.integrate(lambda z: np.asarray(u(z), dtype=float) ** (-1.0 / (p - 1.0)))
+                want = (m1 / q.area) * (m2 / q.area) ** (p - 1.0)
+                assert _joint_average(u, p, region, resolution) == want
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, -0.5])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_turned_carleson_rules_match_their_own(self, gamma, p):
+        # S(a) = (a / |a|) S(|a|): a turned rule against the rule built at a
+        u = power_one_minus_z(gamma)
+        rep = bekolle_constant(u, p, anchors=[0.3, -0.5j, 0.9 * np.exp(2j), 0.0, 0.3j],
+                               ladder=boundary_ladder(12, 16))
+        got = np.array([v for _, v in rep.per_point])
+        want = np.array([_joint_average(u, p, CarlesonSet(complex(a)), 48) for a, _ in rep.per_point])
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
     @given(st.floats(min_value=0.2, max_value=0.8))
     @settings(max_examples=10, deadline=None)
     def test_cp_positive(self, rho):
@@ -360,3 +394,25 @@ def test_bekolle_constant_builds_rules_at_distinct_moduli(monkeypatch):
     moduli = [0.5] + list(set(np.hypot(points.real, points.imag).tolist()))
     assert sorted(a.real for a in anchors) == sorted(moduli)
     assert all(a.imag == 0.0 for a in anchors)
+
+
+def test_profile_lp_norm_integrates_one_disk_per_shell(monkeypatch):
+    from bergman_lab import power_density, profile_lp_norm, weighted_area
+
+    counts = _count_disks(monkeypatch)
+    for mu, u in ((power_density(0.6), standard(1.0)), (weighted_area(standard(0.5)), standard(0.5))):
+        counts.clear()
+        profile_lp_norm(mu, u, 0.3, 2.0)
+        # mu(Delta) and u(Delta) at each of the 48 shell radii, not at 141 node moduli
+        assert counts == [48, 48]
+
+
+def test_non_radial_bekolle_constant_builds_one_rule_per_ring(monkeypatch):
+    anchors = _record_carleson_anchors(monkeypatch)
+    ladder = boundary_ladder(12, 16)
+    bekolle_constant(power_one_minus_z(0.5), 3.0, ladder=ladder)
+    # one rule of S(rho) per ring radius rho, turned to the ring's 16 points
+    assert anchors == [complex(r) for r in ladder.radii]
+    anchors.clear()
+    bekolle_constant(power_one_minus_z(0.5), 3.0, anchors=[0.5j, -0.5, 0.5, 0.25j])
+    assert anchors == [0.25, 0.5]
