@@ -86,8 +86,9 @@ class RunConfig:
         if not (0.0 < self.r < 1.0):
             raise DomainError("r must lie in (0, 1)")
         for name in ("p", "q", "t", "s", "C"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if self.ladder_rings < 2 or self.ladder_samples < 1:
             raise DomainError("ladder must have >= 2 rings and >= 1 sample per ring")
         if self.index not in ("bound", "compact", "qlp", "carleson", "vanishing", "consistency"):

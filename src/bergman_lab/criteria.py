@@ -25,7 +25,7 @@ from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet, boundary_ladder
 from .reports import _SLOPE_TOL, CriterionReport, band, classify_ring_trend, ring_slope
 from .transforms import _grid_points, profile_lp_norm, t_berezin_profile
-from .weights import disk_masses, mass, on_moduli
+from .weights import _region_masses, disk_masses
 
 __all__ = [
     "boundedness_index",
@@ -37,69 +37,50 @@ __all__ = [
 ]
 
 
-def _bc_quantities(mu, u, m, p, q, t, r, points):
-    """mu^_r and mu~_t over u(Delta)^(1/p - 1/q), on one u(Delta) per point."""
+def _bc_pass(mu, u, m, p, q, t, r, ladder):
+    """Ladder points, mu^_r and mu~_t over u(Delta)^(1/p - 1/q) there, and their ring maxima."""
+    if not isinstance(ladder, BoundaryLadder):
+        raise DomainError(f"ring trends need a BoundaryLadder, not {type(ladder).__name__}")
+    points = ladder.points()
     ud = disk_masses(u, r, points, 32)
     scale = ud ** (1.0 / p - 1.0 / q)
-    av = mu.disk_masses(points, r) / ud
-    return av / scale, t_berezin_profile(mu, m, t, points) / scale
-
-
-def _bc_pass(mu, u, m, p, q, t, r, grid):
-    """Points of grid, both _bc_quantities there, and their ring maxima (None off a ladder)."""
-    points = _grid_points(grid)
-    av, tb = _bc_quantities(mu, u, m, p, q, t, r, points)
-    if not isinstance(grid, BoundaryLadder):
-        return points, av, tb, None, None
-    return points, av, tb, grid.ring_max(av), grid.ring_max(tb)
+    av = mu.disk_masses(points, r) / ud / scale
+    tb = t_berezin_profile(mu, m, t, points) / scale
+    return points, av, tb, ladder.ring_max(av), ladder.ring_max(tb)
 
 
 def _carleson_ratios(mu, u, expo, points):
-    """mu(S(a)) / u(S(a))^expo at every anchor a.
+    """mu(S(a)) / u(S(a))^expo at every anchor a, each mass one batched call.
 
     S(a) turns with a, so a radial mu or u takes its masses once per distinct
     |a|, on S(|a|).
     """
-
-    def masses(mass_of, radial):
-        def at(pts):
-            return np.array([mass_of(CarlesonSet(complex(a))) for a in pts])
-
-        return (on_moduli(at, points) if radial else at(points)).tolist()
-
-    mu_s = masses(mu.region_mass, mu.is_radial)
-    u_s = masses(lambda s: mass(u, s), u.is_radial)
+    mu_s = mu.region_masses(CarlesonSet, points).tolist()
+    u_s = _region_masses(u, CarlesonSet, points, 48).tolist()
     # powers on python floats: numpy's vectorised power may differ in the last bit
     return np.array([a / b**expo for a, b in zip(mu_s, u_s)])
 
 
-def boundedness_index(mu, u, m, p, q, t, r, grid) -> CriterionReport:
-    """Boundedness index: sup of the averaging and t-Berezin quantities.
+def boundedness_index(mu, u, m, p, q, t, r, ladder: BoundaryLadder) -> CriterionReport:
+    """Boundedness index: sup of the averaging and t-Berezin quantities on a ladder.
 
     The reported index is the averaging-function supremum (the operator-norm
-    surrogate); the t-Berezin supremum and their ratio sit in extras.  When
-    the grid is a BoundaryLadder the per-ring maxima drive the verdict;
-    verdicts are {finite, divergent, inconclusive} (a vanishing trend is
-    bounded, hence finite).
+    surrogate); the t-Berezin supremum and their ratio sit in extras.  The
+    per-ring maxima drive the verdict, one of {finite, divergent,
+    inconclusive} (a vanishing trend is bounded, hence finite); a grid that
+    is not a BoundaryLadder raises DomainError.
     """
     if not (0 < p <= q):
         raise DomainError("boundedness_index requires 0 < p <= q")
-    points, av, tb, rings_av, _ = _bc_pass(mu, u, m, p, q, t, r, grid)
-    if rings_av is not None:
-        trend = list(zip(grid.radii, rings_av))
-        verdict = classify_ring_trend(rings_av)
-        if verdict == "vanishing":
-            verdict = "finite"
-    else:
-        trend = []
-        verdict = "finite" if np.all(np.isfinite(av)) else "divergent"
+    points, av, tb, rings_av, _ = _bc_pass(mu, u, m, p, q, t, r, ladder)
+    verdict = classify_ring_trend(rings_av)
     return CriterionReport(
         name="boundedness_index",
         parameters={"p": p, "q": q, "t": t, "r": r},
         index_value=float(np.max(av)),
         per_point=list(zip(points, av)),
-        ring_trend=trend,
-        verdict=verdict,
+        ring_trend=list(zip(ladder.radii, rings_av)),
+        verdict="finite" if verdict == "vanishing" else verdict,
         extras={
             "berezin_index": float(np.max(tb)),
             "average_band": band(av),

@@ -515,6 +515,8 @@ class BoundaryLadder:
             raise DomainError("ladder radii must be strictly increasing")
         if radii and radii[-1] >= 1.0:
             raise DomainError("ladder radii must stay below 1")
+        if not self.samples_per_ring >= 1:
+            raise DomainError(f"ladder needs at least 1 sample per ring, got {self.samples_per_ring}")
         object.__setattr__(self, "radii", radii)
 
     def ring_points(self, j):

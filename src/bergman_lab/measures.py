@@ -1,8 +1,9 @@
 """Positive Borel measures on the disc: atoms, densities, weighted area.
 
 A DiscMeasure supports integration of a function, disk masses mu(Delta(z, r)),
-and assembly of the basis Gram matrix against the measure (the Toeplitz matrix
-entries).  Atoms are summed exactly; densities ride on the disc quadrature.
+the masses of a family of regions, and assembly of the basis Gram matrix
+against the measure (the Toeplitz matrix entries).  Atoms are summed exactly;
+densities ride on the disc quadrature.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from .kernels import _gram_resolution
 from .quadrature import DiscQuadrature, beta_moments, density_rule, monomial_gram
 from .weights import (
     Weight,
+    _region_masses,
     config_errors,
     disk_masses,
-    mass,
     standard,
     weight_from_config,
 )
@@ -129,11 +130,16 @@ class DiscMeasure:
             total += np.where(hit, mz, 0.0)
         return total
 
-    def region_mass(self, region):
-        """mu(region) for a PseudoDisk or a CarlesonSet; a density's is weights.mass."""
-        if self.kind == "atomic":
-            return float(sum(mz for a, mz in self.atoms if region.contains(a)))
-        return mass(self.density, region, self._resolution)
+    def region_masses(self, region_of, points):
+        """mu(region_of(z)) for every z in points, region_of(z) a PseudoDisk or a CarlesonSet.
+
+        Atoms count by the region's contains, in atom order; a density's
+        masses are weights._region_masses at _resolution.
+        """
+        if self.kind != "atomic":
+            return _region_masses(self.density, region_of, points, self._resolution)
+        regions = [region_of(complex(z)) for z in np.ravel(points)]
+        return np.array([float(sum(mz for a, mz in self.atoms if e.contains(a))) for e in regions])
 
     def total_mass(self):
         if self.kind == "atomic":

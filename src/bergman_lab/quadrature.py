@@ -14,18 +14,19 @@ the two regions of geometry on which the paper states its conditions:
                                 disc_rule with v folded into the weights;
   * PseudoDisk Delta(z, r)   -- the same polar rule moved onto the disk's
                                 Euclidean realization;
-  * CarlesonSet S(a)         -- the half-disc preimage of S(a) under the
-                                involution phi_a, mapped forward with the
-                                |phi_a'|^2 Jacobian baked into the weights.
+  * CarlesonSet S(a)         -- the half-disc preimage of S(|a|) under the
+                                involution phi_|a|, mapped forward with the
+                                Jacobian in the weights, turned by a / |a|.
 
-region_quadrature builds the rule of one region; disk_integrals integrates
-over many pseudo-disks at once, bit for bit as their rules do one by one.
+region_quadrature builds the rule of one region; region_integrals integrates
+over a family of them at once, bit for bit as their rules do one by one.
 
 The Carleson rule deserves a comment: S(a) is a Mobius image of the half-disc
 H_a = {Re(conj(a) z) <= 0}, and on H_a the Jacobian (1-|a|^2)^2 / |1-conj(a)z|^4
 is smooth and bounded by 1, so integrating in preimage coordinates converges
 fast where naive indicator filtering of a disc rule would stall at the circline
-boundary of S(a).
+boundary of S(a).  As phi_a(e^(i phi) w) = e^(i phi) phi_|a|(w), the rule is
+built at the real point |a| only, and S(a) takes its nodes turned by a / |a|.
 
 Gauss rules come from two cached sources.  gauss_rule is Gauss-Legendre on
 [-1, 1]; the polar and Carleson rules map it.  _jacobi_rings is Gauss-Jacobi
@@ -65,7 +66,7 @@ to rounding (the integrand is smooth on both pieces).
 Rules are immutable and built per call; the caches keep O(rings) Gauss data:
   * gauss_rule     -- one Gauss-Legendre rule on [-1, 1];
   * _jacobi_rings  -- the ring radii and t-weights of one Gauss-Jacobi rule;
-  * _polar_rule    -- one small polar rule, grid included (disk_integrals, S(0));
+  * _polar_rule    -- one small polar rule, grid included (pseudo-disks, S(0));
   * _carleson_area -- the exact area of one Carleson region, by |a|.
 Summation uses numpy's pairwise reduction in a fixed node order, so repeated
 runs are bit-identical.
@@ -73,6 +74,7 @@ runs are bit-identical.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,12 +94,12 @@ __all__ = [
     "monomial_gram",
     "ring_values",
     "ring_pairing",
-    "disk_integrals",
+    "region_integrals",
 ]
 
-# nodes per block of disk_integrals: bounds its memory (2^18 raised the peak RSS
-# of a seeded CLI sweep from 47.8 to 56.7 MB; 2^15 leaves it at 47.7 MB)
-_BLOCK_NODES = 1 << 16
+# nodes per block of _region_blocks, which bounds memory and time (2-vCPU host: a seeded
+# CLI sweep peaks at 43.1 MB with 2^13, 47.1 with 2^16; lattice disk masses 7 vs 11 ms)
+_BLOCK_NODES = 1 << 13
 _CARLESON_TOL = 1e-6
 _CARLESON_MAX_RESOLUTION = 1024
 # preimage radius at which Carleson rules stop; ROADMAP item 3 integrates out to 1
@@ -207,18 +209,17 @@ def _polar_rule(n_radial, n_angular, r_max):
     return rule.nodes, rule.weights
 
 
-def _carleson_rule(a, resolution):
-    """Quadrature for S(a) built in the phi_a preimage half-disc, 2 resolution angles."""
-    if a == 0:
+def _carleson_rule(rho, resolution):
+    """Quadrature for S(rho), rho >= 0, built in the phi_rho preimage half-disc, 2 resolution angles."""
+    if rho == 0:
         return _polar_rule(resolution, 2 * resolution, _CARLESON_R_INNER)
-    phase = np.angle(a)
-    # half-disc {Re(conj(a) z) <= 0}: angles in [phase + pi/2, phase + 3 pi/2]
+    # half-disc {Re(z) <= 0}: angles in [pi/2, 3 pi/2]
     r, wr = _gauss_legendre(resolution, 0.0, _CARLESON_R_INNER)
-    theta, wtheta = _gauss_legendre(2 * resolution, phase + 0.5 * np.pi, phase + 1.5 * np.pi)
+    theta, wtheta = _gauss_legendre(2 * resolution, 0.5 * np.pi, 1.5 * np.pi)
     z = r[:, None] * np.exp(1j * theta)[None, :]
     w2 = (wr * r)[:, None] * wtheta[None, :]
-    jac = ((1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2) ** 2
-    nodes = (a - z) / (1.0 - np.conj(a) * z)
+    jac = ((1.0 - rho**2) / np.abs(1.0 - rho * z) ** 2) ** 2
+    nodes = (rho - z) / (1.0 - rho * z)
     return _read_only(nodes.ravel(), (w2 * jac).ravel())
 
 
@@ -435,22 +436,6 @@ def _disk_map(disks, resolution):
     return nodes, weights
 
 
-def disk_integrals(f, disks, resolution):
-    """int f dA over each PseudoDisk in disks, as an array.
-
-    Entry k equals region_quadrature(disks[k], resolution).integrate(f) bit
-    for bit; disks go in blocks of at most _BLOCK_NODES nodes.
-    """
-    if resolution < 4:
-        raise DomainError("resolution must be at least 4")
-    step = max(1, _BLOCK_NODES // (4 * resolution * resolution))
-    out = np.empty(len(disks))
-    for i in range(0, len(disks), step):
-        nodes, weights = _disk_map(disks[i : i + step], resolution)
-        out[i : i + step] = (weights * _finite_values(f, nodes)).sum(axis=1)
-    return out
-
-
 @lru_cache(maxsize=256)
 def _carleson_area(modulus):
     """Exact area of the region a Carleson rule covers, phi_a of the half-disc cut at _CARLESON_R_INNER.
@@ -477,40 +462,77 @@ def _carleson_area(modulus):
     return 0.5 * s * s * float(np.imag(arc + diameter))
 
 
-def _build(region, resolution):
-    if isinstance(region, PseudoDisk):
-        nodes, weights = _disk_map([region], resolution)
-        return DiscQuadrature(nodes[0], weights[0], region, resolution)
-    return DiscQuadrature(*_carleson_rule(region.anchor, resolution), region, resolution)
-
-
 def region_quadrature(region, resolution=48):
     """The rule of a PseudoDisk or a CarlesonSet; only Carleson rules take an acceptance test.
 
     Other regions raise DomainError.  Disks take the requested rule: it
-    integrates constants exactly there.  A Carleson rule is kept when its
-    area is within _CARLESON_TOL of the exact area of the region it covers,
-    relative to that area (_carleson_area); otherwise the rule of twice the
-    resolution is tried in turn, up to _CARLESON_MAX_RESOLUTION, and then
-    PrecisionError is raised.
+    integrates constants exactly there.  The rule of S(a) is that of S(|a|),
+    nodes turned by a / |a|, kept when its area is within _CARLESON_TOL of
+    the exact area of the region it covers, relative to that area
+    (_carleson_area); otherwise the rule of twice the resolution is tried in
+    turn, up to _CARLESON_MAX_RESOLUTION, and then PrecisionError is raised.
     """
-    if not isinstance(region, (PseudoDisk, CarlesonSet)):
-        raise DomainError(f"quadrature needs a PseudoDisk or a CarlesonSet, not {region!r}")
+    if not isinstance(region, CarlesonSet):
+        _, nodes, weights = next(_region_blocks([region], resolution))
+        return DiscQuadrature(nodes[0], weights[0], region, int(resolution))
     if resolution < 4:
         raise DomainError("resolution must be at least 4")
     res = int(resolution)
-    rule = _build(region, res)
-    if isinstance(region, PseudoDisk):
-        return rule
-    exact = _carleson_area(abs(region.anchor))
+    rho = abs(region.anchor)
+    exact = _carleson_area(rho)
     while True:
-        error = abs(rule.area - exact)
+        nodes, weights = _carleson_rule(rho, res)
+        error = abs(float(np.sum(weights)) - exact)
         if error <= _CARLESON_TOL * exact:
-            return rule
+            turn = cmath.exp(1j * cmath.phase(region.anchor))  # |turn| = 1 for a subnormal a too
+            return DiscQuadrature(*_read_only(nodes * turn), weights, region, res)
         if 2 * res > _CARLESON_MAX_RESOLUTION:
             raise PrecisionError(
                 f"region {region} not resolved at resolution {res} "
                 f"(area off the exact {exact:.6e} by {error / exact:.3e} relative)"
             )
         res *= 2
-        rule = _build(region, res)
+
+
+def _region_blocks(regions, resolution):
+    """Blocks (index, nodes, weights): row k is region_quadrature(regions[index[k]], resolution).
+
+    weights holds one row per region, or one row the block shares.  Disks
+    go in blocks of at most _BLOCK_NODES nodes; the Carleson sets of one
+    modulus (Python's abs) share one rule of S(|a|), turned to each anchor.
+    Other regions raise DomainError.
+    """
+    if resolution < 4:
+        raise DomainError("resolution must be at least 4")
+    disks, moduli = [], {}
+    for k, region in enumerate(regions):
+        if isinstance(region, PseudoDisk):
+            disks.append(k)
+        elif isinstance(region, CarlesonSet):
+            moduli.setdefault(abs(region.anchor), []).append(k)
+        else:
+            raise DomainError(f"quadrature needs a PseudoDisk or a CarlesonSet, not {region!r}")
+    step = max(1, _BLOCK_NODES // (4 * resolution * resolution))
+    for i in range(0, len(disks), step):
+        index = disks[i : i + step]
+        yield (index, *_disk_map([regions[k] for k in index], resolution))
+    for rho, ks in moduli.items():
+        # by module name: a tracer that wraps region_quadrature counts one build per modulus
+        base = region_quadrature(CarlesonSet(rho), resolution)
+        step = max(1, _BLOCK_NODES // base.weights.size)
+        for i in range(0, len(ks), step):
+            index = ks[i : i + step]
+            turns = np.array([cmath.exp(1j * cmath.phase(regions[k].anchor)) for k in index])
+            yield index, base.nodes * turns[:, None], base.weights[None, :]
+
+
+def region_integrals(f, regions, resolution):
+    """int f dA over each PseudoDisk or CarlesonSet in regions, as an array.
+
+    Entry k equals region_quadrature(regions[k], resolution).integrate(f)
+    bit for bit; the rules come in the blocks of _region_blocks.
+    """
+    out = np.empty(len(regions))
+    for index, nodes, weights in _region_blocks(regions, resolution):
+        out[index] = (weights * _finite_values(f, nodes)).sum(axis=1)
+    return out

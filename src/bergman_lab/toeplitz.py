@@ -355,8 +355,8 @@ def schatten_integral(
     6.9e-3 (t = 0.3) relative.  The list is reported only; no value or verdict
     depends on it.
     """
-    if C <= 0:
-        raise DomainError("Schatten constant C must be positive")
+    if not 0.0 < C < np.inf:
+        raise DomainError(f"Schatten constant C must be positive and finite, got {C}")
     hname, hfun = h_function(h)
     M = basis_gram(m, mu)
     values = [_schatten_value(M, m, hfun, C, R) for R in sweep]
@@ -398,8 +398,8 @@ def schatten_membership_report(T: ToeplitzMatrix, h, C=1.0) -> CriterionReport:
     which is T.eigenvalues() read in ascending order: the one solve T caches,
     so a matrix that eigenvalues() refuses as not PSD is refused here too.
     """
-    if C <= 0:
-        raise DomainError("Schatten constant C must be positive")
+    if not 0.0 < C < np.inf:
+        raise DomainError(f"Schatten constant C must be positive and finite, got {C}")
     hname, hfun = h_function(h)
     n = T.size
     sizes = sorted({max(2, n // 4), max(2, n // 2), n})

@@ -94,8 +94,8 @@ def t_berezin_profile(mu: DiscMeasure, m: KernelModel, t, points):
     point (see the module docstring); atoms are summed exactly, in atom
     order, over K_N(a, z) from the basis at the atoms and at the points.
     """
-    if t <= 0:
-        raise DomainError("t-Berezin exponent must be positive")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t-Berezin exponent must be positive and finite, got {t}")
     if t == 2:
         return berezin_profile(mu, m, points)
     points = np.ravel(np.asarray(points, dtype=complex))

@@ -14,13 +14,12 @@ Suprema over the disc are replaced by maxima over a supplied anchor set plus
 a boundary ladder, whose per-ring maxima expose divergence as a trend; both
 constants return a CriterionReport, like every other checker.
 
-A radial weight, one with a Weight.power, integrated over Delta(z, r) or S(z)
-gives a number of |z| alone: both regions turn with their centre.  Such quantities are taken once
-per distinct modulus, at the real point |z| (on_moduli).  Any other weight
-still shares the rule of S(z): S(z) = (z / |z|) S(|z|), so the B_p constant
-builds the accepted rule of S(rho) once per distinct modulus rho (per ring
-of a ladder) and turns its nodes to each point.  Pseudo-disks take one rule
-each.
+Both constants and every region mass integrate a family of regions on the
+blocks of quadrature.region_integrals.  A radial weight, one with a
+Weight.power, integrated over Delta(z, r) or S(z) gives a number of |z| alone:
+both regions turn with their centre.  Such quantities are taken once per
+distinct modulus, at the real point |z| (on_moduli); other weights take one
+region per point.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import BoundaryLadder, CarlesonSet, PseudoDisk, pseudo_disk
-from .quadrature import DiscQuadrature, disk_integrals, region_quadrature
+from .quadrature import _finite_values, _region_blocks, region_integrals
 from .reports import CriterionReport, classify_ring_trend
 
 __all__ = [
@@ -185,7 +184,7 @@ def mass(u: Weight, region, resolution=48):
     """u(E) over a PseudoDisk (one case of disk_masses) or a CarlesonSet; else DomainError."""
     if isinstance(region, PseudoDisk):
         return float(disk_masses(u, region.radius, [region.center], resolution)[0])
-    return region_quadrature(region, resolution).integrate(u)
+    return float(region_integrals(u, [region], resolution)[0])
 
 
 def on_moduli(f, points):
@@ -206,13 +205,22 @@ def disk_masses(u: Weight, r, points, resolution):
 
     A radial u takes its masses from _radial_disk_masses, once per process
     for each set of distinct |z|, on the disks centred at the real points
-    |z|; other weights take one disk per point.
+    |z|; other weights take one disk per point (_region_masses).
     """
     if u.is_radial:
         return on_moduli(
             lambda moduli: _radial_disk_masses(u.power, float(r), moduli.real.tobytes(), resolution), points
         )
-    return disk_integrals(u, [pseudo_disk(z, r) for z in np.ravel(points)], resolution)
+    return _region_masses(u, lambda z: pseudo_disk(z, r), points, resolution)
+
+
+def _region_masses(u: Weight, region_of, points, resolution):
+    """u(region_of(z)) for every z in points; a radial u takes one region per distinct |z|."""
+
+    def at(pts):
+        return region_integrals(u, [region_of(complex(z)) for z in pts], resolution)
+
+    return on_moduli(at, points) if u.is_radial else at(np.ravel(points))
 
 
 @lru_cache(maxsize=64)
@@ -233,67 +241,48 @@ def _radial_disk_masses(power, r, moduli, resolution):
     if a == 0.0:
         masses = np.array([c * np.pi * float(d.euclid_radius) ** 2 for d in disks])
     else:
-        masses = disk_integrals(lambda z: c * (1.0 - np.abs(z) ** 2) ** a, disks, resolution)
+        masses = region_integrals(lambda z: c * (1.0 - np.abs(z) ** 2) ** a, disks, resolution)
     masses.flags.writeable = False
     return masses
 
 
-def _joint_average(u, p, region, resolution):
-    """<u>_E * (<u^{-p'/p}>_E)^(p-1) over one region E, on its region_quadrature."""
-    return _rule_average(u, p, region_quadrature(region, resolution))
-
-
-def _rule_average(u, p, rule):
-    """The joint average of _joint_average on a given rule; u is evaluated once per node."""
-    values = np.asarray(u(rule.nodes), dtype=float)
-    area = rule.area
-    m1 = rule.weighted_sum(values)
-    m2 = rule.weighted_sum(values ** (-1.0 / (p - 1.0)))  # -p'/p
-    if not np.isfinite(m2) or m2 <= 0:
-        return math.inf
-    return (m1 / area) * (m2 / area) ** (p - 1.0)
-
-
 def _joint_averages(u, p, region_of, points, resolution):
-    """Joint averages over region_of(a) for every a; a radial u takes one per distinct |a|."""
+    """<u>_E (<u^(-p'/p)>_E)^(p-1) over E = region_of(a) for every a in points, as floats.
+
+    A radial u takes one region per distinct |a|.  u is evaluated once per
+    node, and raises EvaluationError where it is not finite; a second moment
+    that overflows reads +inf.  The final power is taken on Python floats.
+    """
 
     def at(pts):
-        return np.array([_joint_average(u, p, region_of(a), resolution) for a in pts])
+        regions = [region_of(complex(a)) for a in pts]
+        m1, m2, area = (np.empty(len(regions)) for _ in range(3))
+        for index, nodes, weights in _region_blocks(regions, resolution):
+            values = np.asarray(_finite_values(u, nodes), dtype=float)
+            m1[index] = (weights * values).sum(axis=1)
+            with np.errstate(over="ignore", divide="ignore"):
+                m2[index] = (weights * values ** (-1.0 / (p - 1.0))).sum(axis=1)  # -p'/p
+            area[index] = weights.sum(axis=1)
+        return np.array([_joint(*m, p) for m in zip(m1.tolist(), m2.tolist(), area.tolist())])
 
-    return (on_moduli(at, points) if u.is_radial else at(points)).tolist()
+    return (on_moduli(at, points) if u.is_radial else at(np.ravel(points))).tolist()
 
 
-def _carleson_averages(u, p, points, moduli, resolution):
-    """Joint averages over S(a) for every a in points, with |a| given by moduli.
-
-    A radial u is _joint_averages.  Otherwise S(a) = (a / |a|) S(|a|), since
-    phi_a(e^(i phi) w) = e^(i phi) phi_|a|(w): the accepted rule of S(rho) is
-    built once per distinct rho in moduli, and each anchor of that modulus
-    turns its nodes by a / |a| and keeps its weights and area.
-    """
-    if u.is_radial:
-        return _joint_averages(u, p, CarlesonSet, points, resolution)
-    points = np.asarray(points, dtype=complex)
-    keys, inverse = np.unique(np.asarray(moduli, dtype=float), return_inverse=True)
-    out = np.empty(points.size)
-    for k, rho in enumerate(keys):
-        base = region_quadrature(CarlesonSet(complex(rho)), resolution)
-        for i in np.flatnonzero(inverse == k):
-            a = complex(points[i])
-            turn = a / abs(a) if a else 1.0
-            rule = DiscQuadrature(base.nodes * turn, base.weights, CarlesonSet(a), base.resolution)
-            out[i] = _rule_average(u, p, rule)
-    return out.tolist()
+def _joint(m1, m2, area, p):
+    """(m1 / area) (m2 / area)^(p-1) on Python floats; +inf where m2 overflows or the power does."""
+    try:
+        return (m1 / area) * (m2 / area) ** (p - 1.0) if 0.0 < m2 < math.inf else math.inf
+    except OverflowError:
+        return math.inf
 
 
 def _constant_report(name, parameters, averages, anchors, ladder):
     """The joint averages at the anchors and the ladder points.
 
-    averages(points, moduli) gives one joint average per point, moduli[k]
-    its modulus: |a| for an anchor a, the ring radius for a ladder point.
-    index_value is their max, per_point holds (point, value) and ring_trend
-    the ladder's ring maxima, whose classify_ring_trend is the verdict
-    (inconclusive without a ladder).
+    averages(points) gives one joint average per point.  index_value is
+    their max, per_point holds (point, value) and ring_trend the ladder's
+    ring maxima, whose classify_ring_trend is the verdict (inconclusive
+    without a ladder).
     """
     if parameters["p"] <= 1:
         raise DomainError("joint-average constants need p > 1")
@@ -301,12 +290,11 @@ def _constant_report(name, parameters, averages, anchors, ladder):
     on_ladder = ladder is not None and bool(ladder.radii)
     if not anchors and not on_ladder:
         raise DomainError("no anchors supplied")
-    moduli = [abs(complex(a)) for a in anchors]
-    per_point = list(zip(anchors, averages(anchors, moduli)))
+    per_point = list(zip(anchors, averages(anchors)))
     ring_trend = []
     if on_ladder:
         pts = ladder.points()
-        vals = averages(pts, np.repeat(ladder.radii, ladder.samples_per_ring))
+        vals = averages(pts)
         ring_trend = list(zip(ladder.radii, ladder.ring_max(vals)))
         per_point.extend(zip(pts, vals))
     return CriterionReport(
@@ -323,26 +311,25 @@ def bekolle_constant(u, p, anchors=None, ladder: BoundaryLadder = None, resoluti
     """Estimate [u]_{B_p}: max over anchors a of the S(a) joint average.
 
     A non-integrable u^{-p'/p} shows up as +inf for that anchor (not an error).
-    S(a) turns with a, so a radial u takes one Carleson rule per distinct |a|
-    (at the real anchor |a|) for the anchors and the ladder points alike,
-    and any other u one rule per distinct |a| of an anchor and per ladder
-    ring, turned to each point (_carleson_averages).
+    S(a) turns with a, so every u takes one Carleson rule per distinct |a|,
+    anchors and ladder points alike: a radial u at the real anchor |a|, any
+    other u turned to each point (_joint_averages).
     """
     return _constant_report(
         "bekolle_constant", {"p": p},
-        lambda points, moduli: _carleson_averages(u, p, points, moduli, resolution), anchors, ladder,
+        lambda points: _joint_averages(u, p, CarlesonSet, points, resolution), anchors, ladder,
     )
 
 
 def cp_constant(u, p, r, centers=None, ladder: BoundaryLadder = None, resolution=32):
     """Estimate [u]_{C_p}: same joint average over pseudo disks Delta(z, r), per |z| for a radial u.
 
-    Each disk takes its own rule: a turned disk rule would be another node set.
+    The disks are mapped in blocks (_joint_averages): a turned disk rule would be another node set.
     """
     if not (0.0 < r < 1.0):
         raise DomainError("C_p disk radius must lie in (0, 1)")
     return _constant_report(
         "cp_constant", {"p": p, "r": r},
-        lambda points, _: _joint_averages(u, p, lambda a: pseudo_disk(complex(a), r), points, resolution),
+        lambda points: _joint_averages(u, p, lambda a: pseudo_disk(a, r), points, resolution),
         centers, ladder,
     )

@@ -248,6 +248,19 @@ class TestCommands:
             "error: power h requires a finite exponent >= 1, got nan\n"
             "error: power h requires a finite exponent >= 1, got inf\n"
         )
+        # an exponent or constant that is not finite exits 2, naming the field (exit 0,
+        # or a message naming a quadrature node, before)
+        for args in (["schatten", "--C", "nan"], ["schatten", "--C", "inf"],
+                     ["criteria", "--index", "consistency", "--s", "nan"],
+                     ["criteria", "--index", "bound", "--t", "nan"], ["criteria", "--q", "inf"]):
+            assert main(args + ["--degree", "5", "--out", out]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "error: C must be positive and finite, got nan\n"
+            "error: C must be positive and finite, got inf\n"
+            "error: s must be positive and finite, got nan\n"
+            "error: t must be positive and finite, got nan\n"
+            "error: q must be positive and finite, got inf\n"
+        )
 
     def test_verify_takes_out_and_only_alone(self, tmp_path):
         # no experiment flag changes a verify check, so argparse refuses each

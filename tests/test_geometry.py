@@ -492,3 +492,9 @@ class TestBoundaryLadder:
     def test_monotone_radii_required(self):
         with pytest.raises(DomainError):
             BoundaryLadder(radii=(0.5, 0.4), samples_per_ring=4)
+
+    def test_one_sample_per_ring_required(self):
+        # an empty ladder ended in numpy's zero-size reduction error
+        for samples in (0, -3):
+            with pytest.raises(DomainError, match="sample per ring"):
+                boundary_ladder(5, samples)

@@ -3,7 +3,7 @@
 Every import sits at module level, none inside a function body.
 
 And one choice of rule is made in one place: only quadrature.density_rule
-reads weighted_disc_rule.  Only the functions of _CACHED hold a
+reads weighted_disc_rule, and only quadrature builds the rules of regions.  Only the functions of _CACHED hold a
 process-wide cache, and each docstring says what one entry holds.
 """
 
@@ -117,6 +117,22 @@ def test_only_density_rule_reads_weighted_disc_rule():
         tree = ast.parse((_SRC / module).read_text(), filename=module)
         readers.update((module, f) for f in _readers(tree, "weighted_disc_rule"))
     assert readers == {("quadrature.py", "density_rule")}
+
+
+def test_only_quadrature_builds_region_rules():
+    # a family of regions is integrated on _region_blocks alone: S(a) is built
+    # in _carleson_rule at |a| only, and no other module takes one rule per region
+    readers = {}
+    for module in _MODULES + ["__init__.py"]:
+        tree = ast.parse((_SRC / module).read_text(), filename=module)
+        for name in ("_disk_map", "_carleson_rule", "region_quadrature"):
+            readers.setdefault(name, set()).update((module, f) for f in _readers(tree, name))
+    assert readers == {
+        "_disk_map": {("quadrature.py", "_region_blocks")},
+        "_carleson_rule": {("quadrature.py", "region_quadrature")},
+        # __init__ exports it by an import, which reads no name
+        "region_quadrature": {("quadrature.py", "_region_blocks")},
+    }
 
 
 def test_finds_a_second_reader():

@@ -311,18 +311,20 @@ class TestDiskMass:
 
         u = standard(1.0)
         mu = weighted_area(u)
-        a = 0.5 + 0.2j
-        assert mu.region_mass(CarlesonSet(a)) == pytest.approx(mass(u, CarlesonSet(a)), rel=1e-12)
+        anchors = [0.5 + 0.2j, -0.3j]
+        want = [mass(u, CarlesonSet(a)) for a in anchors]
+        assert mu.region_masses(CarlesonSet, anchors) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("mu", [power_density(0.6), weighted_area(standard(1.0)),
                                     weighted_area(power_one_minus_z(1.0))])
     def test_region_mass_of_a_pseudo_disk_is_disk_mass(self, mu):
-        for z in (0.0, 0.7j, -0.5 + 0.6j, 0.999):
-            assert mu.region_mass(pseudo_disk(z, 0.3)) == mu.disk_mass(z, 0.3)
+        points = [0.0, 0.7j, -0.5 + 0.6j, 0.999]
+        got = mu.region_masses(lambda z: pseudo_disk(z, 0.3), points)
+        assert np.array_equal(got, mu.disk_masses(points, 0.3))
 
     def test_region_mass_atomic(self):
         mu = atomic([(0.5, 2.0), (-0.5, 1.0)])
-        assert mu.region_mass(CarlesonSet(0.5)) == pytest.approx(2.0)
+        assert mu.region_masses(CarlesonSet, [0.5, -0.5, 0.0]).tolist() == [2.0, 1.0, 3.0]
 
 
 class TestBasisGram:

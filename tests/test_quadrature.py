@@ -22,6 +22,7 @@ from bergman_lab import (
     standard,
 )
 from bergman_lab.quadrature import (
+    _BLOCK_NODES,
     DiscQuadrature,
     _jacobi_rings,
     _polar_rule,
@@ -90,13 +91,9 @@ class TestRegionQuadrature:
         from bergman_lab import quadrature
 
         built = []
-        build = quadrature._build
-
-        def counted(region, resolution):
-            built.append(resolution)
-            return build(region, resolution)
-
-        monkeypatch.setattr(quadrature, "_build", counted)
+        disk_map, carleson_rule = quadrature._disk_map, quadrature._carleson_rule
+        monkeypatch.setattr(quadrature, "_disk_map", lambda d, n: built.append(n) or disk_map(d, n))
+        monkeypatch.setattr(quadrature, "_carleson_rule", lambda a, n: built.append(n) or carleson_rule(a, n))
         region_quadrature(pseudo_disk(0.2 + 0.1j, 0.3), 16)
         region_quadrature(pseudo_disk(0.5, 0.4), 16)
         assert built == [16, 16]
@@ -146,9 +143,9 @@ class TestRegionQuadrature:
         from bergman_lab import quadrature
 
         built = []
-        build, area = quadrature._build, quadrature._carleson_area
+        build, area = quadrature._carleson_rule, quadrature._carleson_area
         monkeypatch.setattr(quadrature, "_carleson_area", lambda m: area(m) * (1.0 + 1e-5))
-        monkeypatch.setattr(quadrature, "_build", lambda g, n: built.append(n) or build(g, n))
+        monkeypatch.setattr(quadrature, "_carleson_rule", lambda a, n: built.append(n) or build(a, n))
         with pytest.raises(PrecisionError, match="not resolved at resolution 1024"):
             region_quadrature(CarlesonSet(0.5 + 0.1j), 128)
         assert built == [128, 256, 512, 1024]
@@ -179,6 +176,83 @@ class TestRegionQuadrature:
         ratios = [areas[i] / areas[i + 1] for i in range(2)]
         for r in ratios:
             assert 3.0 < r < 5.0  # quarters of (1-rho) give factor ~4
+
+
+def _family(resolution):
+    """Pseudo-disks and Carleson sets at 0, at real, complex and shared moduli, interleaved.
+
+    At resolution 16 the 11 disks span two blocks, and the 38 anchors of modulus 0.5 three.
+    """
+    ring = [0.5 * np.exp(2j * np.pi * k / 20) for k in range(20)]  # each of modulus 0.5 as a float
+    return [
+        *[CarlesonSet(a) for a in (0.5, -0.5j, -0.5, 0.5j) * 4],
+        CarlesonSet(0.0), pseudo_disk(0.2 + 0.1j, 0.3), CarlesonSet(0.9), CarlesonSet(0.5j),
+        *[pseudo_disk(z, 0.4) for z in ring[:9]], CarlesonSet(-0.5), CarlesonSet(0.6 - 0.3j),
+        *[CarlesonSet(z) for z in ring], CarlesonSet(1.0 - 2.0**-12), pseudo_disk(0.0, 0.9),
+    ]
+
+
+class TestRegionIntegrals:
+    @pytest.mark.parametrize("resolution", [4, 16, 48])
+    def test_block_rows_are_the_rules_of_their_regions(self, resolution):
+        # resolution 4 escalates the Carleson rules near the boundary (to 8 at |a| = 0.9)
+        from bergman_lab.quadrature import _region_blocks
+
+        regions = _family(resolution)
+        seen, blocks = [], list(_region_blocks(regions, resolution))
+        # 11 disks and the 38 anchors of modulus 0.5 in blocks of at most _BLOCK_NODES
+        # nodes (or one rule), then one block per other modulus
+        rule = region_quadrature(CarlesonSet(0.5), resolution)
+        disks, sets = max(1, _BLOCK_NODES // (4 * resolution**2)), max(1, _BLOCK_NODES // rule.weights.size)
+        assert len(blocks) == -(-11 // disks) + -(-38 // sets) + 4
+        for index, nodes, weights in blocks:
+            weights = np.broadcast_to(weights, nodes.shape)
+            for k, row_nodes, row_weights in zip(index, nodes, weights):
+                rule = region_quadrature(regions[k], resolution)
+                assert np.array_equal(row_nodes, rule.nodes)
+                assert np.array_equal(row_weights, rule.weights)
+            seen.extend(index)
+        assert sorted(seen) == list(range(len(regions)))
+
+    @pytest.mark.parametrize("resolution", [4, 16, 48])
+    @pytest.mark.parametrize("u", [power_one_minus_z(0.5), standard(1.5), constant(2.0)])
+    def test_entries_are_the_rules_integrals(self, u, resolution):
+        from bergman_lab.quadrature import region_integrals
+
+        regions = _family(resolution)
+        want = [region_quadrature(e, resolution).integrate(u) for e in regions]
+        assert region_integrals(u, regions, resolution).tolist() == want
+        assert region_integrals(u, regions[3:4], resolution).tolist() == want[3:4]
+
+    def test_one_rule_per_modulus_of_the_carleson_sets(self, monkeypatch):
+        from bergman_lab import quadrature
+
+        anchors = []
+        build = quadrature.region_quadrature
+        monkeypatch.setattr(quadrature, "region_quadrature",
+                            lambda e, n=48: anchors.append(e.anchor) or build(e, n))
+        quadrature.region_integrals(constant(), _family(16), 16)
+        # S(0), S(0.5), S(0.9), S(|0.6 - 0.3j|) and S(1 - 2^-12), each at the real point |a|
+        assert sorted(a.real for a in anchors) == sorted([0.0, 0.5, 0.9, abs(0.6 - 0.3j), 1.0 - 2.0**-12])
+        assert all(a.imag == 0.0 for a in anchors)
+
+    def test_carleson_rule_is_the_turned_rule_of_its_modulus(self):
+        # a subnormal anchor too: there a / abs(a) is 8e-12 off the unit circle
+        for a in (0.6 - 0.3j, -0.5, 0.9j, 0.3 * np.exp(2j), 1.2022125365e-313 + 1.872335091e-313j):
+            rule, base = region_quadrature(CarlesonSet(a), 32), region_quadrature(CarlesonSet(abs(a)), 32)
+            assert np.allclose(rule.nodes, base.nodes * (a / abs(a)), rtol=0.0, atol=1e-11)
+            assert np.allclose(np.abs(rule.nodes), np.abs(base.nodes), rtol=1e-15, atol=0.0)
+            assert np.array_equal(rule.weights, base.weights)
+            assert (rule.region, rule.resolution) == (CarlesonSet(a), 32)
+
+    @pytest.mark.parametrize("bad", [0.5, None, disc_rule(8, 16)])
+    def test_only_geometry_regions(self, bad):
+        from bergman_lab.quadrature import region_integrals
+
+        with pytest.raises(DomainError, match="PseudoDisk or a CarlesonSet"):
+            region_integrals(constant(), [CarlesonSet(0.2), bad], 16)
+        with pytest.raises(DomainError, match="resolution"):
+            region_integrals(constant(), [CarlesonSet(0.2)], 2)
 
 
 class TestBetaMoments:

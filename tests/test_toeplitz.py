@@ -373,13 +373,13 @@ class TestSchatten:
         assert rep.index_value == float(np.sum(T.eigenvalues()[::-1] ** 2))
 
     def test_invalid_constant(self):
-        # h(C lambda) with C <= 0 tests nothing; both Schatten tests refuse it
+        # h(C lambda) with C <= 0, or not finite, tests nothing; both Schatten tests refuse it
         m = build_kernel_model(constant(), 40)
         T = assemble(power_density(1.0), m)
-        for C in (0.0, -1.0):
-            with pytest.raises(DomainError):
+        for C in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="constant C"):
                 schatten_membership_report(T, ("power", 2.0), C=C)
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="constant C"):
                 schatten_integral(power_density(1.0), m, ("power", 2.0), C=C)
 
 

@@ -226,8 +226,9 @@ class TestTBerezin:
                 assert len(built) == 1
 
     def test_requires_positive_t(self, model_u1_small):
-        with pytest.raises(DomainError):
-            t_berezin(power_density(1.0), model_u1_small, 0.0, 0.1)
+        for t in (0.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="exponent"):
+                t_berezin(power_density(1.0), model_u1_small, t, 0.1)
 
 
 class TestAverageFunction:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bergman_lab import (
     CarlesonSet,
     DomainError,
+    EvaluationError,
     bekolle_constant,
     boundary_ladder,
     constant,
@@ -20,9 +21,9 @@ from bergman_lab import (
     standard,
     weight_from_config,
 )
-from bergman_lab import weights
+from bergman_lab import quadrature, weights
 from bergman_lab.quadrature import _polar_rule, disc_rule, region_quadrature
-from bergman_lab.weights import _joint_average, on_moduli
+from bergman_lab.weights import _joint_averages, on_moduli
 
 _XS = np.linspace(-1, 1, 8)
 _WEIGHTS = [
@@ -49,6 +50,14 @@ def _reference_mass(u, z, r, resolution):
     x, w = _polar_rule(resolution, 4 * resolution, 1.0)
     rho = d.euclid_radius
     return float(np.sum(rho**2 * w * u(d.euclid_center + rho * x)))
+
+
+def _two_pass_average(u, p, region, resolution):
+    """<u>_E (<u^(-p'/p)>_E)^(p-1) from two integrations on region_quadrature: one of u, one of u^(-p'/p)."""
+    q = region_quadrature(region, resolution)
+    m1 = q.integrate(u)
+    m2 = q.integrate(lambda z: np.asarray(u(z), dtype=float) ** (-1.0 / (p - 1.0)))
+    return (m1 / q.area) * (m2 / q.area) ** (p - 1.0)
 
 
 class TestWeightEvaluation:
@@ -235,25 +244,26 @@ class TestJointAverages:
     def test_one_evaluation_is_the_two_pass_average(self, u):
         # u at the nodes once, both moments from those values: bit for bit the
         # two integrations, one of u and one of u^(-p'/p)
-        for region, resolution in ((CarlesonSet(0.6 - 0.3j), 48), (CarlesonSet(0.0), 16),
-                                   (pseudo_disk(-0.4j, 0.3), 32)):
-            q = region_quadrature(region, resolution)
+        anchors = [0.6 - 0.3j, 0.0, -0.4j, 0.3, 0.3j, -0.4j]
+        for region_of, resolution in ((CarlesonSet, 48), (CarlesonSet, 16),
+                                      (lambda a: pseudo_disk(a, 0.3), 32)):
             for p in (1.5, 2.0, 4.0):
-                m1 = q.integrate(u)
-                m2 = q.integrate(lambda z: np.asarray(u(z), dtype=float) ** (-1.0 / (p - 1.0)))
-                want = (m1 / q.area) * (m2 / q.area) ** (p - 1.0)
-                assert _joint_average(u, p, region, resolution) == want
+                want = [_two_pass_average(u, p, region_of(a), resolution) for a in anchors]
+                assert _joint_averages(u, p, region_of, anchors, resolution) == want
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, -0.5])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_turned_carleson_rules_match_their_own(self, gamma, p):
-        # S(a) = (a / |a|) S(|a|): a turned rule against the rule built at a
+        # S(a) = (a / |a|) S(|a|): the rule of S(|a|) turned to each point, shared
+        # by the points of one modulus, is region_quadrature(S(a)) bit for bit
         u = power_one_minus_z(gamma)
         rep = bekolle_constant(u, p, anchors=[0.3, -0.5j, 0.9 * np.exp(2j), 0.0, 0.3j],
                                ladder=boundary_ladder(12, 16))
-        got = np.array([v for _, v in rep.per_point])
-        want = np.array([_joint_average(u, p, CarlesonSet(complex(a)), 48) for a, _ in rep.per_point])
-        assert np.max(np.abs(got - want) / want) <= 1e-13
+        want = [_two_pass_average(u, p, CarlesonSet(complex(a)), 48) for a, _ in rep.per_point]
+        assert [v for _, v in rep.per_point] == want
+        rep = cp_constant(u, p, 0.3, centers=[0.3, -0.5j, 0.0], ladder=boundary_ladder(4, 8))
+        want = [_two_pass_average(u, p, pseudo_disk(a, 0.3), 32) for a, _ in rep.per_point]
+        assert [v for _, v in rep.per_point] == want
 
     @given(st.floats(min_value=0.2, max_value=0.8))
     @settings(max_examples=10, deadline=None)
@@ -311,7 +321,7 @@ class TestPerModulus:
              lambda a: pseudo_disk(a, 0.3), 32),
         ):
             got = np.array([v for _, v in report.per_point])
-            want = np.array([_joint_average(u, p, region_of(complex(a)), resolution)
+            want = np.array([_two_pass_average(u, p, region_of(complex(a)), resolution)
                              for a, _ in report.per_point])
             assert len(got) == len(anchors) + 12
             # the rules differ by a rotation, so only rounding separates them; the
@@ -322,25 +332,25 @@ class TestPerModulus:
     def test_constant_weight_constants_are_bit_identical(self):
         anchors = [0.3, 0.3j, -0.7, 0.7 * np.exp(1j)]
         rep = cp_constant(constant(2.0), 2.0, 0.4, centers=anchors)
-        want = [_joint_average(constant(2.0), 2.0, pseudo_disk(a, 0.4), 32) for a in anchors]
+        want = [_two_pass_average(constant(2.0), 2.0, pseudo_disk(a, 0.4), 32) for a in anchors]
         assert [v for _, v in rep.per_point] == want
 
 
 def _count_disks(monkeypatch):
-    """Wrap disk_integrals wherever bergman_lab holds it; returns the disk counts."""
+    """Wrap region_integrals wherever bergman_lab holds it; returns the region counts."""
     import sys
 
     from bergman_lab import quadrature
 
-    original, counts = quadrature.disk_integrals, []
+    original, counts = quadrature.region_integrals, []
 
-    def counted(f, disks, resolution):
-        counts.append(len(disks))
-        return original(f, disks, resolution)
+    def counted(f, regions, resolution):
+        counts.append(len(regions))
+        return original(f, regions, resolution)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("bergman_lab") and getattr(mod, "disk_integrals", None) is original:
-            monkeypatch.setattr(mod, "disk_integrals", counted)
+        if name.startswith("bergman_lab") and getattr(mod, "region_integrals", None) is original:
+            monkeypatch.setattr(mod, "region_integrals", counted)
     return counts
 
 
@@ -407,12 +417,34 @@ def test_profile_lp_norm_integrates_one_disk_per_shell(monkeypatch):
         assert counts == [48, 48]
 
 
-def test_non_radial_bekolle_constant_builds_one_rule_per_ring(monkeypatch):
+def test_non_radial_bekolle_constant_builds_one_rule_per_modulus(monkeypatch):
     anchors = _record_carleson_anchors(monkeypatch)
     ladder = boundary_ladder(12, 16)
+    points = ladder.points()
     bekolle_constant(power_one_minus_z(0.5), 3.0, ladder=ladder)
-    # one rule of S(rho) per ring radius rho, turned to the ring's 16 points
-    assert anchors == [complex(r) for r in ladder.radii]
+    # one rule of S(rho) per distinct |a| as a float (25 on 12 rings), turned to each point
+    moduli = sorted(set(np.hypot(points.real, points.imag).tolist()))
+    assert len(moduli) == 25 and sorted(a.real for a in anchors) == moduli
+    assert all(a.imag == 0.0 for a in anchors)
     anchors.clear()
     bekolle_constant(power_one_minus_z(0.5), 3.0, anchors=[0.5j, -0.5, 0.5, 0.25j])
-    assert anchors == [0.25, 0.5]
+    assert anchors == [0.5, 0.25]
+
+
+def test_non_radial_cp_constant_builds_no_region_rule(monkeypatch):
+    # its pseudo-disks are mapped in blocks, as disk masses are
+    built = []
+    monkeypatch.setattr(quadrature, "region_quadrature", lambda *a: built.append(a) or region_quadrature(*a))
+    cp_constant(power_one_minus_z(0.5), 3.0, 0.3, ladder=boundary_ladder(12, 16))
+    assert built == []
+
+
+def test_overflowing_second_moment_reads_inf():
+    # u^(-p'/p) = (1 - |z|^2)^(-300) overflows near the boundary of S(0.9): +inf, not an error
+    rep = bekolle_constant(standard(150), 1.5, anchors=[0.9], ladder=boundary_ladder(3, 4))
+    assert rep.index_value == np.inf and rep.verdict == "divergent"
+    # a finite second moment whose power (m2 / |E|)^(p-1) overflows a float (OverflowError before)
+    assert bekolle_constant(standard(75), 3.0, anchors=[0.99]).index_value == np.inf
+    # a u that is not finite at a node still raises
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="not finite at node"):
+        bekolle_constant(power_one_minus_z(-400.0), 2.0, anchors=[0.9])
