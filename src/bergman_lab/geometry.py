@@ -156,6 +156,15 @@ def _doubled(r):
 _PRUNE_MARGIN = 1e-3
 # index pairs per block of _close_pairs: bounds the memory of an audit
 _BLOCK_PAIRS = 1 << 13
+# the threshold of the first pass of min_separation and covering_fraction,
+# relative to the lattice radius: a greedy lattice has its closest pairs near
+# r/2 and, on check 8's audit grid, every grid point within 0.75 r of a point,
+# and windows at 0.75 r meet about 0.75^2 of the pairs of windows at r
+_FIRST_PASS = 0.75
+# the least threshold at which _near_counts counts inner windows: on check 8's
+# grid its cost crosses the pairs it saves between 0.55 and 0.69 (the
+# multiplicity thresholds of r = 0.3 and 0.4)
+_INNER_FROM = 0.6
 
 
 def _segments(starts, counts):
@@ -164,37 +173,86 @@ def _segments(starts, counts):
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
 
 
+def _blocks(counts):
+    """Ranges [a, b) of consecutive entries of counts that hold pairs, cut
+    where the running count passes a multiple of _BLOCK_PAIRS: a block holds
+    fewer than _BLOCK_PAIRS pairs plus the count of its first entry."""
+    total = np.cumsum(counts)
+    if not total.size:
+        return
+    cuts = np.searchsorted(total, np.arange(_BLOCK_PAIRS, total[-1], _BLOCK_PAIRS), "right").tolist()
+    for a, b in zip([0, *cuts], [*cuts, total.size]):
+        if b > a and total[b - 1] > (total[a - 1] if a else 0):
+            yield a, b
+
+
+def _disk_form(aq, thr):
+    """(c, c^2 - R^2) of the Euclidean disk Delta(q, thr) for each |q| in the array aq.
+
+    c = (1 - thr^2) |q| / (1 - thr^2 |q|^2) is the distance of its centre
+    along the ray of q and R = thr (1 - |q|^2) / (1 - thr^2 |q|^2) its
+    radius; c^2 - R^2 is negative exactly where the disk holds the origin.
+    """
+    s = thr * thr
+    den = 1.0 - s * aq * aq
+    c, R = (1.0 - s) * aq / den, thr * (1.0 - aq * aq) / den
+    # c - R = (|q| - thr)(1 + thr |q|) / den keeps the sign of |q| - thr exactly
+    return c, (aq - thr) * (1.0 + thr * aq) / den * (c + R)
+
+
+def _circle_cos(b, c, g, on_boundary):
+    """f(b) = (b^2 + g) / (2 b c), clipped to [-1, 1], with g = c^2 - R^2.
+
+    The circle |w| = b meets Delta(q, thr) (_disk_form) where cos t > f(b),
+    t the angular gap to q.  No scale that underflows or vanishes (q = 0,
+    or b = 0) is divided by: there f is -1 or 1, and on_boundary where
+    b^2 + g = 0 too, that is where the circle lies on the disk's boundary
+    circle or is the point 0 on it.
+    """
+    num, scale = b * b + g, 2.0 * b * c
+    mag = np.maximum(scale, np.abs(num))
+    return np.divide(num, mag, out=np.full_like(num, on_boundary), where=mag > 0.0)
+
+
 def _disk_window(aq, b_lo, b_hi, thr):
     """Angular half-width beyond which no point with modulus in [b_lo, b_hi]
     lies in Delta(q, thr), for each |q| in the array aq.
 
-    Delta(q, thr) is the Euclidean disk centred on the ray of q at distance
-    c = (1 - thr^2) |q| / (1 - thr^2 |q|^2), of radius
-    R = thr (1 - |q|^2) / (1 - thr^2 |q|^2).  The circle |w| = b meets it
-    where cos t > f(b) = (b^2 + c^2 - R^2) / (2 b c), t the angular gap to
-    q.  Over the band f is least at b = sqrt(c^2 - R^2), clipped to the
-    band (at b_lo where c < R, that is where the disk holds the origin), and
-    the half-width is the arccos of that least value.  It is pi (no window)
+    The circle |w| = b meets the disk where cos t > f(b) (_circle_cos).
+    Over the band f is least at b = sqrt(c^2 - R^2), clipped to the band (at
+    b_lo where c < R, that is where the disk holds the origin), and the
+    half-width is the arccos of that least value.  It is pi (no window)
     where a circle of the band lies inside the disk, and for thr >= 1.
     """
     aq = np.asarray(aq, dtype=float)
     if thr >= 1.0:
         return np.full(aq.shape, np.pi)
-    s = thr * thr
-    den = 1.0 - s * aq * aq
-    c, R = (1.0 - s) * aq / den, thr * (1.0 - aq * aq) / den
-    # c - R = (|q| - thr)(1 + thr |q|) / den keeps the sign of |q| - thr exactly
-    g = (aq - thr) * (1.0 + thr * aq) / den * (c + R)
+    c, g = _disk_form(aq, thr)
     b = np.clip(np.sqrt(np.maximum(g, 0.0)), b_lo, b_hi)
-    num, scale = b * b + g, 2.0 * b * c
-    # f = num / scale, clipped to [-1, 1] without dividing by a scale that
-    # underflows or vanishes (q = 0, or b = 0)
-    mag = np.maximum(scale, np.abs(num))
-    cos = np.divide(num, mag, out=np.zeros_like(num), where=mag > 0.0)
-    return np.arccos(cos)
+    return np.arccos(_circle_cos(b, c, g, 0.0))
 
 
-def _close_pairs(q, p, thr):
+def _inner_window(aq, b_lo, b_hi, thr):
+    """Angular half-width within which every point with modulus in
+    [b_lo, b_hi] lies in Delta(q, thr), for each |q| in the array aq: the
+    dual of _disk_window.
+
+    A point at gap t lies in the disk where cos t > f(b) (_circle_cos).  f
+    is convex in b where the disk misses the origin and increasing where it
+    holds it, so over the band it is largest at b_lo or b_hi, and the
+    half-width is the arccos of that largest value: 0 (no point) where a
+    circle of the band misses the disk, and pi where every circle lies
+    inside it, or for thr >= 1.  Only gaps strictly below it are certified.
+    """
+    aq = np.asarray(aq, dtype=float)
+    if thr >= 1.0:
+        return np.full(aq.shape, np.pi)
+    c, g = _disk_form(aq, thr)
+    # a circle on the boundary holds no point of the open disk
+    return np.arccos(np.maximum(_circle_cos(b_lo, c, g, 1.0), _circle_cos(b_hi, c, g, 1.0)))
+
+
+def _close_pairs(q, p, thr, inner=None):
     """Blocks (i, j) of flat index arrays that hold, once each, every pair
     with pseudo_distance(q[i], p[j]) < thr.
 
@@ -204,15 +262,22 @@ def _close_pairs(q, p, thr):
     own angular window: the members whose angular gap lies inside the
     _disk_window of q on the band's moduli.  Both are taken at
     thr (1 + _PRUNE_MARGIN).  A half-width of pi (no window) meets each
-    member once, and for thr >= 1 nothing is pruned.  A block holds at most
-    max(_BLOCK_PAIRS, len(p)) pairs.
+    member once, and for thr >= 1 nothing is pruned.  A block holds fewer
+    than _BLOCK_PAIRS pairs plus those of one point of q (_blocks).
+
+    Given an int array inner over q, the members at a gap strictly inside
+    the _inner_window of q, taken at thr (1 - _PRUNE_MARGIN), are within thr
+    of it: each is added to inner[i] by its index range alone and is not
+    handed out, so only the fringe between the two windows is.  The bands
+    are then half as wide, as the inner window is the narrowest gap over a
+    band.
     """
     q, p = np.asarray(q), np.asarray(p)
     aq, ap = np.abs(q), np.abs(p)
     if np.any(aq >= 1.0) or np.any(ap >= 1.0):
         raise DomainError("lattice and audit points must lie in the open unit disc")
-    thr = thr * (1.0 + _PRUNE_MARGIN)
-    width = 0.5 * math.atanh(thr) if thr < 1.0 else math.inf
+    thr_in, thr = thr * (1.0 - _PRUNE_MARGIN), thr * (1.0 + _PRUNE_MARGIN)
+    width = (0.5 if inner is None else 0.25) * math.atanh(thr) if thr < 1.0 else math.inf
     p_band = np.floor(np.arctanh(ap) / width).astype(int)
     p_order = np.argsort(p_band, kind="stable")
     q_order = np.argsort(aq, kind="stable")
@@ -226,6 +291,8 @@ def _close_pairs(q, p, thr):
         first = np.searchsorted(aq_sorted, b_lo, "left")
         last = np.searchsorted(aq_sorted, pseudo_add(a_hi, thr), "right")
         sel = q_order[first:last]
+        if not sel.size:
+            continue
         order = np.argsort(p_angle[members], kind="stable")
         ang = p_angle[members][order]
         ext = np.concatenate([ang - 2.0 * np.pi, ang, ang + 2.0 * np.pi])
@@ -234,17 +301,31 @@ def _close_pairs(q, p, thr):
         lo = np.searchsorted(ext, q_angle[sel] - half, "left")
         # members.size consecutive entries of ext hold each member once
         counts = np.minimum(np.searchsorted(ext, q_angle[sel] + half, "right") - lo, members.size)
-        step = max(1, _BLOCK_PAIRS // max(1, int(np.max(counts, initial=0))))
-        for k in range(0, sel.size, step):
-            c = counts[k : k + step]
-            if np.any(c):
-                yield np.repeat(sel[k : k + step], c), ext_members[_segments(lo[k : k + step], c)]
+        starts, spans = lo[:, None], counts[:, None]
+        if inner is not None:
+            # the open interval of the inner window, inside the outer one
+            h = _inner_window(aq[sel], a_lo, a_hi, thr_in)
+            end = lo + counts
+            i_lo = np.clip(np.searchsorted(ext, q_angle[sel] - h, "right"), lo, end)
+            i_hi = np.clip(np.searchsorted(ext, q_angle[sel] + h, "left"), i_lo, end)
+            inner[sel] += i_hi - i_lo
+            starts, spans = np.stack([lo, i_hi], axis=1), np.stack([i_lo - lo, end - i_hi], axis=1)
+        per_point = spans.sum(axis=1)
+        for a, b in _blocks(per_point):
+            yield np.repeat(sel[a:b], per_point[a:b]), ext_members[
+                _segments(starts[a:b].ravel(), spans[a:b].ravel())
+            ]
 
 
 def _near_counts(q, p, thr):
-    """For each point z of q, how many points w of p have pseudo_distance(z, w) < thr."""
+    """For each point z of q, how many points w of p have pseudo_distance(z, w) < thr.
+
+    From thr = _INNER_FROM on, the members inside an inner window are
+    counted by _close_pairs itself, and pseudo_distance runs on the fringe
+    it hands out: there the windows hold enough members to pay for it.
+    """
     counts = np.zeros(len(q), dtype=int)
-    for i, j in _close_pairs(q, p, thr):
+    for i, j in _close_pairs(q, p, thr, counts if thr >= _INNER_FROM else None):
         counts += np.bincount(i[pseudo_distance(q[i], p[j]) < thr], minlength=len(q))
     return counts
 
@@ -283,8 +364,15 @@ class Lattice:
     A half-width of pi means no window: the point meets the whole band.
     build_lattice takes its bands one candidate ring at a time and turns
     each window into candidate indices (_index_window); the audits take any
-    point set, a loaded one too, cut into bands of hyperbolic radius.  The
-    values are those of the plain all-pairs greedy and audits, bit for bit.
+    point set, a loaded one too, cut into bands of hyperbolic radius.
+    Counting audits with wide disks (thr >= _INNER_FROM, the multiplicity
+    from r = 1/3 on) also take the dual proof, at thr (1 - _PRUNE_MARGIN):
+    the narrowest such gap over the band certifies every pair inside it
+    (_inner_window), which is counted without a distance.  min_separation
+    and covering_fraction first take the pairs within 0.75 r, which decide
+    them on a greedy lattice, and the pass within r only where they do not.
+    The values are those of the plain all-pairs greedy and audits, bit for
+    bit.
     """
 
     radius: float
@@ -296,17 +384,28 @@ class Lattice:
         """Minimum pairwise pseudo-distance (the disjointness certificate).
 
         Pairs go in the orientation pseudo_distance(points[i], points[j]),
-        i < j.  If no pair within the lattice radius is below it, the
-        minimum may lie outside the window, so every pair is audited.
+        i < j.  A first pass keeps the pairs within 0.75 r (_FIRST_PASS r):
+        a minimum below that is the least of all pairs.  Otherwise the pass
+        within r decides, and if no pair within the lattice radius is below
+        it, the minimum may lie outside the window, so every pair is audited.
         """
-        best = _min_pair_distance(self.points, self.radius)
-        if best >= self.radius:
-            best = _min_pair_distance(self.points, 1.0)
+        for thr in (_FIRST_PASS * self.radius, self.radius, 1.0):
+            best = _min_pair_distance(self.points, thr)
+            if best < thr:
+                break
         return min(1.0, best)
 
     def covering_fraction(self, grid):
-        """Fraction of grid points lying in some Delta(a_k, radius)."""
-        covered = _near_counts(np.asarray(grid), self.points, self.radius) > 0
+        """Fraction of grid points lying in some Delta(a_k, radius).
+
+        A first pass within 0.75 r (_FIRST_PASS r) covers most grid points;
+        only the others are searched within r.
+        """
+        grid = np.asarray(grid)
+        covered = _near_counts(grid, self.points, _FIRST_PASS * self.radius) > 0
+        rest = np.flatnonzero(~covered)
+        if rest.size:
+            covered[rest] = _near_counts(grid[rest], self.points, self.radius) > 0
         return float(np.mean(covered))
 
     def multiplicity(self, grid):
@@ -428,11 +527,12 @@ def build_lattice(r, r_max=0.995):
     of a point of modulus b on the ring's circle |w| = rho, one array call
     per ring for the last five rings and the ring itself.
     Near the origin, where no window exists, a point meets the whole ring.
-    One array pass per earlier ring marks the candidates that clash with
-    its points, so the pairs in memory at once are those of two rings.  The
-    survivors then meet the earlier survivors of their own ring
-    within the same index reach, wrapping around index 0, and one scan in
-    index order accepts those with no accepted near neighbour.  Every pair
+    One array pass per candidate ring, in blocks of about _BLOCK_PAIRS
+    pairs (_blocks), marks the candidates that clash with the points of any
+    of the five earlier rings.  The survivors then meet the earlier
+    survivors of their own ring within the same index reach, wrapping
+    around index 0, and one scan in index order accepts those with no
+    accepted near neighbour.  Every pair
     that can decide goes through pseudo_distance in the orientation
     (accepted, candidate), so the points are those of the plain greedy, bit
     for bit.
@@ -462,16 +562,21 @@ def _lattice(r, r_max):
     rings = []  # (rho, m, accepted indices, accepted points) per ring
     for rho, cands in _candidate_rings(r, r_max):
         m = cands.size
-        clash = np.zeros(m, dtype=bool)
         recent = rings[-window:]
         # the half-widths of a point of each recent ring, and of this ring, on |w| = rho
         half = _disk_window([b for b, *_ in recent] + [rho], rho, rho, thr)
-        for (b, m_src, k, pts), h in zip(recent, half):
-            if abs(rho - b) / (1.0 - rho * b) >= thr:
-                continue
+        # the accepted points of the recent rings within the radial bound, each
+        # with its candidate index, its ring's size and its half-width
+        near = [(k, pts, np.full(k.size, m_src), np.full(k.size, h))
+                for (b, m_src, k, pts), h in zip(recent, half)
+                if abs(rho - b) / (1.0 - rho * b) < thr]
+        clash = np.zeros(m, dtype=bool)
+        if near:
+            k, pts, m_src, h = (np.concatenate(column) for column in zip(*near))
             lo, counts = _index_window(k, m_src, m, h)
-            j = _segments(lo, counts) % m
-            clash[j[pseudo_distance(np.repeat(pts, counts), cands[j]) < sep]] = True
+            for a, b in _blocks(counts):
+                j = _segments(lo[a:b], counts[a:b]) % m
+                clash[j[pseudo_distance(np.repeat(pts[a:b], counts[a:b]), cands[j]) < sep]] = True
         keep = np.flatnonzero(~clash)
         keep = keep[_ring_greedy(cands, keep, half[-1], sep)]
         rings.append((rho, m, keep, cands[keep]))
@@ -511,9 +616,11 @@ class BoundaryLadder:
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
+        if not radii:
+            raise DomainError("a ladder needs at least one ring")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("ladder radii must be strictly increasing")
-        if radii and radii[-1] >= 1.0:
+        if radii[-1] >= 1.0:
             raise DomainError("ladder radii must stay below 1")
         if not self.samples_per_ring >= 1:
             raise DomainError(f"ladder needs at least 1 sample per ring, got {self.samples_per_ring}")

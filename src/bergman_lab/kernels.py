@@ -23,11 +23,14 @@ quadrature.density_rule of u: for a radial u, Gauss-Jacobi in |z|^2 with u
 folded into its weights, which is exact for the reproducing pairing and for
 ||K_w||_2^2 and never evaluates u; for a general u, Gauss-Legendre in r with
 u, evaluated once per call, folded into its weights.  Off a rule, kernels
-and polynomials are Horner sums; at the nodes of a centered polar rule (the norm rule, the
-density rule of DiscMeasure.integrate_at) every polynomial, kernel and
-quadratic form e^T M conj(e) (the kernel diagonal, Berezin values) takes one
-FFT per ring (quadrature.ring_values), so no per-node Horner or power table
-runs there.  A radial model's reproducing pairing <f, K_w> needs no node
+and polynomials are Horner sums, and a radial model's diagonal forms
+sum_n M_n / G_n |z|^(2n) (the kernel diagonal, a radial pair's Berezin
+numerator) take one Horner pass per distinct |z|^2, with the forms that
+share points in the same pass (_radial_forms); at the nodes of a centered
+polar rule (the norm rule, the density rule of DiscMeasure.integrate_at)
+every polynomial, kernel and quadratic form e^T M conj(e) (the kernel
+diagonal, Berezin values) takes one FFT per ring (quadrature.ring_values),
+so no per-node Horner or power table runs there.  A radial model's reproducing pairing <f, K_w> needs no node
 values at all: its norm rule has one weight per ring, so the node sum is
 taken ring by ring from the coefficients of f and K_w (quadrature.ring_pairing).
 
@@ -158,16 +161,17 @@ class KernelModel:
         which on a ring is b(0) + 2 Re sum_(d>=1) b(d) e^(i d theta) for the
         diagonal sums b(d) = sum_k Q[k + d, k] rho^(2k + d): one FFT per ring,
         with no (degree+1) x nodes array.  A radial model with a diagonal M has
-        Q_nn = M_nn / G_nn, a real Horner sum in x = |z|^2 (one value per ring).
+        Q_nn = M_nn / G_nn, a real Horner sum in x = |z|^2: one value per ring,
+        or off a rule one per distinct x (_radial_forms).
         """
         M = np.asarray(M)
         on_rule = isinstance(z, DiscQuadrature)
         n = np.arange(self.degree + 1)
         if self.is_radial and M.ndim == 1:
-            q = M / self.diag_norms
             if on_rule:
+                q = M / self.diag_norms
                 return np.real(ring_values(z, lambda rho: (rho[:, None] ** 2) ** n @ q[:, None]))
-            return np.polynomial.polynomial.polyval(np.abs(np.asarray(z)) ** 2, q)
+            return _radial_forms(self, M, z)
         if M.ndim == 1:
             M = np.diag(M)
         if not on_rule:
@@ -262,6 +266,24 @@ def build_kernel_model(u: Weight, degree) -> KernelModel:
     if resid_same > 1e-8:
         raise DegeneracyError(f"orthonormalization residual {resid_same:.2e} above 1e-8")
     return KernelModel(u, degree, coeffs, None, resid_same, resid_fine)
+
+
+def _radial_forms(m: KernelModel, diagonals, z):
+    """sum_n M_n / G_n x^n at x = |z|^2, for a radial model and a diagonal M or a stack of them.
+
+    diagonals is one row M (the result has z's shape) or rows M_1..M_k (the
+    result has k rows of z's shape).  x is np.abs(z) ** 2, and one Horner
+    pass (polyval, the rows as coefficient columns) runs on the distinct x
+    alone, so points of one modulus share their values and diagonals that
+    share points share the pass.  Each value sees the floating-point
+    operations of a Horner sum of its own row at its own point.
+    """
+    q = np.asarray(diagonals) / m.diag_norms
+    x = np.abs(np.asarray(z)) ** 2
+    distinct, inverse = np.unique(x, return_inverse=True)
+    values = np.polynomial.polynomial.polyval(distinct, q.T)
+    out = values[..., np.ravel(inverse)].reshape(q.shape[:-1] + x.shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def _truncated(m: KernelModel, coefs):

@@ -474,7 +474,7 @@ def region_quadrature(region, resolution=48):
     """
     if not isinstance(region, CarlesonSet):
         _, nodes, weights = next(_region_blocks([region], resolution))
-        return DiscQuadrature(nodes[0], weights[0], region, int(resolution))
+        return DiscQuadrature(*_read_only(nodes[0], weights[0]), region, int(resolution))
     if resolution < 4:
         raise DomainError("resolution must be at least 4")
     res = int(resolution)

@@ -32,6 +32,7 @@ from .geometry import BoundaryLadder
 from .kernels import (
     KernelModel,
     _norm_resolution,
+    _radial_forms,
     _solve_lower,
     _truncated,
     polynomial_values,
@@ -316,21 +317,33 @@ def h_function(spec):
     raise DomainError(f"unrecognized h spec kind {kind!r}")
 
 
-def _schatten_value(M, m, hfun, C, r_out):
-    """int_{|z|<r_out} h(C mu~_2) K_N(z, z) u dA; a diagonal M (basis_gram) on a 2 pi r dr Gauss rule."""
+def _schatten_values(M, m, hfun, C, sweep):
+    """int_{|z|<R} h(C mu~_2) K_N(z, z) u dA for each outer radius R of sweep.
+
+    A diagonal M (basis_gram of a radial pair) takes a 2 pi r dr Gauss rule
+    of 200 nodes per R, and the nodes of every R go through one Horner pass
+    for both the numerator and K_N(z, z) (kernels._radial_forms); a dense M
+    takes disc_rule(200, 800, R) per R.
+    """
     u = m.weight
     if M.ndim == 1:
         x, w = gauss_rule(200)
-        rr = 0.5 * r_out * (x + 1.0)
-        wts = 0.5 * r_out * w * 2.0 * np.pi * rr
-        pts = at = rr.astype(complex)
-    else:
+        radii = [0.5 * r_out * (x + 1.0) for r_out in sweep]
+        forms = _radial_forms(m, [M, np.ones(m.degree + 1)], np.concatenate(radii).astype(complex))
+        values = []
+        for r_out, rr, num, kd in zip(sweep, radii, *forms.reshape(2, len(sweep), x.size)):
+            wts = 0.5 * r_out * w * 2.0 * np.pi * rr
+            uv = np.asarray(u(rr.astype(complex)), dtype=float)
+            values.append(float(np.sum(wts * hfun(C * (num / kd)) * kd * uv)))
+        return values
+    values = []
+    for r_out in sweep:
         at = disc_rule(200, 800, r_out)
-        pts, wts = at.nodes, at.weights
-    kd = m.kernel_diag(at)
-    bz = m.quadratic_form(M, at) / kd
-    uv = np.asarray(u(pts), dtype=float)
-    return float(np.sum(wts * hfun(C * bz) * kd * uv))
+        kd = m.kernel_diag(at)
+        bz = m.quadratic_form(M, at) / kd
+        uv = np.asarray(u(at.nodes), dtype=float)
+        values.append(float(np.sum(at.weights * hfun(C * bz) * kd * uv)))
+    return values
 
 
 def schatten_integral(
@@ -358,8 +371,7 @@ def schatten_integral(
     if not 0.0 < C < np.inf:
         raise DomainError(f"Schatten constant C must be positive and finite, got {C}")
     hname, hfun = h_function(h)
-    M = basis_gram(m, mu)
-    values = [_schatten_value(M, m, hfun, C, R) for R in sweep]
+    values = _schatten_values(basis_gram(m, mu), m, hfun, C, sweep)
     ratio = values[-1] / values[0] if values[0] > 0 else float("inf")
     # change measured against the final (largest) value: a convergent tail
     # contributes a shrinking fraction of the limit

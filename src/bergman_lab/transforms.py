@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError
-from .kernels import _BASIS_CHUNK, KernelModel, _kernel_powers
+from .kernels import _BASIS_CHUNK, KernelModel, _kernel_powers, _radial_forms
 from .measures import DiscMeasure, basis_gram
 from .quadrature import DiscQuadrature, disc_rule
 from .reports import CriterionReport, band
@@ -51,13 +51,20 @@ def berezin_profile(mu: DiscMeasure, m: KernelModel, points):
 
     points is an array, or a centered polar rule (one FFT per ring at its nodes).
     An atomic mu at an array of points takes sum_a m_a |K_N(z, a)|^2 over its
-    atoms (_atomic_kernel_powers) and builds no Gram matrix.
+    atoms (_atomic_kernel_powers) and builds no Gram matrix.  A radial pair
+    (a diagonal M) at an array of points takes the numerator and K(z, z) in
+    one Horner pass per distinct |z|^2 (kernels._radial_forms).
     """
-    if not isinstance(points, DiscQuadrature):
-        points = np.asarray(points, dtype=complex)
-        if mu.kind == "atomic":
-            return _atomic_kernel_powers(mu, m, points, 2) / m.kernel_diag(points)
-    return m.quadratic_form(basis_gram(m, mu), points) / m.kernel_diag(points)
+    if isinstance(points, DiscQuadrature):
+        return m.quadratic_form(basis_gram(m, mu), points) / m.kernel_diag(points)
+    points = np.asarray(points, dtype=complex)
+    if mu.kind == "atomic":
+        return _atomic_kernel_powers(mu, m, points, 2) / m.kernel_diag(points)
+    M = basis_gram(m, mu)
+    if M.ndim == 1:
+        num, diag = _radial_forms(m, [M, np.ones(m.degree + 1)], points)
+        return num / diag
+    return m.quadratic_form(M, points) / m.kernel_diag(points)
 
 
 def berezin(mu: DiscMeasure, m: KernelModel, z):

@@ -405,7 +405,7 @@ def _determinism_artifacts():
     """A representative artifact bundle, rebuilt from scratch each call: the
     lattice and disk-mass result caches are emptied first."""
     geometry._lattice.cache_clear()
-    weights._radial_disk_masses.cache_clear()
+    weights._radial_masses.cache_clear()
     u = constant()
     m = build_kernel_model(u, 120)
     lat = build_lattice(0.3, 0.9)

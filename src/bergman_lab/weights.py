@@ -19,7 +19,8 @@ blocks of quadrature.region_integrals.  A radial weight, one with a
 Weight.power, integrated over Delta(z, r) or S(z) gives a number of |z| alone:
 both regions turn with their centre.  Such quantities are taken once per
 distinct modulus, at the real point |z| (on_moduli); other weights take one
-region per point.
+region per point.  The masses of a radial weight over pseudo-disks and over
+Carleson sets are kept, read-only, once per process (_radial_masses).
 """
 
 from __future__ import annotations
@@ -203,19 +204,23 @@ def on_moduli(f, points):
 def disk_masses(u: Weight, r, points, resolution):
     """u(Delta(z, r)) for every z in points, with Euclidean forms from pseudo_disk.
 
-    A radial u takes its masses from _radial_disk_masses, once per process
-    for each set of distinct |z|, on the disks centred at the real points
-    |z|; other weights take one disk per point (_region_masses).
+    A radial u takes its masses from _radial_masses, once per process for
+    each set of distinct |z|, on the disks centred at the real points |z|;
+    other weights take one disk per point (_region_masses).
     """
     if u.is_radial:
-        return on_moduli(
-            lambda moduli: _radial_disk_masses(u.power, float(r), moduli.real.tobytes(), resolution), points
-        )
+        return _radial_region_masses(u, float(r), points, resolution)
     return _region_masses(u, lambda z: pseudo_disk(z, r), points, resolution)
 
 
 def _region_masses(u: Weight, region_of, points, resolution):
-    """u(region_of(z)) for every z in points; a radial u takes one region per distinct |z|."""
+    """u(region_of(z)) for every z in points; a radial u takes one region per distinct |z|.
+
+    The Carleson masses of a radial u (region_of CarlesonSet) come from
+    _radial_masses.
+    """
+    if u.is_radial and region_of is CarlesonSet:
+        return _radial_region_masses(u, None, points, resolution)
 
     def at(pts):
         return region_integrals(u, [region_of(complex(z)) for z in pts], resolution)
@@ -223,25 +228,39 @@ def _region_masses(u: Weight, region_of, points, resolution):
     return on_moduli(at, points) if u.is_radial else at(np.ravel(points))
 
 
+def _radial_region_masses(u: Weight, r, points, resolution):
+    """_radial_masses of a radial u at the distinct moduli of the points, in the points' order."""
+    return on_moduli(
+        lambda moduli: _radial_masses(u.power, r, moduli.real.tobytes(), resolution), points
+    )
+
+
 @lru_cache(maxsize=64)
-def _radial_disk_masses(power, r, moduli, resolution):
+def _radial_masses(power, r, moduli, resolution):
     """Read-only masses of u = c (1 - |z|^2)^a, (c, a) = power, over
-    Delta(rho, r) at each distinct modulus rho, each disk centred at the
-    real point rho: the closed form c pi R^2 for a = 0, else the integral
-    of u, so constant(c) and standard(a) (c = 1) of one power agree bit for
-    bit.
+    Delta(rho, r), or over S(rho) where r is None, at each distinct modulus
+    rho, each region at the real point rho.
+
+    A disk takes the closed form c pi R^2 for a = 0; every other mass is the
+    integral of c (1 - |z|^2)^a, which is u's own value at each node for
+    constant(c) and standard(a) (c = 1) alike, so both kinds of one power
+    share an entry and every mass is region_integrals(u, ...) bit for bit.
 
     moduli is the bytes of the float64 array of moduli: a key of Python
     floats would keep one small object per modulus alive, scattered over
-    the interpreter's arenas.  One cache entry holds the masses at one set
-    of distinct moduli.
+    the interpreter's arenas.  One cache entry holds the masses of one region
+    family at one set of distinct moduli.
     """
     c, a = power
-    disks = [pseudo_disk(complex(rho), r) for rho in np.frombuffer(moduli)]
-    if a == 0.0:
-        masses = np.array([c * np.pi * float(d.euclid_radius) ** 2 for d in disks])
+    rhos = np.frombuffer(moduli)
+    if r is None:
+        regions = [CarlesonSet(complex(rho)) for rho in rhos]
     else:
-        masses = region_integrals(lambda z: c * (1.0 - np.abs(z) ** 2) ** a, disks, resolution)
+        regions = [pseudo_disk(complex(rho), r) for rho in rhos]
+    if r is not None and a == 0.0:
+        masses = np.array([c * np.pi * float(d.euclid_radius) ** 2 for d in regions])
+    else:
+        masses = region_integrals(lambda z: c * (1.0 - np.abs(z) ** 2) ** a, regions, resolution)
     masses.flags.writeable = False
     return masses
 
@@ -287,7 +306,7 @@ def _constant_report(name, parameters, averages, anchors, ladder):
     if parameters["p"] <= 1:
         raise DomainError("joint-average constants need p > 1")
     anchors = list(anchors or [])
-    on_ladder = ladder is not None and bool(ladder.radii)
+    on_ladder = ladder is not None
     if not anchors and not on_ladder:
         raise DomainError("no anchors supplied")
     per_point = list(zip(anchors, averages(anchors)))

@@ -8,12 +8,12 @@ from bergman_lab import build_kernel_model, build_lattice, constant, geometry, s
 
 def _clear_result_caches():
     geometry._lattice.cache_clear()
-    weights._radial_disk_masses.cache_clear()
+    weights._radial_masses.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_result_caches():
-    """Empty the lattice and disk-mass caches before and after every test,
+    """Empty the lattice and radial-mass caches before and after every test,
     so a test that patches a builder sees its own build and leaves none
     behind; a test that compares two runs calls the yielded function between
     them."""

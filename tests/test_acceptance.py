@@ -234,15 +234,20 @@ def test_criterion_08_lattice_certificates():
 def test_criterion_08_audit_candidates_are_pinned(monkeypatch):
     # every pair _close_pairs hands out to check 8's audits, and those within
     # their threshold.  Each audit point meets a band of lattice points in the
-    # exact angular window of its disk on the band's moduli (_disk_window):
-    # 2,465,756 candidates for 1,589,771 near pairs (1.55 per near pair).  A
-    # lower bound at the smaller modulus, min(band minimum, |z|), handed out
-    # 4,958,246 (3.1 per near pair), and one window per pair of bands, at the
-    # smaller band's least modulus, 6,793,776 (4.3 per near pair).
+    # exact angular window of its disk on the band's moduli (_disk_window).
+    # min_separation and covering_fraction take a first pass within 0.75 r,
+    # which decides both, and the multiplicity at r = 0.5 (threshold 0.8)
+    # counts the 568,986 members inside its inner windows (_inner_window)
+    # without a pair, handing out 361,278 where it evaluated 1,303,313:
+    # 1,270,254 candidates for 846,212 near pairs.  One pass within r (and
+    # 2 r / (1 + r^2)) that evaluated every windowed pair handed out
+    # 2,465,756 for 1,589,771; a lower bound at the smaller modulus,
+    # min(band minimum, |z|), 4,958,246, and one window per pair of bands,
+    # at the smaller band's least modulus, 6,793,776.
     counted = [0, 0]
 
-    def counting(q, p, thr):
-        for i, j in close_pairs(q, p, thr):
+    def counting(q, p, thr, inner=None):
+        for i, j in close_pairs(q, p, thr, inner):
             counted[0] += i.size
             counted[1] += int(np.sum(geometry.pseudo_distance(q[i], p[j]) < thr))
             yield i, j
@@ -250,7 +255,7 @@ def test_criterion_08_audit_candidates_are_pinned(monkeypatch):
     close_pairs = geometry._close_pairs
     monkeypatch.setattr(geometry, "_close_pairs", counting)
     assert verification.check_08_lattice_certificates()["passed"]
-    assert counted == [2_465_756, 1_589_771]
+    assert counted == [1_270_254, 846_212]
 
 
 def test_criterion_08_sees_a_dropped_wraparound(monkeypatch):

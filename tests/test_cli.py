@@ -305,4 +305,4 @@ def test_threads_share_the_result_caches(fresh_result_caches):
         sys.setswitchinterval(interval)
     assert all(np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) for got in results)
     assert geometry._lattice.cache_info().currsize == 1
-    assert weights._radial_disk_masses.cache_info().currsize == 1
+    assert weights._radial_masses.cache_info().currsize == 1

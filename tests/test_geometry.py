@@ -327,6 +327,44 @@ class TestWindowedLattice:
         assert np.all(pseudo_distance(q, b * np.exp(1j * (angle + t))) >= thr)
         assert np.all(pseudo_distance(q, b * np.exp(1j * (angle - t))) >= thr)
 
+    @given(
+        aq=st.floats(0.0, 0.999),
+        ends=st.tuples(st.floats(0.0, 0.9999), st.floats(0.0, 0.9999)),
+        thr=st.floats(1e-3, 0.999),
+        angle=st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    # the disk holds the origin, and the whole band
+    @example(aq=0.1, ends=(0.0, 0.2), thr=0.5, angle=0.0)
+    # q = 0, and a band from the origin to just inside the disk
+    @example(aq=0.0, ends=(0.0, 0.49), thr=0.5, angle=1.0)
+    @example(aq=5e-324, ends=(0.0, 0.5), thr=0.5, angle=0.0)
+    def test_inner_window_is_sound(self, aq, ends, thr, angle):
+        # every point with modulus in the band at an angular gap strictly
+        # inside the inner window of q is within thr of q, and the window
+        # warns nowhere
+        b_lo, b_hi = sorted(ends)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            half = float(geometry._inner_window(aq, b_lo, b_hi, thr * (1.0 - geometry._PRUNE_MARGIN)))
+            assert half <= float(geometry._disk_window(aq, b_lo, b_hi, thr * (1.0 + geometry._PRUNE_MARGIN)))
+        assert 0.0 <= half <= np.pi
+        if half == 0.0:
+            return
+        b = np.linspace(b_lo, b_hi, 33)[:, None]
+        t = np.linspace(0.0, 1.0, 33, endpoint=False)[None, :] * half
+        q = aq * np.exp(1j * angle)
+        assert np.all(pseudo_distance(q, b * np.exp(1j * (angle + t))) < thr)
+        assert np.all(pseudo_distance(q, b * np.exp(1j * (angle - t))) < thr)
+
+    def test_inner_window_is_empty_where_a_circle_misses_the_disk(self):
+        # b_hi = 0.9 lies beyond Delta(0.5, 0.3); q = 0 against a band that
+        # reaches its boundary; and a band whose circle through 0 is on it
+        assert geometry._inner_window(0.5, 0.4, 0.9, 0.3) == 0.0
+        assert geometry._inner_window(0.0, 0.1, 0.3, 0.3) == 0.0
+        assert geometry._inner_window(0.3, 0.0, 0.2, 0.3) == 0.0
+        assert geometry._inner_window(0.0, 0.0, 0.2, 0.3) == np.pi
+
     def test_disk_window_is_the_exact_gap(self):
         # at the modulus where the band meets Delta(q, thr) widest, the
         # window's edge lies on the disk's boundary circle
@@ -372,6 +410,37 @@ class TestWindowedLattice:
         rho = float(b_lo[0])
         scalar = [float(geometry._disk_window(a, rho, rho, thr)) for a in aq]
         assert np.array_equal(geometry._disk_window(list(aq), rho, rho, thr), scalar)
+
+    @given(
+        loose=st.lists(disc_points, max_size=20),
+        rings=st.lists(
+            st.tuples(st.floats(0.0, 0.97), st.integers(1, 24), st.floats(-np.pi, np.pi)),
+            max_size=5,
+        ),
+        grid=st.lists(disc_points, min_size=1, max_size=30),
+        r=st.floats(0.5, 0.95),
+    )
+    @settings(max_examples=100, deadline=None)
+    # the multiplicity threshold of r = 0.5 is 0.8; points of one modulus, q = 0
+    @example(loose=[], rings=[(0.5, 12, 0.0), (0.7, 8, 0.3)], grid=[0j, 0.6 + 0j, -0.2j], r=0.5)
+    def test_inner_window_counts_match_brute_force(self, loose, rings, grid, r):
+        # multiplicity thresholds D = 2r / (1 + r^2) >= 0.8, on points the
+        # build did not make: loose points and rings of equal moduli, read
+        # back from JSON as a Lattice
+        ring_points = [rho * np.exp(1j * (phase + 2.0 * np.pi * k / m)) for rho, m, phase in rings for k in range(m)]
+        pts = np.array(loose + ring_points, dtype=complex)
+        if not pts.size:
+            return
+        grid = np.array(grid, dtype=complex)
+        D = pseudo_add(r, r)
+        assert D >= geometry._INNER_FROM  # _near_counts takes the inner windows
+        brute = np.sum(pseudo_distance(grid[:, None], pts[None, :]) < D, axis=1)
+        assert np.array_equal(geometry._near_counts(grid, pts, D), brute)
+        text = json.dumps({
+            "r": r, "r_max": 0.97, "points": [[p.real, p.imag] for p in pts],
+            "multiplicity_bound": len(pts),
+        })
+        assert Lattice.from_json(text).multiplicity(grid) == int(np.max(brute))
 
     def test_band_out_of_reach_gives_no_pairs(self):
         # a band beyond the disk: the window is 0, and _close_pairs hands out
@@ -492,6 +561,13 @@ class TestBoundaryLadder:
     def test_monotone_radii_required(self):
         with pytest.raises(DomainError):
             BoundaryLadder(radii=(0.5, 0.4), samples_per_ring=4)
+
+    def test_one_ring_required(self):
+        # the ladder criteria ended in numpy's "need at least one array to
+        # concatenate" from points(); an empty ladder is refused where it is made
+        with pytest.raises(DomainError, match="at least one ring"):
+            BoundaryLadder(radii=(), samples_per_ring=4)
+        assert BoundaryLadder(radii=(0.5,), samples_per_ring=4).points().size == 4
 
     def test_one_sample_per_ring_required(self):
         # an empty ladder ended in numpy's zero-size reduction error

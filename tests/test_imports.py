@@ -4,7 +4,8 @@ Every import sits at module level, none inside a function body.
 
 And one choice of rule is made in one place: only quadrature.density_rule
 reads weighted_disc_rule, and only quadrature builds the rules of regions.  Only the functions of _CACHED hold a
-process-wide cache, and each docstring says what one entry holds.
+process-wide cache, and each docstring says what one entry holds.  Only
+kernels takes Horner sums (polyval).
 """
 
 import ast
@@ -135,6 +136,17 @@ def test_only_quadrature_builds_region_rules():
     }
 
 
+def test_only_kernels_reads_polyval():
+    # Horner sums off a rule run in two places: _radial_forms (one pass per
+    # distinct |z|^2 for the diagonal forms of a radial model) and
+    # polynomial_values
+    readers = set()
+    for module in _MODULES + ["__init__.py"]:
+        tree = ast.parse((_SRC / module).read_text(), filename=module)
+        readers.update((module, f) for f in _readers(tree, "polyval"))
+    assert readers == {("kernels.py", "_radial_forms"), ("kernels.py", "polynomial_values")}
+
+
 def test_finds_a_second_reader():
     tree = ast.parse(
         "def density_rule(v):\n    return weighted_disc_rule(1, 2, *v.power)\n"
@@ -146,7 +158,8 @@ def test_finds_a_second_reader():
 
 # (module, function) of every lru_cache and functools.cache in the library:
 # Gauss data, small reference rules, one float per |a|, the CLI parser, and
-# two read-only results: lattices and radial disk masses
+# two read-only results: lattices and the radial masses of disks and
+# Carleson sets
 _CACHED = {
     ("quadrature.py", "gauss_rule"),
     ("quadrature.py", "_jacobi_rings"),
@@ -154,7 +167,7 @@ _CACHED = {
     ("quadrature.py", "_carleson_area"),
     ("cli.py", "build_parser"),
     ("geometry.py", "_lattice"),
-    ("weights.py", "_radial_disk_masses"),
+    ("weights.py", "_radial_masses"),
 }
 
 

@@ -25,7 +25,13 @@ from bergman_lab import (
     reproducing_check,
     standard,
 )
-from bergman_lab.kernels import _gram_resolution, _kernel_powers, _norm_resolution, polynomial_values
+from bergman_lab.kernels import (
+    _gram_resolution,
+    _kernel_powers,
+    _norm_resolution,
+    _radial_forms,
+    polynomial_values,
+)
 from bergman_lab.quadrature import _polar_rule, monomial_gram, weighted_disc_rule
 from bergman_lab.toeplitz import _basis_coordinates
 
@@ -239,6 +245,57 @@ class TestRadialDiagonalProducts:
         C = _dense_diagonal(m)
         gram = monomial_gram(mu.density_at, m.degree, *_gram_resolution(m.degree), 1.0)
         assert np.array_equal(basis_gram(m, mu), np.conj(C) @ gram.T @ C.T)
+
+
+def _horner_at_each_point(m, row, z):
+    """sum_n M_n / G_n x^n, x = np.abs(z) ** 2 on the array, by one scalar Horner sum per point.
+
+    (numpy's scalar abs and square can differ from its array loops in the last bit.)
+    """
+    q = np.asarray(row) / m.diag_norms
+    return [np.polynomial.polynomial.polyval(x, q) for x in np.ravel(np.abs(np.asarray(z)) ** 2)]
+
+
+class TestRadialForms:
+    """kernels._radial_forms against a Horner sum of each row at each point, bit for bit."""
+
+    @given(
+        moduli=st.lists(st.floats(0.0, 0.995), min_size=1, max_size=8),
+        turns=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=4),
+        rows=st.integers(1, 3),
+        alpha=st.sampled_from([0.0, -0.5, 1.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    # one modulus at several angles, and points repeated exactly
+    @example(moduli=[0.5, 0.5, 0.0], turns=[0.0, 1.0, 1.0], rows=2, alpha=0.0)
+    def test_matches_per_point_horner(self, moduli, turns, rows, alpha):
+        m = build_kernel_model(standard(alpha), 60)
+        z = np.array([rho * np.exp(1j * t) for rho in moduli for t in turns])
+        M = np.random.default_rng(len(z)).uniform(0.5, 2.0, (rows, m.degree + 1))
+        got = _radial_forms(m, M, z)
+        assert got.shape == (rows, z.size)
+        for row, values in zip(M, got):
+            assert np.array_equal(values, _horner_at_each_point(m, row, z))
+        # one row gives z's shape, and the radial branch of quadratic_form is it
+        assert np.array_equal(_radial_forms(m, M[0], z), got[0])
+        assert np.array_equal(m.quadratic_form(M[0], z), got[0])
+        assert np.array_equal(m.kernel_diag(z), _horner_at_each_point(m, np.ones(m.degree + 1), z))
+
+    def test_shapes(self):
+        m = build_kernel_model(constant(), 20)
+        M = np.stack([np.ones(21), np.arange(1.0, 22.0)])
+        z = 0.3 + 0.4j
+        # a scalar point: one row gives a scalar, stacked rows one value each
+        one = _radial_forms(m, M[1], z)
+        assert np.ndim(one) == 0 and one == _horner_at_each_point(m, M[1], z)[0]
+        assert np.array_equal(_radial_forms(m, M, z), [_horner_at_each_point(m, row, z)[0] for row in M])
+        # a 2-D array of points keeps its shape behind the rows
+        grid = np.array([[0.1, 0.5j], [-0.5, 0.1j]])
+        got = _radial_forms(m, M, grid)
+        assert got.shape == (2, 2, 2)
+        for row, values in zip(M, got):
+            assert np.array_equal(values.ravel(), _horner_at_each_point(m, row, grid))
+        assert _radial_forms(m, M, np.array([], dtype=complex)).shape == (2, 0)
 
 
 class TestGeneralWeightPath:

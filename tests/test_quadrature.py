@@ -317,6 +317,16 @@ class TestCachedRules:
         with pytest.raises(ValueError):
             q.weights[0] = 0.0
 
+    # a pseudo-disk's arrays are row views of the block _disk_map returns
+    @pytest.mark.parametrize("region", [
+        pseudo_disk(0.2, 0.3), pseudo_disk(0.0, 0.5), pseudo_disk(-0.6j, 0.8),
+        CarlesonSet(0.0), CarlesonSet(0.5), CarlesonSet(0.5 + 0.1j),
+    ])
+    def test_every_region_rule_read_only(self, region):
+        q = region_quadrature(region, 8)
+        assert q.nodes.flags.writeable is False
+        assert q.weights.flags.writeable is False
+
 
 def _reference_gram(g, degree, n_radial, n_angular, r_max):
     """The power-matrix Gram: every monomial evaluated on every node."""

@@ -38,6 +38,7 @@ from bergman_lab import (
     weighted_area,
 )
 from bergman_lab.kernels import _norm_resolution
+from bergman_lab.quadrature import gauss_rule
 
 
 class TestMatrix:
@@ -354,6 +355,32 @@ class TestSchatten:
         # where the truncated kernel stops resolving the rim
         rep = schatten_integral(power_density(0.8), build_kernel_model(u1, 1600), ("power", 2))
         assert rep.extras["degree_times_gap"] == pytest.approx([16.0, 8.0, 1.6], rel=1e-12)
+
+    @pytest.mark.parametrize("u, t, h", [
+        (constant(), 0.8, ("power", 2)), (standard(1.0), 0.3, ("power", 1.5)),
+        (constant(2.0), 1.2, {"kind": "table", "x": [0.0, 0.5, 2.0], "y": [0.0, 0.2, 3.0]}),
+    ])
+    def test_one_pass_sweep_is_the_per_radius_integral(self, u, t, h):
+        # every radius's 200 Gauss nodes go through one Horner pass; each value
+        # is the integral at its own radius with a Horner sum per node
+        m = build_kernel_model(u, 120)
+        mu = power_density(t)
+        sweep = (0.9, 0.99, 0.995, 0.999)
+        values = schatten_integral(mu, m, h, C=1.5, sweep=sweep).extras["sweep_values"]
+        _, hfun = h_function(h)
+        M = basis_gram(m, mu)
+        x, w = gauss_rule(200)
+        for r_out, got in zip(sweep, values):
+            rr = 0.5 * r_out * (x + 1.0)
+            z = rr.astype(complex)
+            # x on the array, as numpy's scalar abs and square can differ in the last bit
+            x2 = np.abs(z) ** 2
+            kd = np.array([np.polynomial.polynomial.polyval(v, 1.0 / m.diag_norms) for v in x2])
+            num = np.array([np.polynomial.polynomial.polyval(v, M / m.diag_norms) for v in x2])
+            wts = 0.5 * r_out * w * 2.0 * np.pi * rr
+            want = float(np.sum(wts * hfun(1.5 * (num / kd)) * kd * np.asarray(u(z), dtype=float)))
+            assert got == want
+            assert schatten_integral(mu, m, h, C=1.5, sweep=(r_out,)).extras["sweep_values"] == [want]
 
     def test_membership_takes_the_cached_spectrum(self, monkeypatch):
         # the k = n block sum reads T.eigenvalues(), so a dense operator pays

@@ -21,9 +21,9 @@ from bergman_lab import (
     standard,
     weight_from_config,
 )
-from bergman_lab import quadrature, weights
-from bergman_lab.quadrature import _polar_rule, disc_rule, region_quadrature
-from bergman_lab.weights import _joint_averages, on_moduli
+from bergman_lab import quadrature, verification, weights
+from bergman_lab.quadrature import _polar_rule, disc_rule, region_integrals, region_quadrature
+from bergman_lab.weights import _joint_averages, _region_masses, on_moduli
 
 _XS = np.linspace(-1, 1, 8)
 _WEIGHTS = [
@@ -183,24 +183,54 @@ class TestDiskMasses:
         points = [0.3, 0.3j, -0.5]
         first = disk_masses(standard(0.5), 0.3, points, 32)
         again = disk_masses(standard(0.5), np.float64(0.3), points[::-1], 32)
-        assert weights._radial_disk_masses.cache_info()[:2] == (1, 1)
+        assert weights._radial_masses.cache_info()[:2] == (1, 1)
         assert np.array_equal(again, first[::-1])
         first[0] = 0.0
         assert disk_masses(standard(0.5), 0.3, points, 32)[0] == again[-1]
-        assert not weights._radial_disk_masses((1.0, 0.5), 0.3, np.array([0.3, 0.5]).tobytes(), 32).flags.writeable
+        assert not weights._radial_masses((1.0, 0.5), 0.3, np.array([0.3, 0.5]).tobytes(), 32).flags.writeable
         # standard(0) has the power (1, 0) of constant(1): the two share an entry
-        hits = weights._radial_disk_masses.cache_info().hits
+        hits = weights._radial_masses.cache_info().hits
         disk_masses(standard(0.0), 0.3, points, 32)
         disk_masses(constant(), 0.3, points, 32)
-        assert weights._radial_disk_masses.cache_info()[:2] == (hits + 1, 2)
+        assert weights._radial_masses.cache_info()[:2] == (hits + 1, 2)
 
     def test_standard_zero_is_constant_one(self):
         # one weight u == 1 under two names: the closed form pi R^2, bit for
         # bit, whichever of the two fills the cache
         points = np.linspace(0.0, 0.95, 40)
         want = disk_masses(constant(), 0.3, points, 32)
-        weights._radial_disk_masses.cache_clear()
+        weights._radial_masses.cache_clear()
         assert np.array_equal(disk_masses(standard(0.0), 0.3, points, 32), want)
+
+    @pytest.mark.parametrize("u", [constant(), constant(2.5), standard(0.0), standard(-0.5), standard(1.5)])
+    def test_radial_carleson_masses_are_the_uncached_integrals(self, u):
+        # u(S(a)) of a radial u comes from the radial-mass cache: one S(|a|)
+        # per distinct modulus, each the region_integrals of u itself
+        points = np.concatenate([boundary_ladder(6, 8).points(), [0.0, 0.3, -0.3j, 0.5 + 0.5j]])
+
+        def uncached(pts):
+            return region_integrals(u, [CarlesonSet(complex(a)) for a in pts], 48)
+
+        want = on_moduli(uncached, points)
+        got = _region_masses(u, CarlesonSet, points, 48)
+        assert np.array_equal(got, want)
+        moduli = np.unique(np.abs(points))
+        entry = weights._radial_masses(u.power, None, moduli.tobytes(), 48)
+        assert not entry.flags.writeable
+        assert np.array_equal(entry, uncached(moduli))
+
+    def test_carleson_entries_are_rebuilt_after_check_15_clears_them(self):
+        points = [0.31, 0.47j, -0.62]
+        first = _region_masses(standard(0.5), CarlesonSet, points, 48)
+        assert weights._radial_masses.cache_info().currsize == 1
+        verification._determinism_artifacts()  # empties the lattice and radial-mass caches
+        misses = weights._radial_masses.cache_info().misses
+        again = _region_masses(standard(0.5), CarlesonSet, points, 48)
+        assert weights._radial_masses.cache_info().misses == misses + 1
+        assert np.array_equal(again, first)
+        # a disk family and a Carleson family at one set of moduli are two entries
+        disk_masses(standard(0.5), 0.3, points, 48)
+        assert weights._radial_masses.cache_info().misses == misses + 2
 
     def test_pseudo_disk_validation(self):
         with pytest.raises(DomainError):
