@@ -151,8 +151,10 @@ def _doubled(r):
 
 
 # Relative slack on every pruning threshold: a pair is skipped only where its
-# exact distance is at least thr (1 + _PRUNE_MARGIN), far above the rounding of
-# pseudo_distance and np.angle, so a skipped pair also computes to >= thr.
+# exact distance is at least thr (1 + _PRUNE_MARGIN), and taken as near without
+# a distance only where it is below thr (1 - _PRUNE_MARGIN), far beyond the
+# rounding of pseudo_distance, np.angle and the index arcs of the build, so
+# the pair also computes to the same side of thr.
 _PRUNE_MARGIN = 1e-3
 # index pairs per block of _close_pairs: bounds the memory of an audit
 _BLOCK_PAIRS = 1 << 13
@@ -341,6 +343,14 @@ def _min_pair_distance(pts, thr):
     return best
 
 
+def _audit_points(grid):
+    """An audit grid as an array; DomainError if it holds no point."""
+    grid = np.asarray(grid)
+    if not grid.size:
+        raise DomainError("the audit grid is empty: an audit needs at least one grid point")
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Greedy maximal (r/2)-separated point set inside |z| <= r_max.
@@ -362,17 +372,20 @@ class Lattice:
         point gets the widest such gap over a band of moduli as its window
         half-width, and that certifies every pair outside it (_disk_window).
     A half-width of pi means no window: the point meets the whole band.
-    build_lattice takes its bands one candidate ring at a time and turns
-    each window into candidate indices (_index_window); the audits take any
-    point set, a loaded one too, cut into bands of hyperbolic radius.
-    Counting audits with wide disks (thr >= _INNER_FROM, the multiplicity
-    from r = 1/3 on) also take the dual proof, at thr (1 - _PRUNE_MARGIN):
-    the narrowest such gap over the band certifies every pair inside it
-    (_inner_window), which is counted without a distance.  min_separation
-    and covering_fraction first take the pairs within 0.75 r, which decide
-    them on a greedy lattice, and the pass within r only where they do not.
-    The values are those of the plain all-pairs greedy and audits, bit for
-    bit.
+    The dual proof, at thr (1 - _PRUNE_MARGIN), takes the narrowest such gap
+    over a band, which certifies every pair inside it (_inner_window).
+    build_lattice takes its bands one candidate ring at a time, where both
+    half-widths are scalars per ring, and turns them into index arcs
+    (_index_arcs): a candidate inside the inner arc clashes without a
+    distance, and pseudo_distance runs only on the fringe between the arcs.
+    The audits take any point set, a loaded one too, cut into bands of
+    hyperbolic radius; counting audits with wide disks (thr >= _INNER_FROM,
+    the multiplicity from r = 1/3 on) count the members inside the inner
+    window without a distance.  min_separation and covering_fraction first
+    take the pairs within 0.75 r, which decide them on a greedy lattice, and
+    the pass within r only where they do not.  The values are those of the
+    plain all-pairs greedy and audits, bit for bit; an empty audit grid
+    raises DomainError.
     """
 
     radius: float
@@ -401,7 +414,7 @@ class Lattice:
         A first pass within 0.75 r (_FIRST_PASS r) covers most grid points;
         only the others are searched within r.
         """
-        grid = np.asarray(grid)
+        grid = _audit_points(grid)
         covered = _near_counts(grid, self.points, _FIRST_PASS * self.radius) > 0
         rest = np.flatnonzero(~covered)
         if rest.size:
@@ -410,7 +423,7 @@ class Lattice:
 
     def multiplicity(self, grid):
         """Max over grid points of the number of Delta(a_k, pseudo_add(r, r)) hits."""
-        counts = _near_counts(np.asarray(grid), self.points, _doubled(self.radius))
+        counts = _near_counts(_audit_points(grid), self.points, _doubled(self.radius))
         return int(np.max(counts))
 
     def to_json(self):
@@ -431,83 +444,130 @@ class Lattice:
 
 
 def _candidate_rings(r, r_max):
-    """Outward spiral candidate stream: rings spaced ~r/8 in the pseudo metric,
-    each ring sampled finely enough that neighbouring candidates are within
-    ~r/8 of each other.  Deterministic given (r, r_max)."""
+    """Outward spiral of candidate rings (rho, m): rings spaced ~r/8 in the
+    pseudo metric, each of m candidates (_ring_points), enough that
+    neighbouring candidates are within ~r/8 of each other.  Deterministic
+    given (r, r_max); the origin is the ring (0, 1)."""
     h = r / 8.0
-    radii = [0.0]
+    rings = [(0.0, 1)]
     rho = 0.0
-    while True:
-        rho = pseudo_add(rho, h)
-        if rho >= r_max:
-            break
-        radii.append(rho)
-    radii.append(r_max)
-    rings = []
-    for rho in radii:
-        if rho == 0.0:
-            rings.append((rho, np.array([0.0 + 0.0j])))
-            continue
+    while rho < r_max:
+        rho = min(pseudo_add(rho, h), r_max)
         # Euclidean arc step mapped to pseudo step ~ rho dtheta / (1 - rho^2)
-        m = max(8, int(math.ceil(2.0 * math.pi * rho / (h * (1.0 - rho * rho)))))
-        theta = 2.0 * np.pi * np.arange(m) / m
-        rings.append((rho, rho * np.exp(1j * theta)))
+        rings.append((rho, max(8, int(math.ceil(2.0 * math.pi * rho / (h * (1.0 - rho * rho)))))))
     return rings
 
 
-def _index_window(k, m_src, m, half):
-    """First index and count of the candidates of a ring of m that can lie
-    within angular gap half of candidate k of a ring of m_src.
+def _ring_points(rho, m, j):
+    """The candidates j (an index array) of the ring (rho, m): rho e^{2 pi i j / m}."""
+    return rho * np.exp(1j * (2.0 * np.pi * j / m))
 
-    Candidate k of m sits at angle 2 pi k / m, so the window is the index
-    interval k m / m_src -+ half m / (2 pi), padded by one index on each side
-    for the rounding of rho e^{i theta} against its generating angle.  The
-    count is capped at m, so half = pi (no window) meets all m.
+
+def _index_arcs(k, m_src, m, outer, inner):
+    """The index arcs of a ring of m around candidate k of a ring of m_src,
+    for angular half-widths outer >= inner (_disk_window, _inner_window):
+    (lo, count, lo_in, count_in), indices mod m.
+
+    Candidate k sits at index c = k m / m_src, and a gap h spans
+    w = h m / 2 pi indices.  [lo, lo + count) holds the j with |j - c| <= w
+    of outer, and [lo_in, lo_in + count_in), inside it, those with
+    |j - c| < w of inner, with no pad (build_lattice argues why).  A
+    half-width of pi is the whole ring (count m, and then lo = lo_in), so the
+    fringe of k is always [lo, lo_in) and [lo_in + count_in, lo + count).
     """
     k = np.asarray(k)
-    center, width = k * (m / m_src), half * m / (2.0 * math.pi)
-    lo = np.floor(center - width).astype(int) - 1
-    hi = np.ceil(center + width).astype(int) + 1
-    return lo, np.minimum(hi - lo + 1, m)
+    c, w, w_in = k * (m / m_src), outer * m / (2.0 * math.pi), inner * m / (2.0 * math.pi)
+    lo = np.ceil(c - w).astype(int)
+    count = np.where(outer >= np.pi, m, np.minimum(np.floor(c + w).astype(int) - lo + 1, m))
+    lo_in = np.floor(c - w_in).astype(int) + 1
+    count_in = np.where(inner >= np.pi, m, np.clip(np.ceil(c + w_in).astype(int) - lo_in, 0, m))
+    return np.where(count == m, lo_in, lo), count, lo_in, count_in
 
 
-def _earlier_pairs(keep, m, half):
-    """Pairs (i, j), i < j, of positions in the sorted candidate indices keep
-    of a ring of m where keep[i] lies in the _index_window of keep[j] within
-    the ring, grouped by j.
+def _covered(lo, count, m):
+    """Mask of the indices of a ring of m in some arc [lo, lo + count), mod m, count <= m.
 
-    Where the window spans fewer than m indices, its reach g is below m / 2,
-    and an earlier i lies either at most g indices below j or, across
-    index 0, at least m - g above it: the wrap-around term.  Otherwise every
-    earlier i is taken.
+    A difference array over two turns of the ring: each arc starts within
+    the first turn, and an index is covered where either turn's depth is.
+    """
+    start = lo % m
+    depth = np.cumsum(np.bincount(start, minlength=2 * m) - np.bincount(start + count, minlength=2 * m))
+    return (depth[:m] + depth[m:]) > 0
+
+
+def _ring_gap(d, m):
+    """The index gap of two candidates d apart on a ring of m, the short way round."""
+    return min(d, m - d)
+
+
+def _ring_walk(keep, rho, m, outer, inner, sep):
+    """The positions in keep (sorted survivor indices of the ring (rho, m))
+    that the greedy accepts, in index order: each at pseudo_distance >= sep
+    from every earlier accepted one.
+
+    outer >= inner are the half-widths of a point of the ring on its own
+    circle.  An index gap below inner m / 2 pi (at most g_in) is certainly
+    near, one above outer m / 2 pi (g_out) certainly far, and the pairs of
+    survivors at a fringe gap in between go through pseudo_distance, in the
+    orientation (earlier, later), in one call ahead of the walk.  On one
+    circle the distance grows with the gap, so a survivor far from the last
+    accepted point is far from every earlier one, until the ring comes
+    within g_out of its first accepted point across index 0: up to there the
+    walk follows each accepted point to its successor, the first survivor
+    not near it, and from there it checks each survivor against every
+    accepted point within reach, either way round (_ring_gap).
     """
     n = keep.size
-    pos = np.arange(n)
-    lo, count = _index_window(0, m, m, half)
-    if count >= m:
-        below, wrapped = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    else:
-        reach = -int(lo)
-        below = np.searchsorted(keep, keep - reach, "left")
-        wrapped = np.searchsorted(keep, keep + reach - m, "right")
-    # the earlier positions of j: [below, j), then [0, wrapped)
-    starts = np.stack([below, np.zeros(n, dtype=int)], axis=1).ravel()
-    counts = np.stack([pos - below, wrapped], axis=1).ravel()
-    return _segments(starts, counts), np.repeat(pos, pos - below + wrapped)
+    if not n:
+        return keep
+    w, w_in = outer * m / (2.0 * math.pi), inner * m / (2.0 * math.pi)
+    # survivors are distinct, so g_in = 0 certifies nothing and stands for less
+    g_out = m if outer >= np.pi else math.floor(w)
+    g_in = m if inner >= np.pi else max(math.ceil(w_in) - 1, 0)
+    succ = np.searchsorted(keep, keep + g_out, "right")
+    fringe = {}
+    if g_out > g_in:
+        # pairs (p, q), p < q, at a fringe gap: d = keep[q] - keep[p] in
+        # (g_in, g_out], or m - d there across index 0
+        pos = np.arange(n)
+        near_in = np.searchsorted(keep, keep + g_in, "right")
+        wrap_lo = np.maximum(np.searchsorted(keep, keep + m - g_out, "left"), pos + 1)
+        wrap_hi = np.maximum(np.searchsorted(keep, keep + m - g_in, "left"), wrap_lo)
+        spans = np.concatenate([succ - near_in, wrap_hi - wrap_lo])
+        p = np.repeat(np.concatenate([pos, pos]), spans)
+        q = _segments(np.concatenate([near_in, wrap_lo]), spans)
+        near = pseudo_distance(_ring_points(rho, m, keep[p]), _ring_points(rho, m, keep[q])) < sep
+        fringe = dict(zip((p * n + q).tolist(), near.tolist()))
+        # the successor of p is its first survivor beyond g_out or at a far fringe gap
+        far = ~near & (keep[q] - keep[p] <= g_out)
+        np.minimum.at(succ, p[far], q[far])
+    index = keep.tolist()
 
+    def clash(a, b):
+        g = _ring_gap(index[b] - index[a], m)
+        return g <= g_in or (g <= g_out and fringe[a * n + b])
 
-def _ring_greedy(cands, keep, half, sep):
-    """The positions in keep (sorted candidate indices of one ring) that the
-    greedy accepts: each at pseudo-distance >= sep from every earlier
-    accepted one."""
-    i, j = _earlier_pairs(keep, cands.size, half)
-    near = pseudo_distance(cands[keep[i]], cands[keep[j]]) < sep
-    # grouped by j with i < j, so every accepted[i] is final when a pair is read
-    accepted = [True] * keep.size
-    for a, b in zip(i[near].tolist(), j[near].tolist()):
-        if accepted[a]:
-            accepted[b] = False
-    return np.flatnonzero(accepted)
+    # the chain runs up to the first survivor within reach of index[0] + m
+    start = int(np.searchsorted(keep, index[0] + m - g_out, "left"))
+    succ, accepted, a = succ.tolist(), [], 0
+    while a < start:
+        accepted.append(a)
+        a = succ[a]
+
+    def within_reach(b):
+        for s in reversed(accepted):
+            if index[b] - index[s] > g_out:
+                break
+            yield s
+        for s in accepted:
+            if index[s] + m - index[b] > g_out:
+                break
+            yield s
+
+    for b in range(a, n):
+        if not any(clash(s, b) for s in within_reach(b)):
+            accepted.append(b)
+    return np.array(accepted, dtype=int)
 
 
 def build_lattice(r, r_max=0.995):
@@ -519,23 +579,34 @@ def build_lattice(r, r_max=0.995):
     Consecutive rings are only ~r/8 apart, so conflicts can involve at most
     the last few rings, and the test looks back five rings.
 
-    Each accepted point keeps its candidate index, and meets only the
-    candidates of a later ring whose indices lie in its window
-    (_index_window).  The radial and angular bounds of Lattice give the
-    windows: a ring whose radial bound |rho - b| / (1 - rho b) reaches the
-    threshold is skipped, and otherwise the half-width is the _disk_window
-    of a point of modulus b on the ring's circle |w| = rho, one array call
-    per ring for the last five rings and the ring itself.
-    Near the origin, where no window exists, a point meets the whole ring.
-    One array pass per candidate ring, in blocks of about _BLOCK_PAIRS
-    pairs (_blocks), marks the candidates that clash with the points of any
-    of the five earlier rings.  The survivors then meet the earlier
-    survivors of their own ring within the same index reach, wrapping
-    around index 0, and one scan in index order accepts those with no
-    accepted near neighbour.  Every pair
-    that can decide goes through pseudo_distance in the orientation
-    (accepted, candidate), so the points are those of the plain greedy, bit
-    for bit.
+    The radial and angular bounds of Lattice decide every clash of a
+    candidate with an accepted point of the five earlier rings.  A ring out
+    of radial reach is skipped.  Otherwise, as every point of a ring shares
+    its modulus b, the proofs are two scalars per look-back ring on the
+    circle |w| = rho, taken for every ring of the spiral in one array call:
+    the outer half-width (_disk_window at sep (1 + _PRUNE_MARGIN),
+    sep = r/2), beyond which no candidate is near, and the inner one
+    (_inner_window at sep (1 - _PRUNE_MARGIN)), within which every
+    candidate is.  Each accepted point turns them into index arcs
+    of the ring (_index_arcs): its inner arc clashes without a distance,
+    marked on a difference array (_covered), and pseudo_distance runs only
+    on its fringe, an index or two either side, in the orientation
+    (accepted, candidate).  The survivors then meet each other on the same
+    two proofs for a point of the ring on its own circle (_ring_walk).
+    Candidates are evaluated only where they are accepted or on a fringe,
+    by the one elementwise expression (_ring_points), so the points are
+    those of the plain greedy, bit for bit.
+
+    The arcs need no index pad.  Their ends are the floor and ceil of
+    c -+ w, c = k m / m_src and w = h m / 2 pi, which are computed within a
+    few ulp of m, an angle of a few 1e-15 rad, and a candidate's computed
+    point lies a few ulp off rho e^{2 pi i j / m}.  The distance moves by at
+    most rho / (1 - rho^2) per radian along the circle, so these errors move
+    it by less than 1e-12 for rho <= 0.999.  The outer window ends where the
+    exact distance is sep (1 + _PRUNE_MARGIN) and the inner one where it is
+    sep (1 - _PRUNE_MARGIN): a slack of sep _PRUNE_MARGIN = r / 2000 either
+    side.  The margin covers the rounding of the half-widths themselves as it
+    does for the audits (Lattice).
 
     The lattice of one (r, r_max) is built once per process (_lattice) and
     shared: its points are read-only.
@@ -555,32 +626,42 @@ def _lattice(r, r_max):
     (0.2, 0.99)) and its multiplicity bound.
     """
     sep = r / 2.0
-    thr = sep * (1.0 + _PRUNE_MARGIN)
+    thr, thr_in = sep * (1.0 + _PRUNE_MARGIN), sep * (1.0 - _PRUNE_MARGIN)
+    spiral = _candidate_rings(r, r_max)
     # accepted points from rings within radial pseudo-gap < sep of the current
     # ring can conflict; with ring gap r/8 that is at most 5 rings back.
     window = 5
-    rings = []  # (rho, m, accepted indices, accepted points) per ring
-    for rho, cands in _candidate_rings(r, r_max):
-        m = cands.size
-        recent = rings[-window:]
-        # the half-widths of a point of each recent ring, and of this ring, on |w| = rho
-        half = _disk_window([b for b, *_ in recent] + [rho], rho, rho, thr)
-        # the accepted points of the recent rings within the radial bound, each
-        # with its candidate index, its ring's size and its half-width
-        near = [(k, pts, np.full(k.size, m_src), np.full(k.size, h))
-                for (b, m_src, k, pts), h in zip(recent, half)
-                if abs(rho - b) / (1.0 - rho * b) < thr]
+    # column l of row i: ring i - l seen from ring i, its radial bound and
+    # the half-widths of a point of it on |w| = rho_i, for every ring at once
+    radii = np.array([rho for rho, _ in spiral])
+    row, lag = np.arange(radii.size)[:, None], np.arange(window + 1)
+    rho, b = radii[:, None], radii[np.maximum(row - lag, 0)]
+    reach = ((np.abs(rho - b) / (1.0 - rho * b) < thr) & (lag <= row)).tolist()
+    outer, inner = _disk_window(b, rho, rho, thr), _inner_window(b, rho, rho, thr_in)
+    rings = []  # (accepted indices, accepted points) per ring
+    for i, (rho, m) in enumerate(spiral):
+        lags = [l for l in range(window, 0, -1) if reach[i][l]]
         clash = np.zeros(m, dtype=bool)
-        if near:
-            k, pts, m_src, h = (np.concatenate(column) for column in zip(*near))
-            lo, counts = _index_window(k, m_src, m, h)
-            for a, b in _blocks(counts):
-                j = _segments(lo[a:b], counts[a:b]) % m
-                clash[j[pseudo_distance(np.repeat(pts[a:b], counts[a:b]), cands[j]) < sep]] = True
+        if lags:
+            sizes = [rings[i - l][0].size for l in lags]
+            k = np.concatenate([rings[i - l][0] for l in lags])
+            pts = np.concatenate([rings[i - l][1] for l in lags])
+            m_src = np.repeat([spiral[i - l][1] for l in lags], sizes)
+            lo, count, lo_in, count_in = _index_arcs(
+                k, m_src, m, np.repeat(outer[i, lags], sizes), np.repeat(inner[i, lags], sizes)
+            )
+            clash = _covered(lo_in, count_in, m)
+            # the fringe of each point, either side of its inner arc, less what is marked
+            spans = np.concatenate([lo_in - lo, lo + count - lo_in - count_in])
+            j = _segments(np.concatenate([lo, lo_in + count_in]), spans) % m
+            src = np.repeat(np.tile(np.arange(k.size), 2), spans)
+            undecided = ~clash[j]
+            j, src = j[undecided], src[undecided]
+            clash[j[pseudo_distance(pts[src], _ring_points(rho, m, j)) < sep]] = True
         keep = np.flatnonzero(~clash)
-        keep = keep[_ring_greedy(cands, keep, half[-1], sep)]
-        rings.append((rho, m, keep, cands[keep]))
-    points = np.concatenate([pts for *_, pts in rings])
+        keep = keep[_ring_walk(keep, rho, m, outer[i, 0], inner[i, 0], sep)]
+        rings.append((keep, _ring_points(rho, m, keep)))
+    points = np.concatenate([pts for _, pts in rings])
 
     # packing bound: the centers hitting z lie in Delta(z, D), D = _doubled(r), and their
     # disjoint Delta(a_k, q) in Delta(z, D (+) q); the ratio of the cells rho^2 / (1 - rho^2)
@@ -618,6 +699,8 @@ class BoundaryLadder:
         radii = tuple(float(r) for r in self.radii)
         if not radii:
             raise DomainError("a ladder needs at least one ring")
+        if not all(math.isfinite(b) and b >= 0.0 for b in radii):
+            raise DomainError(f"ladder radii must be finite and at least 0, got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("ladder radii must be strictly increasing")
         if radii[-1] >= 1.0:

@@ -113,25 +113,32 @@ class DiscQuadrature:
     region is the PseudoDisk or CarlesonSet the rule covers, or None for a
     centered polar rule (disc_rule, weighted_disc_rule, density_rule).  Such
     a rule knows its rings = (radii, ring weights or None if the weights vary
-    around a ring); given nodes None, it builds them from its rings on their
+    around a ring) and its n_angular angles per ring; given nodes None, or
+    weights None with ring weights, it builds them from its rings on their
     first read and holds them itself.  A region rule has no rings.
     """
 
     _nodes: np.ndarray | None
-    weights: np.ndarray
+    _weights: np.ndarray | None
     region: object
     resolution: int
     rings: tuple | None = None
+    n_angular: int | None = None
 
     @property
     def nodes(self):
         if self._nodes is None:
             # node k of ring i, at k + i n_angular, is rho_i e^(2 pi i k / n_angular)
-            n_angular = self.weights.size // self.resolution
-            theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+            theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
             grid = (self.rings[0][:, None] * np.exp(1j * theta)[None, :]).ravel()
             object.__setattr__(self, "_nodes", *_read_only(grid))
         return self._nodes
+
+    @property
+    def weights(self):
+        if self._weights is None:
+            object.__setattr__(self, "_weights", *_read_only(np.repeat(self.rings[1], self.n_angular)))
+        return self._weights
 
     def integrate(self, f):
         """Sum weights * f(nodes); f must accept a complex numpy array."""
@@ -228,13 +235,12 @@ def disc_rule(n_radial, n_angular, r_max=1.0):
 
     Radial Gauss-Legendre from gauss_rule (exact for polynomial r-degree
     <= 2 n_radial - 1 including the r dr Jacobian), uniform trapezoid in
-    angle; the node grid is built on the first read of nodes.
+    angle; the node grid and the node weights are built on their first read.
     """
     n_radial, n_angular = int(n_radial), int(n_angular)
     r, wr = _gauss_legendre(n_radial, 0.0, float(r_max))
     ring_weights = wr * r * (2.0 * np.pi / n_angular)
-    weights = np.repeat(ring_weights, n_angular)
-    return DiscQuadrature(None, *_read_only(weights), None, n_radial, _read_only(r, ring_weights))
+    return DiscQuadrature(None, None, None, n_radial, _read_only(r, ring_weights), n_angular)
 
 
 def _jacobi_recurrence(n, a, x):
@@ -294,12 +300,12 @@ def weighted_disc_rule(n_t, n_angular, c, a):
 
     Rings at rho = sqrt(t) from _jacobi_rings, trapezoid in angle; dA = dt dtheta / 2.
     Exact for z^j conj(z)^k up to t-degree 2 n_t - 1 (see the module docstring).
+    The node grid and the node weights are built on their first read.
     """
     n_t, n_angular = int(n_t), int(n_angular)
     rho, wt = _jacobi_rings(n_t, float(a))
     ring_weights = wt * (np.pi * float(c) / n_angular)
-    weights = np.repeat(ring_weights, n_angular)
-    return DiscQuadrature(None, *_read_only(weights), None, n_t, (rho, *_read_only(ring_weights)))
+    return DiscQuadrature(None, None, None, n_t, (rho, *_read_only(ring_weights)), n_angular)
 
 
 def density_rule(v, n_t, n_radial, n_angular):
@@ -314,7 +320,7 @@ def density_rule(v, n_t, n_radial, n_angular):
         return weighted_disc_rule(n_t, n_angular, *v.power)
     rule = disc_rule(n_radial, n_angular)
     weights = rule.weights * np.asarray(_finite_values(v, rule.nodes), dtype=float)
-    return DiscQuadrature(rule.nodes, *_read_only(weights), None, rule.resolution, (rule.rings[0], None))
+    return DiscQuadrature(rule.nodes, *_read_only(weights), None, rule.resolution, (rule.rings[0], None), rule.n_angular)
 
 
 def monomial_gram(g, degree, n_radial, n_angular, r_max):
@@ -329,7 +335,6 @@ def monomial_gram(g, degree, n_radial, n_angular, r_max):
     """
     rule = disc_rule(n_radial, n_angular, r_max)
     (rho, ring_weights), nodes = rule.rings, rule.nodes
-    del rule  # its node-sized weights go before g runs: the Gram needs the ring weights only
     values = np.asarray(_finite_values(g, nodes), dtype=float).reshape(n_radial, n_angular)
     # ghat_rho(m) = sum_theta w g e^(i m theta) for m = 0..n_angular // 2
     half = np.conj(np.fft.rfft(ring_weights[:, None] * values, axis=1))
@@ -350,7 +355,7 @@ def _ring_layout(rule, what):
     """(radii, ring weights, n_angular) of a centered polar rule, which carries its rings."""
     if rule.rings is None:
         raise DomainError(f"{what} needs a centered polar rule; {rule.region or 'this rule'} has no rings")
-    return (*rule.rings, rule.weights.size // rule.resolution)
+    return (*rule.rings, rule.n_angular)
 
 
 def _fold(coeffs, n_angular):

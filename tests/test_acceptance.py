@@ -182,7 +182,7 @@ def test_criterion_03_sees_a_dropped_ring(monkeypatch):
     def without_first_ring(n, k, c, a):
         full = rule(n, k, c, a)
         rho, ring_weights = full.rings
-        return DiscQuadrature(None, full.weights[k:], None, n - 1, (rho[1:], ring_weights[1:]))
+        return DiscQuadrature(None, None, None, n - 1, (rho[1:], ring_weights[1:]), full.n_angular)
 
     rule = quadrature.weighted_disc_rule
     monkeypatch.setattr(quadrature, "weighted_disc_rule", without_first_ring)
@@ -259,16 +259,11 @@ def test_criterion_08_audit_candidates_are_pinned(monkeypatch):
 
 
 def test_criterion_08_sees_a_dropped_wraparound(monkeypatch):
-    # the within-ring search of build_lattice without its wrap-around term:
-    # the last candidates of a ring no longer meet the first accepted ones,
-    # so pairs closer than r/2 pile up across index 0
-    def without_wraparound(keep, m, half):
-        i, j = earlier_pairs(keep, m, half)
-        linear = keep[j] - keep[i] < m / 2
-        return i[linear], j[linear]
-
-    earlier_pairs = geometry._earlier_pairs
-    monkeypatch.setattr(geometry, "_earlier_pairs", without_wraparound)
+    # the ring walk of build_lattice without its wrap-around: the index gap of
+    # two candidates is taken one way only, so the last candidates of a ring
+    # no longer meet the first accepted ones, and pairs closer than r/2 pile
+    # up across index 0
+    monkeypatch.setattr(geometry, "_ring_gap", lambda d, m: d)
     res = verification.check_08_lattice_certificates()
     assert not res["passed"]
     for r, minsep in ((0.2, 0.02493), (0.5, 0.2344)):
@@ -439,19 +434,19 @@ def test_criterion_15_determinism():
 
 
 def test_criterion_15_sees_a_nondeterministic_build(monkeypatch):
-    # every second candidate spiral is turned by 0.01 rad, so the second
-    # artifact build differs from the first wherever the lattice is really
-    # rebuilt, and not served from the lattice cache
-    def turned_every_second(r, r_max):
+    # every second candidate spiral samples each ring at one more candidate,
+    # so the second artifact build differs from the first wherever the
+    # lattice is really rebuilt, and not served from the lattice cache
+    def denser_every_second(r, r_max):
         calls.append((r, r_max))
         rings = candidate_rings(r, r_max)
         if len(calls) % 2 == 0:
-            rings = [(rho, cands * np.exp(0.01j)) for rho, cands in rings]
+            rings = [(rho, m + 1) for rho, m in rings]
         return rings
 
     calls = []
     candidate_rings = geometry._candidate_rings
-    monkeypatch.setattr(geometry, "_candidate_rings", turned_every_second)
+    monkeypatch.setattr(geometry, "_candidate_rings", denser_every_second)
     res = verification.check_15_determinism()
     assert not res["passed"]
     assert res["details"]["mismatched"] == ["lattice.json"]

@@ -192,7 +192,8 @@ def _reference_points(r, r_max):
     """The scalar greedy: every candidate against every recent accepted point."""
     sep = r / 2.0
     accepted_per_ring = []
-    for _, cands in geometry._candidate_rings(r, r_max):
+    for rho, m in geometry._candidate_rings(r, r_max):
+        cands = geometry._ring_points(rho, m, np.arange(m))
         recent = [p for ring_pts in accepted_per_ring[-5:] for p in ring_pts]
         recent_arr = np.array(recent) if recent else np.empty(0, dtype=complex)
         this_ring = []
@@ -225,6 +226,19 @@ def _reference_multiplicity(pts, r, grid):
     for a in pts:
         counts += pseudo_distance(grid, a) < pseudo_add(r, r)
     return int(np.max(counts))
+
+
+def _count_distances(monkeypatch):
+    """Count every value geometry.pseudo_distance returns, in the one entry of the list handed back."""
+    counted = [0]
+
+    def counting(z, w):
+        out = pseudo_distance(z, w)
+        counted[0] += np.size(out)
+        return out
+
+    monkeypatch.setattr(geometry, "pseudo_distance", counting)
+    return counted
 
 
 def _assert_matches_reference(r, r_max):
@@ -451,6 +465,18 @@ class TestWindowedLattice:
         for q in (np.array([0.0j]), np.array([0.2 + 0.1j, -0.3j])):
             assert list(geometry._close_pairs(q, ring, 0.3)) == []
 
+    @pytest.mark.parametrize("grid", [[], np.array([], dtype=complex), np.empty((0, 3))])
+    def test_audits_reject_an_empty_grid(self, grid):
+        # the multiplicity raised numpy's "zero-size array to reduction
+        # operation maximum", and the covering fraction read nan with a
+        # RuntimeWarning
+        lat = build_lattice(0.3, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for audit in (lat.multiplicity, lat.covering_fraction):
+                with pytest.raises(DomainError, match="audit grid is empty"):
+                    audit(grid)
+
     def test_audits_reject_points_outside_the_disc(self):
         lat = Lattice(0.3, 0.9, np.array([0.0, 1.0 + 0.0j]), 2)
         with pytest.raises(DomainError):
@@ -482,56 +508,88 @@ class TestRingWindows:
 
     @given(r=st.floats(0.1, 0.9), r_max=st.floats(0.05, 0.9), data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_index_window_is_sound(self, r, r_max, data):
-        # model: test_disk_window_is_sound.  Of two rings at most five
-        # apart, every candidate of the later one (or the same one) within sep
-        # of a candidate k of the earlier lies in the window of k, unless the
+    def test_index_arcs_are_sound(self, r, r_max, data):
+        # model: test_disk_window_is_sound.  Of two rings at most five apart,
+        # every candidate of the later one (or the same one) that the inner
+        # arc of a candidate k of the earlier marks without a distance is
+        # within sep of it, and none outside its outer arc is, unless the
         # radial bound already rules the two rings out
         rings = geometry._candidate_rings(r, r_max)
         a = data.draw(st.integers(0, len(rings) - 1))
         b = data.draw(st.integers(max(0, a - 5), a))
-        (rho, cands), (rho_b, src) = rings[a], rings[b]
+        (rho, m), (rho_b, m_src) = rings[a], rings[b]
         sep = r / 2.0
         thr = sep * (1.0 + geometry._PRUNE_MARGIN)
-        m, m_src = cands.size, src.size
         # at most 64 candidates k, from a drawn start
         k = (data.draw(st.integers(0, m_src - 1)) + np.arange(min(m_src, 64))) % m_src
-        near = pseudo_distance(src[k][:, None], cands[None, :]) < sep
+        src, cands = geometry._ring_points(rho_b, m_src, k), geometry._ring_points(rho, m, np.arange(m))
+        near = pseudo_distance(src[:, None], cands[None, :]) < sep
         if abs(rho - rho_b) / (1.0 - rho * rho_b) >= thr:
             assert not np.any(near)
             return
-        half = geometry._disk_window(rho_b, rho, rho, thr)
-        lo, count = geometry._index_window(k, m_src, m, half)
-        inside = (np.arange(m)[None, :] - lo[:, None]) % m < count[:, None]
-        assert np.all(inside[near])
+        outer = geometry._disk_window(rho_b, rho, rho, thr)
+        inner = geometry._inner_window(rho_b, rho, rho, sep * (1.0 - geometry._PRUNE_MARGIN))
+        lo, count, lo_in, count_in = geometry._index_arcs(k, m_src, m, outer, inner)
+        j = np.arange(m)[None, :]
+        in_outer = (j - lo[:, None]) % m < count[:, None]
+        in_inner = (j - lo_in[:, None]) % m < count_in[:, None]
+        assert np.all(near[in_inner]) and np.all(in_outer[near]) and np.all(in_outer[in_inner])
+        # the difference array marks the union of the inner arcs
+        assert np.array_equal(geometry._covered(lo_in, count_in, m), np.any(in_inner, axis=0))
 
     def test_build_distances_are_pinned(self, monkeypatch):
-        # every pseudo_distance that the build of (0.2, 0.99) evaluates.  Each
-        # point meets a ring in the exact window of its disk on the ring's
-        # circle (_disk_window): 543,254 distances.  A lower bound at the
-        # smaller of the two moduli took 708,885.
-        counted = [0]
-
-        def counting(z, w):
-            out = pseudo_distance(z, w)
-            counted[0] += np.size(out)
-            return out
-
-        monkeypatch.setattr(geometry, "pseudo_distance", counting)
+        # every pseudo_distance that the build of (0.2, 0.99) evaluates.  A
+        # candidate inside the inner arc of an accepted point clashes without
+        # a distance, and only the fringe between the inner and the outer arc,
+        # less what an inner arc already marks, is evaluated: 2,156
+        # distances, and none in the ring walks, whose inner and outer gaps
+        # meet.  Each outer arc evaluated whole took 543,254; a lower bound at
+        # the smaller of the two moduli, 708,885.
+        counted = _count_distances(monkeypatch)
         assert len(build_lattice(0.2, 0.99).points) == 13412
-        assert counted == [543_254]
+        assert counted == [2_156]
 
-    @given(m=st.integers(1, 200), half=st.one_of(st.just(np.pi), st.floats(1e-3, np.pi)), data=st.data())
+    @pytest.mark.parametrize("r, r_max", [(0.3, 0.95), (0.15, 0.9), (0.8, 0.9)])
+    def test_wide_margin_matches_scalar_loops(self, monkeypatch, r, r_max):
+        # at a margin of 5 % the clash fringes span several indices and most
+        # ring walks meet fringe gaps (44 of 50 rings at (0.3, 0.95)), which at
+        # 1e-3 none does: the build, deciding each of them by its distance,
+        # is still the plain greedy
+        counted = _count_distances(monkeypatch)
+        build_lattice(r, r_max)
+        narrow = counted[0]
+        monkeypatch.setattr(geometry, "_PRUNE_MARGIN", 0.05)
+        geometry._lattice.cache_clear()
+        assert np.array_equal(build_lattice(r, r_max).points, _reference_points(r, r_max))
+        assert counted[0] - narrow > 4 * narrow
+
+    @given(
+        m=st.integers(1, 300),
+        rho=st.floats(0.01, 0.99),
+        sep=st.floats(0.01, 0.6),
+        margin=st.sampled_from([1e-3, 0.05, 0.3]),
+        data=st.data(),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_earlier_pairs_are_the_window_pairs(self, m, half, data):
-        keep = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))), dtype=int)
-        i, j = geometry._earlier_pairs(keep, m, half)
-        assert np.all(np.diff(j) >= 0)
-        lo, count = geometry._index_window(keep, m, m, half)
-        want = {(a, b) for b in range(keep.size) for a in range(b)
-                if (keep[a] - lo[b]) % m < count[b]}
-        got = list(zip(i.tolist(), j.tolist()))
-        assert len(got) == len(set(got)) and set(got) == want
+    # a ring within reach of itself all round, and one whose inner gap is 0
+    @example(m=8, rho=0.05, sep=0.3, margin=0.05, data=None)
+    @example(m=40, rho=0.5, sep=0.2, margin=0.3, data=None)
+    def test_ring_walk_is_the_plain_greedy(self, m, rho, sep, margin, data):
+        # survivors of one ring, accepted in index order against every
+        # accepted one, across index 0 too; at margins of 5 % and 30 % the
+        # walk meets fringe gaps and rings where two accepted points fall
+        # within reach of one survivor
+        keep = np.arange(m) if data is None else np.array(
+            sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m))), dtype=int
+        )
+        outer = float(geometry._disk_window(rho, rho, rho, sep * (1.0 + margin)))
+        inner = float(geometry._inner_window(rho, rho, rho, sep * (1.0 - margin)))
+        cands = geometry._ring_points(rho, m, np.arange(m))
+        want = []
+        for p, j in enumerate(keep):
+            if not want or np.min(pseudo_distance(cands[keep[want]], cands[j])) >= sep:
+                want.append(p)
+        assert geometry._ring_walk(keep, rho, m, outer, inner, sep).tolist() == want
 
 
 class TestBoundaryLadder:
@@ -568,6 +626,15 @@ class TestBoundaryLadder:
         with pytest.raises(DomainError, match="at least one ring"):
             BoundaryLadder(radii=(), samples_per_ring=4)
         assert BoundaryLadder(radii=(0.5,), samples_per_ring=4).points().size == 4
+
+    @pytest.mark.parametrize("radii", [(0.5, np.nan), (np.nan,), (0.2, np.inf), (-0.5, 0.2), (-1e-300,)])
+    def test_radii_must_be_finite_and_not_negative(self, radii):
+        # (0.5, nan) passed every check and bekolle_constant then failed with
+        # "anchor = (nan+0j) is not in the open unit disc"; (-0.5, 0.2) read a
+        # ring trend over a radius of -0.5
+        with pytest.raises(DomainError, match="finite and at least 0"):
+            BoundaryLadder(radii=radii, samples_per_ring=4)
+        assert BoundaryLadder(radii=(0.0, 0.5), samples_per_ring=4).points().size == 8
 
     def test_one_sample_per_ring_required(self):
         # an empty ladder ended in numpy's zero-size reduction error

@@ -138,6 +138,23 @@ class TestExactNormRule:
         assert reproducing_check(m, [1.0, 2.0], 0.3j) <= 1e-13
         assert kernel_norm(m, 0.3j, 1.5) > 0.0
 
+    def test_radial_norm_rule_builds_no_node_weights(self, monkeypatch):
+        # a radial model's pairings and norms read the ring weights alone: at
+        # degree 200 the node weights would repeat 52,224 floats per rule
+        from bergman_lab import kernels
+
+        def recording(*args):
+            rules.append(density_rule(*args))
+            return rules[-1]
+
+        rules = []
+        density_rule = kernels.density_rule
+        monkeypatch.setattr(kernels, "density_rule", recording)
+        m = build_kernel_model(standard(0.5), 200)
+        assert reproducing_check(m, [1.0, 0.5j, 0.25], 0.3 - 0.4j) <= 1e-13
+        assert kernel_norms(m, [0.2, 0.7j], 3.0).shape == (2,)
+        assert len(rules) == 2 and all(rule._weights is None for rule in rules)
+
     def test_batched_norms(self):
         # one value per point; a radial model's norm depends on |w| alone
         m = build_kernel_model(standard(0.5), 60)

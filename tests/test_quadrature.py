@@ -26,6 +26,7 @@ from bergman_lab.quadrature import (
     DiscQuadrature,
     _jacobi_rings,
     _polar_rule,
+    _real_ring_power_sum,
     beta_moments,
     density_rule,
     gauss_rule,
@@ -586,6 +587,23 @@ class TestRings:
         ring_pairing(rule, [1.0, 2.0], [3.0])
         assert rule._nodes is None
         assert rule.nodes is rule.nodes
+
+    @pytest.mark.parametrize("rule", [
+        lambda: disc_rule(12, 24, 0.9), lambda: weighted_disc_rule(20, 64, 1.5, 0.5),
+    ], ids=["disc_rule", "weighted_disc_rule"])
+    def test_ring_readers_build_no_weights(self, rule):
+        # the ring readers take the ring weights: a rule builds its node-sized
+        # weights on their first read only, each the ring weight repeated
+        # n_angular times, bit for bit, and read-only
+        rule = rule()
+        ring_values(rule, lambda rho: rho[:, None] ** np.arange(5))
+        ring_pairing(rule, [1.0, 2.0], [3.0])
+        _real_ring_power_sum(rule, rule.rings[0][:, None] ** np.arange(4), 3.0)
+        assert rule._weights is None
+        assert np.array_equal(rule.weights, np.repeat(rule.rings[1], rule.n_angular))
+        assert rule.weights is rule.weights and rule.weights.size == rule.nodes.size
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
 
 
 class TestRuleMemory:
